@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 
 #include "common/metrics.h"
@@ -49,37 +50,54 @@ void CollectReturns(const Document& doc, const NameTable& names,
 }
 
 /// Applies the query's ORDER BY (first key) to the driving nodes: each
-/// node sorts by the value of the order-key node inside its own subtree
-/// (numeric when both keys parse as numbers). Stable, so document order
-/// breaks ties.
+/// node sorts by the value of the first order-key node (in document
+/// order) inside its own subtree, numeric when both keys parse as
+/// numbers. Stable, so document order breaks ties.
 void SortByOrderKey(const Collection& coll, const NameTable& names,
                     const NormalizedQuery& query,
                     std::vector<NodeRef>* nodes) {
   if (query.order_by.empty() || nodes->size() < 2) return;
   const PathPattern& key_pattern = query.order_by.front();
-  std::vector<std::pair<std::string, NodeRef>> keyed;
+  struct Keyed {
+    std::string key;
+    std::optional<double> num;  // ParseDouble(key), parsed once.
+    NodeRef ref;
+  };
+  std::vector<Keyed> keyed;
   keyed.reserve(nodes->size());
+  // Key-pattern matches of the current document, sorted by region begin
+  // (node index). Both plans emit driving nodes grouped by document.
+  DocId matched_doc = -1;
+  std::vector<NodeIndex> matches;
   for (const NodeRef& ref : *nodes) {
     const Document& doc = coll.doc(ref.doc);
+    if (ref.doc != matched_doc) {
+      matches = EvaluatePattern(doc, names, key_pattern);
+      matched_doc = ref.doc;
+    }
+    // The first match at or after the driving node's begin is the first
+    // one inside its subtree, if any match is.
     const XmlNode& driving = doc.node(ref.node);
     std::string key;
-    for (NodeIndex n : EvaluatePattern(doc, names, key_pattern)) {
-      const XmlNode& cand = doc.node(n);
-      if (driving.begin <= cand.begin && cand.end <= driving.end) {
-        key = doc.TextValue(n);
+    for (auto it = std::lower_bound(matches.begin(), matches.end(),
+                                    static_cast<NodeIndex>(driving.begin));
+         it != matches.end() && doc.node(*it).begin <= driving.end; ++it) {
+      if (doc.node(*it).end <= driving.end) {
+        key = doc.TextValue(*it);
         break;
       }
     }
-    keyed.emplace_back(std::move(key), ref);
+    std::optional<double> num = ParseDouble(key);
+    keyed.push_back(Keyed{std::move(key), num, ref});
   }
   std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) {
-                     auto na = ParseDouble(a.first);
-                     auto nb = ParseDouble(b.first);
-                     if (na.has_value() && nb.has_value()) return *na < *nb;
-                     return a.first < b.first;
+                   [](const Keyed& a, const Keyed& b) {
+                     if (a.num.has_value() && b.num.has_value()) {
+                       return *a.num < *b.num;
+                     }
+                     return a.key < b.key;
                    });
-  for (size_t i = 0; i < keyed.size(); ++i) (*nodes)[i] = keyed[i].second;
+  for (size_t i = 0; i < keyed.size(); ++i) (*nodes)[i] = keyed[i].ref;
 }
 
 }  // namespace
@@ -108,11 +126,8 @@ Status Executor::TouchDocument(const Document& doc) const {
   double pages = std::max(
       1.0, std::ceil(static_cast<double>(doc.ByteSize()) /
                      cost_model_.storage.page_size_bytes));
-  for (uint32_t p = 0; p < static_cast<uint32_t>(pages); ++p) {
-    XIA_RETURN_IF_ERROR(
-        buffer_pool_->Fetch(DocPageId(doc.id(), p)).status());
-  }
-  return Status::Ok();
+  return buffer_pool_->FetchRun(DocPageId(doc.id(), 0),
+                                static_cast<uint32_t>(pages));
 }
 
 Status Executor::TouchNodePage(const Document& doc, NodeIndex node) const {
@@ -132,10 +147,8 @@ Status Executor::TouchIndexLeaves(const std::string& index_name,
                                   double pages) const {
   if (buffer_pool_ == nullptr) return Status::Ok();
   uint64_t hash = std::hash<std::string>{}(index_name);
-  for (uint32_t p = 0; p < static_cast<uint32_t>(std::ceil(pages)); ++p) {
-    XIA_RETURN_IF_ERROR(buffer_pool_->Fetch(IndexPageId(hash, p)).status());
-  }
-  return Status::Ok();
+  return buffer_pool_->FetchRun(IndexPageId(hash, 0),
+                                static_cast<uint32_t>(std::ceil(pages)));
 }
 
 Result<ExecResult> Executor::Execute(const QueryPlan& plan) const {

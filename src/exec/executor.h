@@ -74,9 +74,10 @@ class Executor {
   Result<ExecResult> ExecuteIndex(const QueryPlan& plan,
                                   const Collection& coll) const;
 
-  // The Touch* helpers route page accesses through BufferPool::Fetch, so
-  // an injected storage.bufferpool.fetch fault propagates out of Execute
-  // as a clean Status instead of being swallowed mid-scan.
+  // The Touch* helpers route page accesses through BufferPool::Fetch (or
+  // FetchRun for a run of consecutive pages), so an injected
+  // storage.bufferpool.fetch fault propagates out of Execute as a clean
+  // Status instead of being swallowed mid-scan.
 
   /// Routes the whole document's pages through the buffer pool.
   Status TouchDocument(const Document& doc) const;

@@ -10,12 +10,29 @@ Result<bool> BufferPool::Fetch(uint64_t page_id) {
   return Touch(page_id);
 }
 
+Status BufferPool::FetchRun(uint64_t first_id, uint32_t count) {
+  if (fp::AnyArmed() || capacity_ == 0) {
+    // Per-page path: an armed failpoint sees every page id in order.
+    for (uint32_t i = 0; i < count; ++i) {
+      XIA_RETURN_IF_ERROR(Fetch(first_id + i).status());
+    }
+    return Status::Ok();
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (uint32_t i = 0; i < count; ++i) TouchLocked(first_id + i);
+  return Status::Ok();
+}
+
 bool BufferPool::Touch(uint64_t page_id) {
   if (capacity_ == 0) {
     misses_.Increment();
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
+  return TouchLocked(page_id);
+}
+
+bool BufferPool::TouchLocked(uint64_t page_id) {
   auto it = map_.find(page_id);
   if (it != map_.end()) {
     hits_.Increment();

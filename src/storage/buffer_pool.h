@@ -41,6 +41,13 @@ class BufferPool {
   /// injected I/O faults surface as a clean Status all the way up.
   Result<bool> Fetch(uint64_t page_id);
 
+  /// Fetches the `count` consecutive pages first_id, first_id + 1, ...
+  /// (a document's page run) under one lock acquisition. LRU order,
+  /// hit/miss/eviction counts and storage.bufferpool.fetch hits are
+  /// exactly those of `count` Fetch calls in order; the first failing
+  /// page stops the run with the pages before it already touched.
+  Status FetchRun(uint64_t first_id, uint32_t count);
+
   size_t capacity() const { return capacity_; }
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -68,6 +75,9 @@ class BufferPool {
   void Reset();
 
  private:
+  /// Touch with mu_ held (capacity_ > 0).
+  bool TouchLocked(uint64_t page_id);
+
   size_t capacity_;
   mutable std::mutex mu_;    // Guards lru_ + map_ + *_base_.
   std::list<uint64_t> lru_;  // Front = most recently used.

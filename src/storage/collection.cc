@@ -29,7 +29,7 @@ Status Collection::Delete(DocId id) {
   // Free the content; the empty slot keeps later DocIds stable and
   // serializes identically whether the delete happened live, via WAL
   // replay, or before a checkpoint.
-  Document empty = Document::FromNodes({});
+  Document empty;
   empty.set_id(id);
   doc = std::move(empty);
   live_[static_cast<size_t>(id)] = 0;

@@ -434,7 +434,13 @@ Status StorageEngine::LoadCheckpoint(const std::string& path) {
           XIA_ASSIGN_OR_RETURN(node.value, r.Str());
           nodes.push_back(std::move(node));
         }
-        DocId id = coll->Add(Document::FromNodes(std::move(nodes)));
+        Result<Document> doc = Document::FromNodes(std::move(nodes));
+        if (!doc.ok()) {
+          return Status::Internal("collection " + coll_name + ": document " +
+                                  std::to_string(d) + ": " +
+                                  doc.status().message());
+        }
+        DocId id = coll->Add(std::move(*doc));
         if (live == 0) {
           // Reconstitute the tombstone (the slot was serialized empty).
           XIA_RETURN_IF_ERROR(coll->Delete(id));

@@ -77,6 +77,7 @@ Result<Document> DocumentBuilder::Finish() {
     return Status::InvalidArgument("Finish() on empty document");
   }
   Document out = std::move(doc_);
+  out.SealByteSize();
   doc_ = Document();
   next_begin_ = 0;
   return out;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "xml/node.h"
 
 namespace xia {
@@ -15,6 +16,11 @@ using DocId = int32_t;
 /// One XML document stored as a flat, document-ordered node array.
 /// Documents are built by DocumentBuilder (programmatic) or XmlParser
 /// (from text); both assign region encodings at construction time.
+///
+/// Invariants the read path relies on (checked by FromNodes): node i has
+/// region begin == i, so a subtree is the contiguous index range
+/// [i, node(i).end]; and the byte size is fixed when the document is
+/// built — nodes cannot be edited afterwards.
 class Document {
  public:
   Document() = default;
@@ -26,13 +32,12 @@ class Document {
 
   /// Rebuilds a document from an already-flattened node array (the
   /// persistent checkpoint loader, storage/storage_engine.cc). The nodes
-  /// must carry valid region encodings — they are stored verbatim, which
-  /// is what makes a reloaded document bit-identical to the original.
-  static Document FromNodes(std::vector<XmlNode> nodes) {
-    Document doc;
-    doc.nodes_ = std::move(nodes);
-    return doc;
-  }
+  /// are stored verbatim, which is what makes a reloaded document
+  /// bit-identical to the original. Fails with InvalidArgument when the
+  /// array breaks the region encoding: node i must have begin == i and
+  /// begin <= end < num_nodes; parent < i (-1 only for the root); and
+  /// first_child / next_sibling are -1 or point forward within the array.
+  static Result<Document> FromNodes(std::vector<XmlNode> nodes);
 
   /// Document id within its collection; set when added to a Collection.
   DocId id() const { return id_; }
@@ -42,7 +47,6 @@ class Document {
   size_t num_nodes() const { return nodes_.size(); }
 
   const XmlNode& node(NodeIndex i) const { return nodes_[static_cast<size_t>(i)]; }
-  XmlNode& mutable_node(NodeIndex i) { return nodes_[static_cast<size_t>(i)]; }
   const std::vector<XmlNode>& nodes() const { return nodes_; }
 
   /// Root element index (0 for non-empty documents).
@@ -57,15 +61,20 @@ class Document {
   NodeIndex FirstChild(NodeIndex i) const { return node(i).first_child; }
   NodeIndex NextSibling(NodeIndex i) const { return node(i).next_sibling; }
 
-  /// Approximate in-memory/storage footprint in bytes, used by the cost
-  /// model to derive page counts.
-  size_t ByteSize() const;
+  /// Approximate in-memory/storage footprint in bytes (sizeof(XmlNode)
+  /// plus the value length, summed over nodes), used by the cost model
+  /// and the executor's page accounting. Computed once at construction.
+  size_t ByteSize() const { return byte_size_; }
 
  private:
   friend class DocumentBuilder;
 
+  /// Sums the per-node footprint into byte_size_.
+  void SealByteSize();
+
   DocId id_ = -1;
   std::vector<XmlNode> nodes_;
+  size_t byte_size_ = 0;
 };
 
 }  // namespace xia

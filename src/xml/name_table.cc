@@ -5,7 +5,7 @@
 namespace xia {
 
 NameId NameTable::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   NameId id = static_cast<NameId>(names_.size());
   names_.emplace_back(name);
@@ -14,7 +14,7 @@ NameId NameTable::Intern(std::string_view name) {
 }
 
 NameId NameTable::Lookup(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) return kNoName;
   return it->second;
 }

@@ -2,6 +2,7 @@
 #define XIA_XML_NAME_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -36,8 +37,17 @@ class NameTable {
   size_t size() const { return names_.size(); }
 
  private:
+  /// Transparent hash: lets ids_ be probed with a string_view, so a
+  /// lookup of an already-interned name allocates nothing.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, NameId> ids_;
+  std::unordered_map<std::string, NameId, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace xia

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/failpoint.h"
+#include "common/random.h"
 #include "exec/executor.h"
 #include "index/index_builder.h"
 #include "optimizer/optimizer.h"
@@ -94,6 +98,79 @@ TEST(BufferPoolTest, PageIdSpacesDisjoint) {
   EXPECT_NE(DocPageId(3, 7), IndexPageId(3, 7));
   EXPECT_NE(DocPageId(0, 0), IndexPageId(0, 0));
   EXPECT_NE(DocPageId(1, 2), DocPageId(2, 1));
+}
+
+// ------------------------------------------------ FetchRun == Fetch loop.
+
+/// Drives `pool` through the same seeded mix of single touches and runs;
+/// `use_run` picks FetchRun or the equivalent Fetch loop for the runs.
+/// Returns every touch's hit/miss outcome, then probes the final LRU
+/// order: a fresh page evicts the next victim, and re-touching each id
+/// reveals which one it was.
+std::vector<bool> DriveAndProbe(BufferPool* pool, bool use_run) {
+  Random rng(99);
+  std::vector<bool> trace;
+  for (int step = 0; step < 200; ++step) {
+    uint64_t first = static_cast<uint64_t>(rng.Uniform(0, 40));
+    uint32_t count = static_cast<uint32_t>(rng.Uniform(0, 12));
+    if (rng.Bernoulli(0.3)) {
+      trace.push_back(*pool->Fetch(first));
+      continue;
+    }
+    uint64_t hits = pool->hits();
+    if (use_run) {
+      EXPECT_TRUE(pool->FetchRun(first, count).ok());
+    } else {
+      for (uint32_t i = 0; i < count; ++i) {
+        EXPECT_TRUE(pool->Fetch(first + i).ok());
+      }
+    }
+    trace.push_back(pool->hits() - hits == count);
+  }
+  trace.push_back(pool->Touch(1000));
+  for (uint64_t id = 0; id < 52; ++id) trace.push_back(pool->Touch(id));
+  return trace;
+}
+
+TEST(BufferPoolTest, FetchRunMatchesFetchLoop) {
+  for (size_t capacity : {size_t{0}, size_t{1}, size_t{5}, size_t{16},
+                          size_t{64}}) {
+    SCOPED_TRACE(capacity);
+    BufferPool run_pool(capacity);
+    BufferPool loop_pool(capacity);
+    EXPECT_EQ(DriveAndProbe(&run_pool, true),
+              DriveAndProbe(&loop_pool, false));
+    EXPECT_EQ(run_pool.hits(), loop_pool.hits());
+    EXPECT_EQ(run_pool.misses(), loop_pool.misses());
+    EXPECT_EQ(run_pool.evictions(), loop_pool.evictions());
+    EXPECT_EQ(run_pool.size(), loop_pool.size());
+  }
+}
+
+TEST(BufferPoolTest, FetchRunFailsOnTheSamePageAsFetchLoop) {
+  const uint64_t kFirst = DocPageId(3, 0);
+  const uint64_t kBad = DocPageId(3, 4);
+  fp::FailSpec spec;
+  spec.match_arg = static_cast<int64_t>(kBad);
+  fp::ScopedFailpoint armed("storage.bufferpool.fetch", spec);
+
+  BufferPool run_pool(16);
+  uint64_t trips = fp::Trips("storage.bufferpool.fetch");
+  Status run = run_pool.FetchRun(kFirst, 8);
+  EXPECT_FALSE(run.ok());
+  EXPECT_EQ(fp::Trips("storage.bufferpool.fetch"), trips + 1);
+
+  BufferPool loop_pool(16);
+  Status loop;
+  for (uint64_t id = kFirst; id < kFirst + 8 && loop.ok(); ++id) {
+    loop = loop_pool.Fetch(id).status();
+  }
+  EXPECT_EQ(run.code(), loop.code());
+  EXPECT_EQ(run.message(), loop.message());
+  // Pages before the failing one were touched; the rest were not.
+  EXPECT_EQ(run_pool.misses(), 4u);
+  EXPECT_EQ(run_pool.misses(), loop_pool.misses());
+  EXPECT_EQ(run_pool.size(), loop_pool.size());
 }
 
 // ---------------------------------------------------- Executor coupling.

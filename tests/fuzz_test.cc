@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "index/catalog.h"
 #include "query/parser.h"
+#include "random_document.h"
 #include "storage/collection_io.h"
 #include "storage/database.h"
 #include "storage/page.h"
@@ -18,7 +19,6 @@
 #include "storage/wal.h"
 #include "wlm/wlm_io.h"
 #include "workload/workload_io.h"
-#include "xml/builder.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xpath/parser.h"
@@ -492,40 +492,6 @@ TEST(FuzzTest, CheckpointLoaderSurvivesMutatedPageFiles) {
   // The pristine file still loads after all that.
   WriteFile(pages, seed);
   EXPECT_TRUE(reopen().ok());
-}
-
-/// Builds a random tree of bounded size via DocumentBuilder.
-Document RandomDocument(NameTable* names, Random* rng) {
-  DocumentBuilder b(names);
-  const std::vector<std::string> tags = {"a", "b", "c", "d"};
-  int open = 0;
-  int emitted = 0;
-  b.StartElement("root");
-  ++open;
-  int target = static_cast<int>(rng->Uniform(5, 60));
-  while (emitted < target || open > 1) {
-    if (emitted < target &&
-        (open < 2 || rng->Bernoulli(0.55))) {
-      b.StartElement(rng->Choice(tags));
-      ++open;
-      ++emitted;
-      if (rng->Bernoulli(0.3)) {
-        b.AddAttribute("k" + std::to_string(rng->Uniform(0, 2)),
-                       std::to_string(rng->Uniform(0, 999)));
-      }
-      if (rng->Bernoulli(0.4)) {
-        b.AddText("v " + std::to_string(rng->Uniform(0, 99)) + " <&>");
-      }
-    }
-    if (open > 1 && (emitted >= target || rng->Bernoulli(0.5))) {
-      b.EndElement();
-      --open;
-    }
-  }
-  b.EndElement();
-  Result<Document> doc = b.Finish();
-  EXPECT_TRUE(doc.ok());
-  return std::move(*doc);
 }
 
 TEST(FuzzTest, RandomDocumentsRoundTripThroughSerializer) {

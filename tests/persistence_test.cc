@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -17,8 +19,10 @@
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
+#include "random_document.h"
 #include "storage/page.h"
 #include "storage/storage_engine.h"
+#include "xml/parser.h"
 #include "xmldata/xmark_gen.h"
 
 namespace xia {
@@ -273,6 +277,155 @@ TEST(PersistenceTest, CorruptedPageFailsRecoveryWithChecksumError) {
   EXPECT_EQ(obs::Registry().TakeSnapshot().counter(
                 "storage.pages.checksum_failures"),
             failures_before + 1);
+}
+
+// ------------------------------------------- Region-encoding validation.
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// A checkpoint whose pages are intact (valid CRCs) but whose node array
+// breaks the region encoding is refused with a Status naming the
+// collection, before the evaluator could index past the array.
+TEST(PersistenceTest, BrokenRegionEncodingFailsLoadNamingCollection) {
+  ScratchDir dir("xia_persist_regions_broken");
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
+    ASSERT_TRUE(inst.engine->LoadXml("docs", "<a><b/></a>").ok());
+    ASSERT_TRUE(inst.engine->Close().ok());
+  }
+  const std::string pages = (fs::path(dir.db_dir()) / "pages.2.xdb").string();
+  std::string image = ReadFileBytes(pages);
+  // SerializeCollection layout: analyzed u8, doc count u32, then per
+  // document live u8 + node count u32 and per node kind u8, name,
+  // parent, first_child, next_sibling i32, begin u32, end u32, level
+  // u16, value (u32 length + bytes). Both nodes here have empty values,
+  // so node 1's begin sits at 10 + 31 + 17.
+  constexpr size_t kNode1Begin = 10 + 31 + 17;
+  std::string rebuilt;
+  bool patched = false;
+  for (uint64_t p = 0; p < storage::PageCount(image); ++p) {
+    Result<storage::PageView> page = storage::ReadPage(image, p);
+    ASSERT_TRUE(page.ok());
+    std::string payload(page->payload);
+    if (page->type == storage::PageType::kNodes) {
+      ASSERT_GT(payload.size(), kNode1Begin + 4);
+      uint32_t begin = 0;
+      std::memcpy(&begin, payload.data() + kNode1Begin, 4);
+      ASSERT_EQ(begin, 1u);  // The layout above is what was written.
+      payload[kNode1Begin] = 0;  // Node 1 now claims begin 0.
+      patched = true;
+    }
+    storage::AppendPage(&rebuilt, p, page->type, payload);
+  }
+  ASSERT_TRUE(patched);
+  std::ofstream(pages, std::ios::binary | std::ios::trunc) << rebuilt;
+
+  Instance reopened;
+  Status status = reopened.OpenIn(dir.db_dir());
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("collection docs"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("begin"), std::string::npos)
+      << status.ToString();
+}
+
+// Every checkpoint of DocumentBuilder-built documents still opens: random
+// trees (nested same-name elements, attributes, text), tombstoned slots
+// and XMark documents all reload to the same state.
+TEST(PersistenceTest, BuilderDocumentsReopenIdentically) {
+  ScratchDir dir("xia_persist_regions_ok");
+  std::string fingerprint;
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    Result<Collection*> coll = inst.db.CreateCollection("random");
+    ASSERT_TRUE(coll.ok());
+    Random rng(515);
+    for (int d = 0; d < 40; ++d) {
+      (*coll)->Add(RandomDocument(inst.db.mutable_names(), &rng));
+    }
+    ASSERT_TRUE((*coll)->Delete(3).ok());
+    ASSERT_TRUE((*coll)->Delete(39).ok());
+    XMarkParams params;
+    ASSERT_TRUE(PopulateXMark(&inst.db, "xmark", 3, params, 42).ok());
+    ASSERT_TRUE(inst.engine->Checkpoint().ok());
+    fingerprint = inst.Fingerprint();
+  }
+  Instance reopened;
+  Status status = reopened.OpenIn(dir.db_dir());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(reopened.Fingerprint(), fingerprint);
+  EXPECT_EQ(reopened.db.GetCollection("random")->num_live_docs(), 38u);
+}
+
+/// Per-node footprint sum, the definition Document::ByteSize() caches.
+size_t NodeSum(const Document& doc) {
+  size_t total = 0;
+  for (const XmlNode& n : doc.nodes()) {
+    total += sizeof(XmlNode) + n.value.size();
+  }
+  return total;
+}
+
+/// Collection::ByteSize() recomputed from its live documents.
+size_t LiveSum(const Collection& coll) {
+  size_t total = 0;
+  for (const Document& doc : coll.docs()) {
+    if (coll.IsLive(doc.id())) total += NodeSum(doc);
+  }
+  return total;
+}
+
+// The byte size fixed at build time equals the per-node sum for built,
+// parsed, tombstoned and checkpoint-reloaded documents, and collection
+// totals stay exact through a DML burst.
+TEST(PersistenceTest, ByteSizeIsPerNodeSumAcrossLifecycle) {
+  NameTable names;
+  Random rng(8);
+  Document built = RandomDocument(&names, &rng);
+  EXPECT_EQ(built.ByteSize(), NodeSum(built));
+  XmlParser parser(&names);
+  Result<Document> parsed = parser.Parse(kDocB);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->ByteSize(), NodeSum(*parsed));
+
+  ScratchDir dir("xia_persist_bytesize");
+  size_t total = 0;
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(inst.engine->InsertDocument("docs", i % 2 ? kDocA : kDocB)
+                      .ok());
+    }
+    ASSERT_TRUE(inst.engine->DeleteDocument("docs", 1).ok());
+    ASSERT_TRUE(inst.engine->UpdateDocument("docs", 2, kDocA).ok());
+    ASSERT_TRUE(inst.engine->DeleteDocument("docs", 4).ok());
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocB).ok());
+    const Collection& coll = *inst.db.GetCollection("docs");
+    ASSERT_FALSE(coll.IsLive(1));
+    EXPECT_EQ(coll.doc(1).ByteSize(), 0u);  // Tombstone.
+    for (const Document& doc : coll.docs()) {
+      EXPECT_EQ(doc.ByteSize(), NodeSum(doc)) << doc.id();
+    }
+    total = coll.ByteSize();
+    EXPECT_EQ(total, LiveSum(coll));
+    ASSERT_TRUE(inst.engine->Close().ok());
+  }
+  Instance reopened;
+  ASSERT_TRUE(reopened.OpenIn(dir.db_dir()).ok());
+  const Collection& coll = *reopened.db.GetCollection("docs");
+  for (const Document& doc : coll.docs()) {
+    EXPECT_EQ(doc.ByteSize(), NodeSum(doc)) << doc.id();
+  }
+  EXPECT_EQ(coll.ByteSize(), total);
+  EXPECT_EQ(coll.ByteSize(), LiveSum(coll));
 }
 
 // ------------------------------------------- Queries over reloaded data.

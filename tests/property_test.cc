@@ -11,9 +11,11 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "exec/executor.h"
+#include "exec/operators.h"
 #include "index/index_builder.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
+#include "random_document.h"
 #include "workload/variation.h"
 #include "workload/xmark_queries.h"
 #include "xmldata/xmark_gen.h"
@@ -101,14 +103,53 @@ TEST(IntersectionSemanticsProperty, WitnessImpliesIntersects) {
   }
 }
 
-// Evaluator results always satisfy VerifyNodePath-style membership: every
-// node returned by EvaluatePattern has a root path the NFA accepts.
+/// Brute-force evaluation: every node whose root-to-node label path the
+/// pattern's NFA accepts, in document order.
+std::vector<NodeIndex> NfaReference(const Document& doc,
+                                    const NameTable& names,
+                                    const PathPattern& pattern) {
+  PatternNfa nfa(pattern);
+  std::vector<NodeIndex> out;
+  for (size_t n = 0; n < doc.num_nodes(); ++n) {
+    if (VerifyNodePathNfa(doc, names, static_cast<NodeIndex>(n), nfa)) {
+      out.push_back(static_cast<NodeIndex>(n));
+    }
+  }
+  return out;
+}
+
+/// Random pattern over RandomDocument's vocabulary, plus `zz`, a name no
+/// document carries. The last step may test a `k0`-`k2` attribute; an
+/// attribute step elsewhere (which can match nothing) is rare.
+PathPattern RandomDocPattern(Random* rng) {
+  static const std::vector<std::string>* kElements =
+      new std::vector<std::string>{"root", "a", "b", "c", "d", "zz"};
+  static const std::vector<std::string>* kAttributes =
+      new std::vector<std::string>{"k0", "k1", "k2"};
+  size_t len = static_cast<size_t>(rng->Uniform(1, 4));
+  std::vector<Step> steps;
+  for (size_t i = 0; i < len; ++i) {
+    Step s;
+    s.axis = rng->Bernoulli(0.45) ? Axis::kDescendant : Axis::kChild;
+    bool last = i + 1 == len;
+    s.is_attribute = rng->Bernoulli(last ? 0.25 : 0.03);
+    s.wildcard = rng->Bernoulli(0.25);
+    if (!s.wildcard) {
+      s.name = rng->Choice(s.is_attribute ? *kAttributes : *kElements);
+    }
+    steps.push_back(std::move(s));
+  }
+  return PathPattern(std::move(steps));
+}
+
+// The evaluator is sound and complete against the NFA definition of
+// pattern membership: EvaluatePattern returns exactly the nodes whose
+// root word the pattern accepts, in document order.
 TEST(EvaluatorSemanticsProperty, ResultsMatchPattern) {
   Database db;
   XMarkParams params;
   ASSERT_TRUE(PopulateXMark(&db, "xmark", 2, params, 42).ok());
   const Collection& coll = *db.GetCollection("xmark");
-  Random rng(11);
   const std::vector<std::string> patterns = {
       "//item",          "/site/regions/*/item/quantity",
       "//item/@id",      "/site/*/person",
@@ -117,25 +158,32 @@ TEST(EvaluatorSemanticsProperty, ResultsMatchPattern) {
   for (const std::string& text : patterns) {
     Result<PathPattern> pattern = ParsePathPattern(text);
     ASSERT_TRUE(pattern.ok());
-    PatternNfa nfa(*pattern);
     for (const Document& doc : coll.docs()) {
-      for (NodeIndex n : EvaluatePattern(doc, db.names(), *pattern)) {
-        // Rebuild the root word for the node.
-        std::vector<PatternSymbol> word;
-        for (NodeIndex cur = n; cur != kNullNode;
-             cur = doc.node(cur).parent) {
-          PatternSymbol sym;
-          sym.is_attr = doc.node(cur).kind == NodeKind::kAttribute;
-          sym.name = doc.node(cur).name == kNoName
-                         ? ""
-                         : db.names().NameOf(doc.node(cur).name);
-          word.insert(word.begin(), sym);
-        }
-        EXPECT_TRUE(nfa.MatchesWord(word)) << text;
-      }
+      EXPECT_EQ(EvaluatePattern(doc, db.names(), *pattern),
+                NfaReference(doc, db.names(), *pattern))
+          << text;
     }
   }
-  (void)rng;
+}
+
+// The same equivalence over seeded random documents (nested same-name
+// elements, so `//` contexts overlap) and random patterns over `/`, `//`,
+// `*` and `@`.
+TEST(EvaluatorSemanticsProperty, RandomDocumentsMatchNfaReference) {
+  NameTable names;
+  Random rng(1701);
+  size_t nonempty = 0;
+  for (int d = 0; d < 40; ++d) {
+    Document doc = RandomDocument(&names, &rng);
+    for (int p = 0; p < 40; ++p) {
+      PathPattern pattern = RandomDocPattern(&rng);
+      std::vector<NodeIndex> got = EvaluatePattern(doc, names, pattern);
+      ASSERT_EQ(got, NfaReference(doc, names, pattern))
+          << pattern.ToString() << " on document " << d;
+      if (!got.empty()) ++nonempty;
+    }
+  }
+  EXPECT_GT(nonempty, 400u);  // The sweep exercised real matches.
 }
 
 // Synopsis counts are exact for any pattern (it is a lossless path
@@ -276,6 +324,10 @@ TEST_P(RandomQueryParityTest, ScanAndIndexPlansAgree) {
   }
 
   Executor executor(db, &catalog, cost_model);
+  // A pool far smaller than the data, so the page accounting
+  // (TouchDocument / TouchNodePage) runs under eviction pressure.
+  BufferPool pool(64);
+  Executor pooled(db, &catalog, cost_model, &pool);
   for (const Query& query : unseen.queries()) {
     Result<QueryPlan> scan_plan = optimizer.Optimize(query, empty, &cache);
     Result<QueryPlan> idx_plan = optimizer.Optimize(query, catalog, &cache);
@@ -286,6 +338,12 @@ TEST_P(RandomQueryParityTest, ScanAndIndexPlansAgree) {
     ASSERT_TRUE(scan_run.ok());
     ASSERT_TRUE(idx_run.ok());
     EXPECT_EQ(scan_run->nodes, idx_run->nodes) << query.text;
+    for (const QueryPlan* plan : {&*scan_plan, &*idx_plan}) {
+      Result<ExecResult> pooled_run = pooled.Execute(*plan);
+      ASSERT_TRUE(pooled_run.ok());
+      EXPECT_EQ(pooled_run->nodes, scan_run->nodes) << query.text;
+      EXPECT_EQ(pooled_run->returned, scan_run->returned) << query.text;
+    }
   }
 }
 

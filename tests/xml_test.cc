@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "xml/builder.h"
 #include "xml/document.h"
 #include "xml/name_table.h"
@@ -23,8 +28,14 @@ TEST(NameTableTest, InternIsIdempotent) {
 TEST(NameTableTest, LookupMissReturnsNoName) {
   NameTable names;
   EXPECT_EQ(names.Lookup("ghost"), kNoName);
-  names.Intern("ghost");
-  EXPECT_NE(names.Lookup("ghost"), kNoName);
+  NameId id = names.Intern("ghost");
+  EXPECT_NE(id, kNoName);
+  EXPECT_EQ(names.Lookup("ghost"), id);
+  // Views into a longer buffer (not NUL-terminated) match by their bytes.
+  const std::string buffer = "ghosts";
+  EXPECT_EQ(names.Lookup(std::string_view(buffer).substr(0, 5)), id);
+  EXPECT_EQ(names.Intern(std::string_view(buffer).substr(0, 5)), id);
+  EXPECT_EQ(names.Lookup(buffer), kNoName);
 }
 
 // --------------------------------------------------------------- Builder.
@@ -240,6 +251,51 @@ TEST(DocumentTest, ByteSizeGrowsWithContent) {
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(large.ok());
   EXPECT_LT(small->ByteSize(), large->ByteSize());
+}
+
+
+// Checkpoint-loaded node arrays must keep the region encoding the
+// evaluator indexes raw arrays by; each rule broken once is refused.
+TEST(DocumentTest, FromNodesRejectsBrokenRegionEncoding) {
+  NameTable names;
+  XmlParser parser(&names);
+  // 0:<a> 1:@x 2:<b> 3:"t" 4:<c>
+  Result<Document> doc = parser.Parse("<a x=\"1\"><b>t</b><c/></a>");
+  ASSERT_TRUE(doc.ok());
+  const std::vector<XmlNode>& valid = doc->nodes();
+  ASSERT_EQ(valid.size(), 5u);
+  Result<Document> copy = Document::FromNodes(valid);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  EXPECT_EQ(copy->ByteSize(), doc->ByteSize());
+
+  struct Case {
+    const char* rule;
+    std::function<void(std::vector<XmlNode>*)> corrupt;
+  };
+  const std::vector<Case> cases = {
+      {"begin", [](auto* n) { (*n)[2].begin = 3; }},
+      {"end", [](auto* n) { (*n)[2].end = 1; }},            // end < begin.
+      {"end", [](auto* n) { (*n)[0].end = 5; }},            // Past the array.
+      {"parent", [](auto* n) { (*n)[3].parent = 3; }},      // Not before i.
+      {"parent", [](auto* n) { (*n)[4].parent = kNullNode; }},  // Non-root.
+      {"parent", [](auto* n) { (*n)[0].parent = 0; }},      // Root has one.
+      {"first_child", [](auto* n) { (*n)[2].first_child = 9; }},
+      {"first_child", [](auto* n) { (*n)[2].first_child = 1; }},  // Back.
+      {"next_sibling", [](auto* n) { (*n)[2].next_sibling = -7; }},
+      {"next_sibling", [](auto* n) { (*n)[4].next_sibling = 2; }},  // Cycle.
+  };
+  for (const Case& c : cases) {
+    std::vector<XmlNode> nodes = valid;
+    c.corrupt(&nodes);
+    Result<Document> broken = Document::FromNodes(std::move(nodes));
+    ASSERT_FALSE(broken.ok()) << c.rule;
+    EXPECT_EQ(broken.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(broken.status().message().find(c.rule), std::string::npos)
+        << broken.status().ToString();
+  }
+  Result<Document> empty = Document::FromNodes({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->ByteSize(), 0u);
 }
 
 }  // namespace
