@@ -1,11 +1,9 @@
 // Figure 3: estimating the benefit of an index configuration — now as a
 // google-benchmark harness over the advisor's hot path, the what-if
 // evaluation of whole configurations. Each benchmark sweeps the thread
-// knob (arg 0) and the what-if cost cache toggle (arg 1), so
-// `--benchmark_format=json` output doubles as the CI perf artifact
-// tracking both the parallel speedup and the caching speedup of Evaluate
-// Indexes mode. Cache hit/miss/bypass counts surface as benchmark
-// counters.
+// knob, so `--benchmark_format=json` output doubles as the CI perf
+// artifact tracking the parallel speedup of Evaluate Indexes mode. Plan
+// cache hit/miss counts surface as benchmark counters.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +14,6 @@
 
 #include "advisor/benefit.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "optimizer/explain.h"
 #include "workload/xmark_queries.h"
 #include "xmldata/xmark_gen.h"
@@ -79,20 +76,15 @@ void ReportCacheCounters(benchmark::State& state,
                          const AdvisorCacheCounters& counters) {
   state.counters["cost_hits"] = static_cast<double>(counters.cost.hits);
   state.counters["cost_misses"] = static_cast<double>(counters.cost.misses);
-  state.counters["cost_bypasses"] =
-      static_cast<double>(counters.cost.bypasses);
 }
 
-/// Evaluate one full configuration, per-query fan-out at `threads` (arg
-/// 0), what-if cost cache toggled by arg 1. A fresh evaluator per
-/// iteration defeats the configuration memo and empties the plan cache,
-/// so every iteration does real optimizer work; with the cache on, the
-/// win comes from deduplicating repeated queries and shared relevance
-/// signatures within the one evaluation.
+/// Evaluate one full configuration, per-query fan-out at `threads`. A
+/// fresh evaluator per iteration defeats the configuration memo and
+/// empties the plan cache, so every iteration does real optimizer work;
+/// repeated queries still share one optimization within the evaluation.
 void BM_EvaluateConfiguration(benchmark::State& state) {
   Fixture& f = *SharedFixture();
   int threads = static_cast<int>(state.range(0));
-  bool cache_on = state.range(1) != 0;
   ContainmentCache cache;
   std::vector<int> config;
   for (size_t i = 0; i < f.candidates.size(); ++i) {
@@ -102,8 +94,7 @@ void BM_EvaluateConfiguration(benchmark::State& state) {
   for (auto _ : state) {
     ConfigurationEvaluator evaluator(f.optimizer.get(), &f.workload,
                                      &f.catalog, &f.candidates, &cache,
-                                     /*account_update_cost=*/true, threads,
-                                     cache_on);
+                                     /*account_update_cost=*/true, threads);
     auto eval = evaluator.Evaluate(config);
     XIA_CHECK(eval.ok());
     benchmark::DoNotOptimize(eval->workload_cost);
@@ -114,24 +105,21 @@ void BM_EvaluateConfiguration(benchmark::State& state) {
   ReportCacheCounters(state, last);
 }
 BENCHMARK(BM_EvaluateConfiguration)
-    ->ArgNames({"threads", "cache"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({8, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// A greedy-style scoring round: every candidate evaluated stand-alone in
-/// one EvaluateMany batch (configuration-level fan-out). With the cache
-/// on, the batch collapses to the distinct (query, relevance signature)
-/// tasks shared across all singleton configurations.
+/// one EvaluateMany batch. The batch collapses to the distinct (query,
+/// relevant candidate set) tasks shared across all singleton
+/// configurations.
 void BM_EvaluateManySingletons(benchmark::State& state) {
   Fixture& f = *SharedFixture();
   int threads = static_cast<int>(state.range(0));
-  bool cache_on = state.range(1) != 0;
   ContainmentCache cache;
   std::vector<std::vector<int>> singletons;
   for (size_t i = 0; i < f.candidates.size(); ++i) {
@@ -141,8 +129,7 @@ void BM_EvaluateManySingletons(benchmark::State& state) {
   for (auto _ : state) {
     ConfigurationEvaluator evaluator(f.optimizer.get(), &f.workload,
                                      &f.catalog, &f.candidates, &cache,
-                                     /*account_update_cost=*/true, threads,
-                                     cache_on);
+                                     /*account_update_cost=*/true, threads);
     auto evals = evaluator.EvaluateMany(singletons);
     for (const auto& eval : evals) XIA_CHECK(eval.ok());
     benchmark::DoNotOptimize(evals);
@@ -152,32 +139,27 @@ void BM_EvaluateManySingletons(benchmark::State& state) {
   ReportCacheCounters(state, last);
 }
 BENCHMARK(BM_EvaluateManySingletons)
-    ->ArgNames({"threads", "cache"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({8, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The raw EXPLAIN mode (WhatIfSession::EvaluateWorkload path). The plan
 /// cache persists across iterations here, matching its real lifetime — a
-/// session cache carried across repeated workload evaluations — so
-/// cache-on steady state is nearly all hits.
+/// session cache carried across repeated workload evaluations — so the
+/// steady state is nearly all hits.
 void BM_EvaluateIndexesMode(benchmark::State& state) {
   Fixture& f = *SharedFixture();
   int threads = static_cast<int>(state.range(0));
-  bool cache_on = state.range(1) != 0;
   ContainmentCache cache;
-  WhatIfCostCache cost_cache(cache_on);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  WhatIfCostCache cost_cache;
   for (auto _ : state) {
     auto result =
         EvaluateIndexesMode(*f.optimizer, f.workload.queries(), f.config_defs,
-                            f.catalog, &cache, pool.get(), &cost_cache);
+                            f.catalog, &cache, threads, &cost_cache);
     XIA_CHECK(result.ok());
     benchmark::DoNotOptimize(result->total_weighted_cost);
   }
@@ -187,13 +169,11 @@ void BM_EvaluateIndexesMode(benchmark::State& state) {
   ReportCacheCounters(state, counters);
 }
 BENCHMARK(BM_EvaluateIndexesMode)
-    ->ArgNames({"threads", "cache"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({8, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -4,11 +4,11 @@
 // search consumes them read-only, and they are budget independent); each
 // iteration runs one full search — a fresh evaluator, so the
 // configuration memo and plan cache start cold — at a 128 KB budget. Each
-// benchmark sweeps the what-if thread knob (arg 0) and the
-// signature-keyed cost cache toggle (arg 1), so `--benchmark_format=json`
-// output joins bench_fig3_evaluate in the CI perf artifact: together they
-// track the parallel and caching speedups of the paper's Figure 3/4 hot
-// paths. Evaluation and cache counters are reported per row.
+// benchmark sweeps the what-if thread knob, so `--benchmark_format=json`
+// output joins bench_fig3_evaluate in the CI perf artifact. Evaluation
+// and plan-cache counters are reported per row; the regression gate
+// reads (cost_hits + cost_misses) / cost_misses as the search's
+// plan-reuse ratio.
 
 #include <benchmark/benchmark.h>
 
@@ -84,21 +84,19 @@ Result<SearchResult> RunOne(const Fixture& f, ConfigurationEvaluator* evaluator,
 }
 
 /// One full configuration search at a 128 KB budget. A fresh evaluator
-/// per iteration means cold memo and cold plan cache every run: cache-on
+/// per iteration means cold memo and cold plan cache every run: the
 /// numbers measure within-search reuse (searches revisit overlapping
 /// configurations), not warm steady state.
 void RunSearch(benchmark::State& state, SearchAlgorithm algorithm) {
   Fixture& f = *SharedFixture();
   int threads = static_cast<int>(state.range(0));
-  bool cache_on = state.range(1) != 0;
   SearchOptions options;
   options.space_budget_bytes = 128.0 * 1024;
   SearchResult last;
   for (auto _ : state) {
     ConfigurationEvaluator evaluator(f.optimizer.get(), &f.workload,
                                      &f.catalog, &f.candidates, &f.cache,
-                                     /*account_update_cost=*/true, threads,
-                                     cache_on);
+                                     /*account_update_cost=*/true, threads);
     Result<SearchResult> result = RunOne(f, &evaluator, algorithm, options);
     XIA_CHECK(result.ok());
     benchmark::DoNotOptimize(result->benefit);
@@ -109,8 +107,6 @@ void RunSearch(benchmark::State& state, SearchAlgorithm algorithm) {
   state.counters["cost_hits"] = static_cast<double>(last.counters.cost.hits);
   state.counters["cost_misses"] =
       static_cast<double>(last.counters.cost.misses);
-  state.counters["cost_bypasses"] =
-      static_cast<double>(last.counters.cost.bypasses);
 }
 
 void BM_SearchGreedy(benchmark::State& state) {
@@ -126,27 +122,21 @@ void BM_SearchTopDown(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SearchGreedy)
-    ->ArgNames({"threads", "cache"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SearchGreedyHeuristic)
-    ->ArgNames({"threads", "cache"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SearchTopDown)
-    ->ArgNames({"threads", "cache"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -206,8 +196,7 @@ void BM_AdviseFromLog(benchmark::State& state) {
   state.counters["advised_queries"] = static_cast<double>(advised.size());
   state.counters["cost_requests"] =
       static_cast<double>(last.search.counters.cost.hits +
-                          last.search.counters.cost.misses +
-                          last.search.counters.cost.bypasses);
+                          last.search.counters.cost.misses);
   state.counters["benefit_priced"] =
       static_cast<double>(last.search.counters.benefit.priced);
   state.counters["chosen"] = static_cast<double>(last.indexes.size());
@@ -302,9 +291,8 @@ void BM_AdviseTemplates(benchmark::State& state) {
   state.counters["advised_templates"] =
       static_cast<double>(compressed->workload.size());
   state.counters["whatif_requests"] =
-      static_cast<double>(c.cost.hits + c.cost.misses + c.cost.bypasses);
-  state.counters["optimizer_runs"] =
-      static_cast<double>(c.cost.misses + c.cost.bypasses);
+      static_cast<double>(c.cost.hits + c.cost.misses);
+  state.counters["optimizer_runs"] = static_cast<double>(c.cost.misses);
   state.counters["benefit_priced"] = static_cast<double>(c.benefit.priced);
   state.counters["benefit_table_hits"] =
       static_cast<double>(c.benefit.table_hits);

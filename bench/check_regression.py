@@ -12,7 +12,7 @@ Two metric classes, chosen for machine-portability:
     benches themselves. These do not depend on wall-clock or core count:
       - BM_Search* rows (fig4 builds a fresh evaluator per iteration, so
         its JSON counters are per-iteration values): evaluations,
-        cost_hits, cost_misses, cost_bypasses, chosen.
+        cost_hits, cost_misses, chosen.
       - BM_Evaluate* rows (fig3 shares a warm cache across iterations, so
         only its iteration-independent counter qualifies): cost_misses.
       - BM_Maintenance* rows (seeded DML round trips at Iterations(1)):
@@ -23,19 +23,19 @@ Two metric classes, chosen for machine-portability:
     large silent drop usually means the benchmark stopped measuring what
     it used to — refresh the baseline if the change is intentional.
 
-  speedup metrics — within-run wall-clock ratios, so the machine cancels
-    out: real_time(cache:0) / real_time(cache:1) for every benchmark that
-    sweeps the cost-cache toggle. Checked one-sided with a wider
-    tolerance (default -50%): only a collapsed speedup fails. A broken
-    cache shows up as ~1x against a committed ~3-5x, far outside any
-    runner noise.
+  reuse metrics — plan-cache reuse of each BM_Search* row:
+    (cost_hits + cost_misses) / cost_misses, i.e. what-if requests per
+    optimizer run. Both sides are deterministic counters, so the ratio is
+    machine-independent; checked one-sided (default -50%): only
+    collapsed reuse fails. A cache that stops hitting shows up as
+    ~1x against a committed ~6-18x.
 
   callcut metrics — what-if request ratios between paired exact and
     decomposed advising rows: whatif_requests(decompose:0) /
     whatif_requests(decompose:1) for each BM_AdviseTemplates template
     count. Both sides are deterministic counters, so the ratio is
-    machine-independent; checked one-sided against the baseline like a
-    speedup. The 10k-template row additionally carries a HARD floor of
+    machine-independent; checked one-sided against the baseline like
+    reuse. The 10k-template row additionally carries a HARD floor of
     10x (CALLCUT_FLOORS) that no baseline refresh can lower — it is the
     PR acceptance bar for atomic-benefit decomposition, and a silent
     revert to exact scoring (ratio ~1x) or a pricing blow-up fails CI
@@ -63,8 +63,7 @@ RATIO_TOLERANCE = 0.50
 
 # Counters that are per-iteration (hence run-length independent) for each
 # benchmark family. See the module docstring for why fig3 tracks fewer.
-FULL_COUNTERS = ("evaluations", "cost_hits", "cost_misses", "cost_bypasses",
-                 "chosen")
+FULL_COUNTERS = ("evaluations", "cost_hits", "cost_misses", "chosen")
 WARM_CACHE_COUNTERS = ("cost_misses",)
 # Advising rows track total what-if traffic (the hits/misses split is
 # thread-timing dependent at threads:4, the sum is not) plus the
@@ -130,16 +129,14 @@ def extract_metrics(bench_files):
             for counter in counter_names(name):
                 if counter in bench:
                     metrics[f"counter:{name}:{counter}"] = float(bench[counter])
-    # Cache-toggle speedups: pair cache:0 rows with their cache:1 sibling.
+    # Plan-cache reuse: what-if requests per optimizer run of a search.
     for name, bench in rows.items():
-        if "cache:0" not in name:
+        if not name.startswith("BM_Search") or float(
+                bench.get("cost_misses", 0)) <= 0:
             continue
-        sibling = rows.get(name.replace("cache:0", "cache:1"))
-        if sibling is None or float(sibling["real_time"]) <= 0:
-            continue
-        key = f"speedup:{name.replace('/cache:0', '')}"
-        metrics[key] = float(bench["real_time"]) / float(
-            sibling["real_time"])
+        metrics[f"reuse:{name}"] = (
+            float(bench["cost_hits"]) + float(bench["cost_misses"])) / float(
+                bench["cost_misses"])
     # Decompose call-cut ratios: exact row's what-if requests over its
     # decomposed sibling's.
     for name, bench in rows.items():
@@ -173,7 +170,7 @@ def check(baseline, current):
             if abs(change) > counter_tol:
                 failures.append(f"{key}: {base:g} -> {cur:g} "
                                 f"({change:+.1%}, tolerance ±{counter_tol:.0%})")
-        else:  # speedup/callcut: one-sided — only a collapse fails.
+        else:  # reuse/callcut: one-sided — only a collapse fails.
             if cur < base * (1.0 - ratio_tol):
                 failures.append(f"{key}: {base:.2f}x -> {cur:.2f}x "
                                 f"(floor {base * (1.0 - ratio_tol):.2f}x)")

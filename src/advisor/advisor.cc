@@ -99,7 +99,6 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload) {
                                    &rec.candidates, &cache_,
                                    options_.account_update_cost,
                                    options_.threads,
-                                   options_.what_if_cost_cache,
                                    options_.shared_cost_cache);
   evaluator.set_cancel(options_.cancel);
 
@@ -107,8 +106,8 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload) {
   // the search, under the same pipeline deadline — a budget exhausted
   // mid-pricing leaves a usable best-so-far table and the search then
   // stops at its first interrupt poll, still yielding a valid flagged
-  // recommendation. Requires the cost cache (relevance bitmaps).
-  if (options_.decompose.enabled && evaluator.cost_cache().enabled()) {
+  // recommendation.
+  if (options_.decompose.enabled) {
     XIA_ASSIGN_OR_RETURN(
         rec.pricing,
         evaluator.PriceBenefitTable(options_.decompose, &rec.dag, deadline));

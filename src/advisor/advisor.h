@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "advisor/cost_cache.h"
 #include "advisor/dag.h"
 #include "advisor/enumeration.h"
 #include "advisor/generalize.h"
@@ -12,6 +11,7 @@
 #include "common/deadline.h"
 #include "common/status.h"
 #include "index/catalog.h"
+#include "optimizer/cost_cache.h"
 #include "optimizer/cost_model.h"
 #include "storage/database.h"
 #include "workload/workload.h"
@@ -36,22 +36,16 @@ struct AdvisorOptions {
   /// path. Recommendations are identical at every width — parallel
   /// evaluations merge per-query results in query order.
   int threads = 0;
-  /// Signature-keyed what-if cost cache (advisor/cost_cache.h): queries
-  /// whose relevant-index set a configuration change cannot alter skip
-  /// re-optimization. Recommendations and costs are bit-identical either
-  /// way; this escape hatch exists for benchmarking and debugging.
-  bool what_if_cost_cache = true;
-  /// External plan cache to use instead of a per-Recommend one. Must
-  /// outlive the Recommend() call and be bound to the same (database,
-  /// cost model) tuple. This is how xia::server shares one warm cache
-  /// across every session's advise: keys embed catalog-entry identities,
-  /// so equal keys imply bit-identical plans regardless of which session
-  /// inserted them — results are unchanged, only cache hit counts move.
-  /// When set, its enabled() flag overrides what_if_cost_cache.
+  /// External what-if plan cache (optimizer/cost_cache.h) to use instead
+  /// of a per-Recommend one. Must outlive the Recommend() call. This is
+  /// how xia::server shares one warm cache across every session's advise:
+  /// keys pin every optimizer input (query, collection state, cost model,
+  /// relevant catalog entries), so a plan inserted by one workload,
+  /// catalog, or data state is only ever reused where it is exact —
+  /// results are unchanged, only cache hit counts move.
   WhatIfCostCache* shared_cost_cache = nullptr;
   /// CoPhy-style atomic-benefit decomposition (advisor/benefit_table.h):
-  /// when enabled (and the cost cache is on — decomposition needs its
-  /// relevance bitmaps), Recommend() prices the benefit table before the
+  /// when enabled, Recommend() prices the benefit table before the
   /// search and scores configurations from it, cutting optimizer calls
   /// from O(configurations × queries) to O(queries + candidates). The
   /// promised benefit is asserted to stay within decompose.epsilon of

@@ -5,10 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/trace_span.h"
-#include "index/index_matcher.h"
 
 namespace xia {
 
@@ -31,23 +29,67 @@ std::optional<int> TryParseCandidateId(const std::string& name) {
   return static_cast<int>(id);
 }
 
+namespace {
+
+/// The evaluator's kernel overlay: candidate i as a virtual entry named
+/// CandidateOverlayName(i), with its precomputed statistics.
+std::vector<CatalogEntry> CandidateOverlay(
+    const std::vector<CandidateIndex>& candidates) {
+  std::vector<CatalogEntry> overlay(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    overlay[i].def = candidates[i].def;
+    overlay[i].def.name = CandidateOverlayName(static_cast<int>(i));
+    overlay[i].stats = candidates[i].stats;
+  }
+  return overlay;
+}
+
+/// A query's cost under a configuration and which of the configuration's
+/// candidates (`among`, sorted) its plan uses. Only overlay names of
+/// configuration members count: a *physical* catalog index whose name
+/// merely resembles the "cand<N>" convention ("candelabra", "cand7extra",
+/// or "cand3" while 3 is not in the configuration) is never attributed
+/// (regression: benefit_test.cc, PhysicalIndexNames*).
+BenefitEntry EntryFromPlan(const std::vector<int>& among,
+                           const QueryPlan& plan) {
+  BenefitEntry entry;
+  entry.cost = plan.total_cost;
+  if (!plan.access.use_index) return entry;
+  auto record = [&](const std::string& name) {
+    std::optional<int> id = TryParseCandidateId(name);
+    if (id && std::binary_search(among.begin(), among.end(), *id)) {
+      entry.used.push_back(*id);
+    }
+  };
+  record(plan.access.index_def.name);
+  if (plan.access.has_secondary) {
+    record(plan.access.secondary.index_def.name);
+  }
+  std::sort(entry.used.begin(), entry.used.end());
+  entry.used.erase(std::unique(entry.used.begin(), entry.used.end()),
+                   entry.used.end());
+  return entry;
+}
+
+}  // namespace
+
 ConfigurationEvaluator::ConfigurationEvaluator(
     const Optimizer* optimizer, const Workload* workload,
     const Catalog* base_catalog, const std::vector<CandidateIndex>* candidates,
     ContainmentCache* cache, bool account_update_cost, int threads,
-    bool use_cost_cache, WhatIfCostCache* shared_cost_cache)
+    WhatIfCostCache* shared_cost_cache)
     : optimizer_(optimizer),
       workload_(workload),
-      base_catalog_(base_catalog),
       candidates_(candidates),
       cache_(cache),
       account_update_cost_(account_update_cost),
-      threads_(ResolveThreadCount(threads)),
-      owned_cost_cache_(shared_cost_cache ? nullptr
-                                          : std::make_unique<WhatIfCostCache>(
-                                                use_cost_cache)),
+      owned_cost_cache_(shared_cost_cache
+                            ? nullptr
+                            : std::make_unique<WhatIfCostCache>()),
       cost_cache_(shared_cost_cache ? shared_cost_cache
-                                    : owned_cost_cache_.get()) {
+                                    : owned_cost_cache_.get()),
+      kernel_(optimizer, &workload->queries(), base_catalog,
+              CandidateOverlay(*candidates), cache, cost_cache_, threads) {
   // Build the workload expression table: driving paths + predicates.
   for (size_t qi = 0; qi < workload_->queries().size(); ++qi) {
     const NormalizedQuery& nq = workload_->queries()[qi].normalized;
@@ -69,57 +111,6 @@ ConfigurationEvaluator::ConfigurationEvaluator(
       exprs_.push_back(std::move(expr));
     }
   }
-  if (!cost_cache_->enabled()) return;
-
-  // Precompute the cost-cache inputs up front: each query's fingerprint
-  // class (repeated workload queries share cached plans) and the
-  // per-candidate × per-query match bitmap. Relevance uses the MATCHER's
-  // semantics (IndexMatcher::CanServe) rather than Covers(): Covers is
-  // the heuristic-search coverage notion and deliberately ignores, e.g.,
-  // a VARCHAR index structurally serving a sargable predicate — which
-  // absolutely can change the optimizer's plan.
-  const std::vector<Query>& queries = workload_->queries();
-  distinct_query_.resize(queries.size());
-  std::unordered_map<std::string, int> fingerprint_ids;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    std::string fp = QueryFingerprint(queries[qi].normalized);
-    int next_id = static_cast<int>(fingerprint_ids.size());
-    distinct_query_[qi] =
-        fingerprint_ids.emplace(std::move(fp), next_id).first->second;
-  }
-  IndexMatcher matcher(cache_);
-  relevant_.reserve(candidates_->size());
-  for (const CandidateIndex& cand : *candidates_) {
-    Bitmap bits(queries.size());
-    // Equal-fingerprint queries get identical verdicts by definition;
-    // compute once per class.
-    std::vector<signed char> per_class(fingerprint_ids.size(), -1);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      signed char& verdict = per_class[static_cast<size_t>(
-          distinct_query_[qi])];
-      if (verdict < 0) {
-        verdict =
-            matcher.CanServe(queries[qi].normalized, cand.def) ? 1 : 0;
-      }
-      if (verdict == 1) bits.Set(qi);
-    }
-    relevant_.push_back(std::move(bits));
-  }
-}
-
-ThreadPool* ConfigurationEvaluator::pool() {
-  if (threads_ <= 1) return nullptr;
-  std::call_once(pool_once_,
-                 [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
-  return pool_.get();
-}
-
-ThreadPool* ConfigurationEvaluator::PlanTaskPool(size_t tasks) {
-  // A minimal-overlay optimization runs in tens of microseconds; below a
-  // few tasks per worker the pool dispatch (plus a possible first-use
-  // thread spawn) costs more than it buys, so run the batch serially.
-  if (tasks < static_cast<size_t>(threads_) * 4) return nullptr;
-  return pool();
 }
 
 bool ConfigurationEvaluator::Covers(int candidate, size_t expr_index) {
@@ -189,236 +180,6 @@ std::pair<std::string, std::vector<int>> ConfigurationEvaluator::CanonicalKey(
   return {std::move(key), std::move(sorted)};
 }
 
-namespace {
-
-// Per-query what-if failpoint (see common/failpoint.h). The hit argument
-// is the workload query index, so a FailSpec with match_arg = k injects
-// the failure into query k's optimization regardless of which thread or
-// batch position happens to run it — the key to scheduling-independent
-// fault-injection tests.
-Result<QueryPlan> OptimizeWithFailpoint(
-    size_t query_index, const std::function<Result<QueryPlan>()>& optimize) {
-  XIA_FAILPOINT_ARG("advisor.whatif.optimize",
-                    static_cast<int64_t>(query_index));
-  return optimize();
-}
-
-}  // namespace
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateUncached(const std::vector<int>& sorted,
-                                         bool parallel_queries,
-                                         bool honor_cancel) {
-  // Only reached when the cost cache is disabled: every query of this
-  // configuration re-optimizes, and each skipped lookup is a bypass.
-  cost_cache_->AddBypasses(workload_->queries().size());
-
-  // Build the overlay: base catalog + the configuration as virtual
-  // indexes, reusing the candidates' precomputed statistics. The overlay
-  // is written here, then only read by the concurrent optimizations.
-  Catalog overlay = *base_catalog_;
-  for (int ci : sorted) {
-    const CandidateIndex& cand = (*candidates_)[static_cast<size_t>(ci)];
-    IndexDefinition def = cand.def;
-    def.name = CandidateOverlayName(ci);
-    XIA_RETURN_IF_ERROR(overlay.AddVirtual(std::move(def), cand.stats));
-  }
-
-  // Optimize every query into its own slot, then merge in query order so
-  // the floating-point sum (and therefore every downstream search
-  // decision) is independent of scheduling.
-  const std::vector<Query>& queries = workload_->queries();
-  std::vector<Result<QueryPlan>> plans(queries.size(),
-                                       Status::Internal("not evaluated"));
-  ParallelForCancellable(
-      parallel_queries ? pool() : nullptr, queries.size(),
-      [&](size_t qi) {
-        if (honor_cancel && cancel_.Cancelled()) {
-          plans[qi] = Status::Cancelled("what-if optimization cancelled");
-          return true;  // External cancel, not the deterministic failure.
-        }
-        plans[qi] = OptimizeWithFailpoint(qi, [&] {
-          return optimizer_->Optimize(queries[qi], overlay, cache_);
-        });
-        return plans[qi].ok();
-      },
-      [&](size_t qi) {
-        plans[qi] = Status::Cancelled(
-            "cancelled: a lower-indexed what-if optimization failed first");
-      });
-
-  // Merging in query order also propagates the LOWEST failing query's
-  // status — the deterministic first error.
-  Evaluation eval;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    XIA_RETURN_IF_ERROR(plans[qi].status());
-    const QueryPlan& plan = *plans[qi];
-    eval.per_query_cost.push_back(plan.total_cost);
-    eval.workload_cost += queries[qi].weight * plan.total_cost;
-    RecordUsedCandidates(sorted, plan, &eval);
-  }
-  eval.update_cost = EstimateUpdateCost(sorted);
-  return eval;
-}
-
-void ConfigurationEvaluator::RecordUsedCandidates(
-    const std::vector<int>& sorted, const QueryPlan& plan,
-    Evaluation* eval) const {
-  if (!plan.access.use_index) return;
-  // An access path names a configuration candidate iff its name parses as
-  // "cand<N>" AND N is one of the overlay ids this evaluation actually
-  // added (`sorted` is sorted — CanonicalKey). Plans may equally well pick
-  // a physical base-catalog index whose name is arbitrary ("idx_price",
-  // "candelabra", even "cand7extra"); those are not candidates and must
-  // not be counted — the old std::stoi parse threw on the former and
-  // silently credited candidate 7 for the latter.
-  auto record = [&](const std::string& name) {
-    std::optional<int> id = TryParseCandidateId(name);
-    if (id && std::binary_search(sorted.begin(), sorted.end(), *id)) {
-      eval->used_candidates.insert(*id);
-    }
-  };
-  record(plan.access.index_def.name);
-  if (plan.access.has_secondary) {
-    record(plan.access.secondary.index_def.name);
-  }
-}
-
-void ConfigurationEvaluator::CollectPlanTasks(
-    const std::vector<int>& sorted, std::vector<QueryPlan>& plans,
-    std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
-    std::unordered_map<std::string, size_t>& task_index) {
-  const std::vector<Query>& queries = workload_->queries();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    // The query's relevance signature under this configuration: the
-    // (already sorted, deduplicated) candidate ids whose patterns can
-    // produce an index match for it. Candidate ids are stable identities
-    // within this evaluator — id determines definition, overlay name
-    // ("cand<i>"), and precomputed statistics — and the base catalog is
-    // fixed, so the signature pins the optimizer input exactly.
-    PlanTask task;
-    task.query = qi;
-    for (int c : sorted) {
-      if (relevant_[static_cast<size_t>(c)].Test(qi)) {
-        task.relevant.push_back(c);
-      }
-    }
-    task.key = std::to_string(distinct_query_[qi]);
-    task.key.push_back('#');
-    for (int c : task.relevant) {
-      task.key += std::to_string(c);
-      task.key.push_back(',');
-    }
-    if (cost_cache_->Lookup(task.key, &plans[qi])) {
-      // Equal fingerprints guarantee equal plans; only the labels differ.
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
-      plan_source[qi] = -1;
-      continue;
-    }
-    auto [it, inserted] = task_index.emplace(task.key, tasks.size());
-    if (inserted) tasks.push_back(std::move(task));
-    plan_source[qi] = static_cast<int>(it->second);
-  }
-}
-
-Result<QueryPlan> ConfigurationEvaluator::OptimizeRelevant(
-    const PlanTask& task) const {
-  // Minimal overlay: base catalog + ONLY the signature's candidates.
-  // Correctness (the signature-equality ⇒ identical-input argument): the
-  // optimizer reads a catalog solely through IndexesFor + IndexMatcher::
-  // Match, and a candidate outside the signature emits no match for this
-  // query by construction (CanServe false), so dropping it leaves the
-  // match list — and the relative name order of the remaining entries,
-  // since Catalog iterates a name-ordered map — byte-identical to any
-  // configuration containing the same relevant set. Identical matches
-  // mean identical plan enumeration, float-for-float.
-  Catalog overlay = *base_catalog_;
-  for (int ci : task.relevant) {
-    const CandidateIndex& cand = (*candidates_)[static_cast<size_t>(ci)];
-    IndexDefinition def = cand.def;
-    def.name = CandidateOverlayName(ci);
-    XIA_RETURN_IF_ERROR(overlay.AddVirtual(std::move(def), cand.stats));
-  }
-  return optimizer_->Optimize(workload_->queries()[task.query], overlay,
-                              cache_);
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::AssembleFromPlans(
-    const std::vector<int>& sorted, std::vector<QueryPlan>& plans,
-    const std::vector<int>& plan_source,
-    const std::vector<Result<QueryPlan>>& task_plans) {
-  const std::vector<Query>& queries = workload_->queries();
-  Evaluation eval;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (plan_source[qi] >= 0) {
-      const Result<QueryPlan>& computed =
-          task_plans[static_cast<size_t>(plan_source[qi])];
-      XIA_RETURN_IF_ERROR(computed.status());
-      plans[qi] = *computed;
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
-    }
-    const QueryPlan& plan = plans[qi];
-    eval.per_query_cost.push_back(plan.total_cost);
-    eval.workload_cost += queries[qi].weight * plan.total_cost;
-    RecordUsedCandidates(sorted, plan, &eval);
-  }
-  eval.update_cost = EstimateUpdateCost(sorted);
-  num_evaluations_.Increment();
-  return eval;
-}
-
-size_t ConfigurationEvaluator::RunPlanTasks(
-    const std::vector<PlanTask>& tasks, ThreadPool* task_pool,
-    bool honor_cancel, std::vector<Result<QueryPlan>>* task_plans) {
-  size_t lowest = ParallelForCancellable(
-      task_pool, tasks.size(),
-      [&](size_t ti) {
-        if (honor_cancel && cancel_.Cancelled()) {
-          (*task_plans)[ti] =
-              Status::Cancelled("what-if optimization cancelled");
-          return true;  // External cancel, not the deterministic failure.
-        }
-        (*task_plans)[ti] = OptimizeWithFailpoint(
-            tasks[ti].query, [&] { return OptimizeRelevant(tasks[ti]); });
-        return (*task_plans)[ti].ok();
-      },
-      [&](size_t ti) {
-        (*task_plans)[ti] = Status::Cancelled(
-            "cancelled: a lower-indexed what-if task failed first");
-      });
-  // Insert surviving plans serially. Only tasks below the lowest failure
-  // hold plans (stragglers were normalized to Cancelled above), so the
-  // costcache.entries gauge depends on the failure point alone, never on
-  // scheduling.
-  for (size_t ti = 0; ti < tasks.size(); ++ti) {
-    if ((*task_plans)[ti].ok()) {
-      cost_cache_->Insert(tasks[ti].key, *(*task_plans)[ti]);
-    }
-  }
-  return lowest;
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateWithCostCache(const std::vector<int>& sorted,
-                                              bool parallel_tasks,
-                                              bool honor_cancel) {
-  const size_t num_queries = workload_->queries().size();
-  std::vector<QueryPlan> plans(num_queries);
-  std::vector<int> plan_source(num_queries, -1);
-  std::vector<PlanTask> tasks;
-  std::unordered_map<std::string, size_t> task_index;
-  CollectPlanTasks(sorted, plans, plan_source, tasks, task_index);
-
-  std::vector<Result<QueryPlan>> task_plans(tasks.size(),
-                                            Status::Internal("not evaluated"));
-  RunPlanTasks(tasks, parallel_tasks ? PlanTaskPool(tasks.size()) : nullptr,
-               honor_cancel, &task_plans);
-  return AssembleFromPlans(sorted, plans, plan_source, task_plans);
-}
-
 AdvisorCacheCounters ConfigurationEvaluator::cache_counters() const {
   AdvisorCacheCounters counters;
   counters.cost = cost_cache_->stats();
@@ -434,7 +195,6 @@ obs::Snapshot ConfigurationEvaluator::DeterministicStats() const {
   snap.counters["advisor.memo_hits"] = memo_hits_.Value();
   snap.counters["costcache.hits"] = cost.hits;
   snap.counters["costcache.misses"] = cost.misses;
-  snap.counters["costcache.bypasses"] = cost.bypasses;
   snap.gauges["costcache.entries"] = static_cast<int64_t>(cost.entries);
   snap.gauges["containment.entries"] =
       static_cast<int64_t>(cache_->stats().entries);
@@ -454,8 +214,10 @@ obs::Snapshot ConfigurationEvaluator::DeterministicStats() const {
 
 Result<ConfigurationEvaluator::Evaluation> ConfigurationEvaluator::Evaluate(
     const std::vector<int>& config) {
-  return EvaluateImpl(config, /*honor_cancel=*/true,
-                      /*use_table=*/decomposed());
+  XIA_SPAN("advisor.evaluate");
+  return std::move(EvaluateMany({config}, /*honor_cancel=*/true,
+                                /*use_table=*/decomposed())
+                       .front());
 }
 
 Result<ConfigurationEvaluator::Evaluation>
@@ -463,62 +225,40 @@ ConfigurationEvaluator::EvaluateUngoverned(const std::vector<int>& config) {
   // Always exact, even in decomposed mode: the closing evaluation must
   // report the real optimizer cost of the chosen configuration, not a
   // composed bound — the promised benefit stays honest.
-  return EvaluateImpl(config, /*honor_cancel=*/false, /*use_table=*/false);
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateImpl(const std::vector<int>& config,
-                                     bool honor_cancel, bool use_table) {
   XIA_SPAN("advisor.evaluate");
-  auto [key, sorted] = CanonicalKey(config);
-  if (use_table) key.insert(0, "d:");
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      memo_hits_.Increment();
-      return it->second;
-    }
-  }
-  if (honor_cancel && cancel_.Cancelled()) {
-    return Status::Cancelled("configuration evaluation cancelled");
-  }
-  Result<Evaluation> evaluated =
-      use_table ? EvaluateDecomposed(sorted, honor_cancel)
-      : cost_cache_->enabled()
-          ? EvaluateWithCostCache(sorted, /*parallel_tasks=*/true,
-                                  honor_cancel)
-          : EvaluateUncached(sorted, /*parallel_queries=*/true, honor_cancel);
-  XIA_ASSIGN_OR_RETURN(Evaluation eval, std::move(evaluated));
-  // The uncached path defers its evaluation count to this serial point
-  // (the cost-cache path counts inside AssembleFromPlans, also serial).
-  if (!use_table && !cost_cache_->enabled()) num_evaluations_.Increment();
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  return memo_.emplace(std::move(key), std::move(eval)).first->second;
+  return std::move(
+      EvaluateMany({config}, /*honor_cancel=*/false, /*use_table=*/false)
+          .front());
 }
 
 std::vector<Result<ConfigurationEvaluator::Evaluation>>
 ConfigurationEvaluator::EvaluateMany(
     const std::vector<std::vector<int>>& configs) {
   XIA_SPAN("advisor.evaluate_many");
+  return EvaluateMany(configs, /*honor_cancel=*/true,
+                      /*use_table=*/decomposed());
+}
+
+std::vector<Result<ConfigurationEvaluator::Evaluation>>
+ConfigurationEvaluator::EvaluateMany(
+    const std::vector<std::vector<int>>& configs, bool honor_cancel,
+    bool use_table) {
   std::vector<Result<Evaluation>> results(configs.size(),
                                           Status::Internal("not evaluated"));
   // Resolve memo hits and deduplicate the misses, so each distinct
-  // configuration is optimized exactly once — num_evaluations() advances
-  // exactly as the equivalent sequence of Evaluate() calls would.
+  // configuration is evaluated — and counted — exactly once.
   struct Miss {
     std::string key;
     std::vector<int> sorted;
-    Result<Evaluation> result = Status::Internal("not evaluated");
   };
   std::vector<Miss> misses;
   std::unordered_map<std::string, size_t> miss_index;
-  std::vector<size_t> result_to_miss(configs.size(), SIZE_MAX);
+  std::vector<size_t> miss_of(configs.size(), SIZE_MAX);
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
     for (size_t i = 0; i < configs.size(); ++i) {
       auto [key, sorted] = CanonicalKey(configs[i]);
-      if (decomposed()) key.insert(0, "d:");
+      if (use_table) key.insert(0, "d:");
       auto hit = memo_.find(key);
       if (hit != memo_.end()) {
         memo_hits_.Increment();
@@ -526,189 +266,139 @@ ConfigurationEvaluator::EvaluateMany(
         continue;
       }
       auto [it, inserted] = miss_index.emplace(key, misses.size());
-      if (inserted) {
-        misses.push_back(Miss{std::move(key), std::move(sorted)});
-      }
-      result_to_miss[i] = it->second;
+      if (inserted) misses.push_back(Miss{std::move(key), std::move(sorted)});
+      miss_of[i] = it->second;
     }
   }
+  if (honor_cancel && cancel_.Cancelled()) {
+    for (size_t i = 0; i < configs.size(); ++i) {
+      if (miss_of[i] != SIZE_MAX) {
+        results[i] = Status::Cancelled("configuration evaluation cancelled");
+      }
+    }
+    return results;
+  }
 
-  if (decomposed()) {
-    // Decomposed batch path: the same serial-collect / parallel-run /
-    // serial-assemble shape as the cost-cache path below, with the
-    // benefit table resolving most queries before any task is created.
-    // Fallback tasks are deduplicated across the whole batch and counted
-    // once, in this serial phase.
-    const size_t num_queries = workload_->queries().size();
-    std::vector<PlanTask> tasks;
-    std::unordered_map<std::string, size_t> task_index;
-    std::vector<std::vector<BenefitEntry>> miss_entries(misses.size());
-    std::vector<std::vector<char>> miss_from_table(misses.size());
-    std::vector<std::vector<QueryPlan>> miss_plans(misses.size());
-    std::vector<std::vector<int>> miss_plan_source(misses.size());
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      miss_entries[mi].resize(num_queries);
-      miss_from_table[mi].assign(num_queries, 0);
-      miss_plans[mi].resize(num_queries);
-      miss_plan_source[mi].assign(num_queries, -1);
-      CollectDecomposedWork(misses[mi].sorted, miss_entries[mi],
-                            miss_from_table[mi], miss_plans[mi],
-                            miss_plan_source[mi], tasks, task_index);
+  // Serial collect, one slot per (miss, query): the benefit table's exact
+  // cell, then its composed bound (decomposed scoring only), else a
+  // what-if request for the query under its relevant candidates. Table
+  // outcomes are counted here, so the benefit.* counters are
+  // thread-count deterministic.
+  const std::vector<Query>& queries = workload_->queries();
+  std::vector<WhatIfKernel::Request> requests;
+  std::vector<BenefitEntry> cells;
+  std::vector<size_t> slots;  // Request index, or kCell + cell index.
+  constexpr size_t kCell = SIZE_MAX / 2;
+  slots.reserve(misses.size() * queries.size());
+  for (const Miss& miss : misses) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      WhatIfKernel::Request request{qi, {}};
+      for (int c : miss.sorted) {
+        if (kernel_.Relevant(c, qi)) request.overlay.push_back(c);
+      }
+      if (use_table) {
+        const int cls = kernel_.query_class(qi);
+        BenefitEntry cell;
+        bool hit = benefit_table_->Lookup(cls, request.overlay, &cell);
+        if (hit) {
+          benefit_table_->CountHit();
+        } else if (decompose_.compose_above_degree &&
+                   benefit_table_->Compose(cls, request.overlay, &cell)) {
+          benefit_table_->CountComposed();
+          hit = true;
+        }
+        if (hit) {
+          slots.push_back(kCell + cells.size());
+          cells.push_back(std::move(cell));
+          continue;
+        }
+      }
+      slots.push_back(requests.size());
+      requests.push_back(std::move(request));
     }
-    benefit_table_->CountFallbackWhatIfs(tasks.size());
-    std::vector<Result<QueryPlan>> task_plans(
-        tasks.size(), Status::Internal("not evaluated"));
-    RunPlanTasks(tasks, PlanTaskPool(tasks.size()), /*honor_cancel=*/true,
-                 &task_plans);
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      misses[mi].result = AssembleDecomposed(
-          misses[mi].sorted, miss_entries[mi], miss_from_table[mi],
-          miss_plans[mi], miss_plan_source[mi], task_plans);
+  }
+  size_t tasks = 0;
+  std::vector<Result<WhatIfKernel::PlanPtr>> plans =
+      kernel_.Run(requests, honor_cancel ? &cancel_ : nullptr, &tasks);
+  // Fallback what-ifs: the optimizer calls this batch issued.
+  if (use_table) benefit_table_->CountFallbackWhatIfs(tasks);
+
+  // Serial assemble, in query order — the float-addition order of a plain
+  // per-query loop. A configuration reports its first failing query.
+  std::vector<Result<Evaluation>> evaluated;
+  evaluated.reserve(misses.size());
+  for (size_t mi = 0; mi < misses.size(); ++mi) {
+    Evaluation eval;
+    Status failed;
+    for (size_t qi = 0; qi < queries.size() && failed.ok(); ++qi) {
+      const size_t slot = slots[mi * queries.size() + qi];
+      BenefitEntry entry;
+      if (slot >= kCell) {
+        entry = cells[slot - kCell];
+      } else if (plans[slot].ok()) {
+        entry = EntryFromPlan(misses[mi].sorted, **plans[slot]);
+      } else {
+        failed = plans[slot].status();
+        continue;
+      }
+      eval.per_query_cost.push_back(entry.cost);
+      eval.workload_cost += queries[qi].weight * entry.cost;
+      eval.used_candidates.insert(entry.used.begin(), entry.used.end());
     }
-  } else if (cost_cache_->enabled()) {
-    // Cost-cache batch path: deduplicate (query, relevance signature)
-    // plan tasks across ALL misses in one serial pass — a greedy round's
-    // configurations overlap heavily, so most of the batch collapses onto
-    // a few optimizer calls — then run the distinct tasks through one
-    // pool dispatch and assemble each miss serially in batch order. The
-    // serial collect/assemble phases keep hit/miss counts and every
-    // float-addition order identical at any thread count.
-    const size_t num_queries = workload_->queries().size();
-    std::vector<PlanTask> tasks;
-    std::unordered_map<std::string, size_t> task_index;
-    std::vector<std::vector<QueryPlan>> miss_plans(misses.size());
-    std::vector<std::vector<int>> miss_plan_source(misses.size());
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      miss_plans[mi].resize(num_queries);
-      miss_plan_source[mi].assign(num_queries, -1);
-      CollectPlanTasks(misses[mi].sorted, miss_plans[mi],
-                       miss_plan_source[mi], tasks, task_index);
+    if (!failed.ok()) {
+      evaluated.push_back(std::move(failed));
+      continue;
     }
-    std::vector<Result<QueryPlan>> task_plans(
-        tasks.size(), Status::Internal("not evaluated"));
-    RunPlanTasks(tasks, PlanTaskPool(tasks.size()), /*honor_cancel=*/true,
-                 &task_plans);
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      misses[mi].result =
-          AssembleFromPlans(misses[mi].sorted, miss_plans[mi],
-                            miss_plan_source[mi], task_plans);
-    }
-  } else {
-    // One task per distinct miss; the per-query loop inside each stays
-    // serial to keep exactly one level of parallelism per call path.
-    ParallelForCancellable(
-        pool(), misses.size(),
-        [&](size_t mi) {
-          if (cancel_.Cancelled()) {
-            misses[mi].result =
-                Status::Cancelled("configuration evaluation cancelled");
-            return true;  // External cancel, not a deterministic failure.
-          }
-          misses[mi].result =
-              EvaluateUncached(misses[mi].sorted, /*parallel_queries=*/false,
-                               /*honor_cancel=*/true);
-          return misses[mi].result.ok();
-        },
-        [&](size_t mi) {
-          misses[mi].result = Status::Cancelled(
-              "cancelled: a lower-indexed configuration evaluation failed "
-              "first");
-        });
-    // Deferred serial count: one evaluation per miss that survived (the
-    // pre-cancellation code counted inside EvaluateUncached, which would
-    // leave the counter scheduling-dependent when a batch fails).
-    for (const Miss& miss : misses) {
-      if (miss.result.ok()) num_evaluations_.Increment();
-    }
+    eval.update_cost = EstimateUpdateCost(misses[mi].sorted);
+    num_evaluations_.Increment();
+    evaluated.push_back(std::move(eval));
   }
 
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
-    for (Miss& miss : misses) {
-      if (miss.result.ok()) {
-        memo_.emplace(std::move(miss.key), *miss.result);
-      }
+    for (size_t mi = 0; mi < misses.size(); ++mi) {
+      if (evaluated[mi].ok()) memo_.emplace(misses[mi].key, *evaluated[mi]);
     }
   }
   for (size_t i = 0; i < configs.size(); ++i) {
-    if (result_to_miss[i] != SIZE_MAX) {
-      results[i] = misses[result_to_miss[i]].result;
-    }
+    if (miss_of[i] != SIZE_MAX) results[i] = evaluated[miss_of[i]];
   }
   return results;
 }
-
-namespace {
-
-/// Table cell from a priced plan: exact cost + which subset members the
-/// plan's access path uses (the decomposed analogue of
-/// RecordUsedCandidates; `subset` is sorted).
-BenefitEntry EntryFromPlan(const std::vector<int>& subset,
-                           const QueryPlan& plan) {
-  BenefitEntry entry;
-  entry.cost = plan.total_cost;
-  if (!plan.access.use_index) return entry;
-  auto record = [&](const std::string& name) {
-    std::optional<int> id = TryParseCandidateId(name);
-    if (id && std::binary_search(subset.begin(), subset.end(), *id)) {
-      entry.used.push_back(*id);
-    }
-  };
-  record(plan.access.index_def.name);
-  if (plan.access.has_secondary) {
-    record(plan.access.secondary.index_def.name);
-  }
-  std::sort(entry.used.begin(), entry.used.end());
-  entry.used.erase(std::unique(entry.used.begin(), entry.used.end()),
-                   entry.used.end());
-  return entry;
-}
-
-}  // namespace
 
 Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
     const DecomposeOptions& opts, const GeneralizationDag* dag,
     const Deadline& deadline) {
   XIA_SPAN("advisor.price_benefits");
-  if (!cost_cache_->enabled()) {
-    return Status::InvalidArgument(
-        "decomposed evaluation requires the what-if cost cache (it supplies "
-        "the relevance bitmaps and the pricing dedup layer)");
-  }
   decompose_ = opts;
   auto table = std::make_unique<BenefitTable>(opts.max_degree);
   BenefitPricingReport report;
 
-  // Per-class representative query (first of the fingerprint class; equal
-  // fingerprints get bit-identical plans, so any member works).
-  size_t num_classes = 0;
-  for (int cls : distinct_query_) {
-    num_classes = std::max(num_classes, static_cast<size_t>(cls) + 1);
+  // Per-class representative query (the first of its fingerprint class;
+  // classes are numbered by first occurrence).
+  std::vector<size_t> representative;
+  for (size_t qi = 0; qi < workload_->queries().size(); ++qi) {
+    if (static_cast<size_t>(kernel_.query_class(qi)) ==
+        representative.size()) {
+      representative.push_back(qi);
+    }
   }
-  std::vector<size_t> representative(num_classes, SIZE_MAX);
-  for (size_t qi = 0; qi < distinct_query_.size(); ++qi) {
-    size_t cls = static_cast<size_t>(distinct_query_[qi]);
-    if (representative[cls] == SIZE_MAX) representative[cls] = qi;
-  }
-  report.classes = num_classes;
+  report.classes = representative.size();
 
   std::vector<Bitmap> ancestors;
   if (opts.max_degree >= 2 && dag != nullptr) ancestors = DagAncestors(*dag);
 
-  // Serial enumeration phase: every (class, subset) in deterministic
-  // class-major / size-ascending order, resolved against the (possibly
-  // pre-warmed, e.g. server-shared) cost cache before becoming a task.
-  struct PricingTask {
-    int cls;
-    std::vector<int> subset;
-  };
-  std::vector<PlanTask> tasks;
-  std::vector<PricingTask> task_info;
-  for (size_t cls = 0; cls < num_classes; ++cls) {
+  // Serial enumeration: every (class, subset) in deterministic
+  // class-major / size-ascending order, as one kernel request each.
+  std::vector<WhatIfKernel::Request> requests;
+  std::vector<int> request_class;
+  for (size_t cls = 0; cls < representative.size(); ++cls) {
     size_t qi = representative[cls];
     std::vector<int> rel;
-    for (size_t c = 0; c < relevant_.size(); ++c) {
-      if (relevant_[c].Test(qi)) rel.push_back(static_cast<int>(c));
+    for (size_t c = 0; c < candidates_->size(); ++c) {
+      if (kernel_.Relevant(static_cast<int>(c), qi)) {
+        rel.push_back(static_cast<int>(c));
+      }
     }
     bool capped = false;
     std::vector<std::vector<int>> subsets = EnumerateBenefitSubsets(
@@ -717,71 +407,51 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
     report.subsets_enumerated += subsets.size();
     if (capped) ++report.capped_classes;
     for (std::vector<int>& subset : subsets) {
-      PlanTask task;
-      task.query = qi;
-      task.key = std::to_string(cls);
-      task.key.push_back('#');
-      task.key += BenefitTable::SubsetKey(subset);
-      QueryPlan plan;
-      if (cost_cache_->Lookup(task.key, &plan)) {
-        table->Insert(static_cast<int>(cls), subset,
-                      EntryFromPlan(subset, plan));
-        continue;
-      }
-      task.relevant = subset;
-      tasks.push_back(std::move(task));
-      task_info.push_back(PricingTask{static_cast<int>(cls),
-                                      std::move(subset)});
+      requests.push_back(WhatIfKernel::Request{qi, std::move(subset)});
+      request_class.push_back(static_cast<int>(cls));
     }
   }
 
-  // Parallel pricing in governed chunks. Chunk size guarantees the pool
-  // engages (PlanTaskPool's serial cutoff is threads*4); between chunks
-  // the anytime knobs are polled, so an exhausted budget keeps the
-  // already-priced prefix as a usable best-so-far table. Ungoverned runs
-  // take one full-width batch — chunking changes scheduling only, never
-  // results: all cache lookups already happened above, and inserts land
-  // in enumeration order either way.
+  // Governed chunks: between chunks the anytime knobs are polled, so an
+  // exhausted budget keeps the already-priced prefix as a usable
+  // best-so-far table. The chunk is large enough for the kernel to use
+  // its pool; ungoverned runs take one batch. Chunking changes scheduling
+  // only: the table fills in enumeration order either way.
   const bool governed = !deadline.infinite() || cancel_.CanBeCancelled();
   const size_t chunk =
-      governed ? std::max<size_t>(static_cast<size_t>(threads_) * 4, 16)
-               : tasks.size();
+      governed ? std::max<size_t>(static_cast<size_t>(threads()) * 4, 16)
+               : requests.size();
   StopReason stop = StopReason::kConverged;
-  size_t next = 0;
-  while (next < tasks.size() && stop == StopReason::kConverged) {
-    if (governed) {
-      if (cancel_.Cancelled()) {
-        stop = StopReason::kCancelled;
-        break;
-      }
-      if (deadline.Expired()) {
-        stop = StopReason::kDeadline;
-        break;
-      }
+  for (size_t next = 0;
+       next < requests.size() && stop == StopReason::kConverged;
+       next += chunk) {
+    if (governed && cancel_.Cancelled()) {
+      stop = StopReason::kCancelled;
+      break;
     }
-    size_t end = std::min(next + chunk, tasks.size());
-    std::vector<PlanTask> batch(tasks.begin() + static_cast<long>(next),
-                                tasks.begin() + static_cast<long>(end));
-    std::vector<Result<QueryPlan>> batch_plans(
-        batch.size(), Status::Internal("not evaluated"));
-    RunPlanTasks(batch, PlanTaskPool(batch.size()), /*honor_cancel=*/true,
-                 &batch_plans);
+    if (governed && deadline.Expired()) {
+      stop = StopReason::kDeadline;
+      break;
+    }
+    std::vector<WhatIfKernel::Request> batch(
+        requests.begin() + static_cast<long>(next),
+        requests.begin() +
+            static_cast<long>(std::min(next + chunk, requests.size())));
+    std::vector<Result<WhatIfKernel::PlanPtr>> plans =
+        kernel_.Run(batch, &cancel_);
     for (size_t i = 0; i < batch.size(); ++i) {
-      const Result<QueryPlan>& plan = batch_plans[i];
-      if (plan.ok()) {
-        const PricingTask& info = task_info[next + i];
-        table->Insert(info.cls, info.subset,
-                      EntryFromPlan(info.subset, *plan));
+      if (plans[i].ok()) {
+        table->Insert(request_class[next + i], batch[i].overlay,
+                      EntryFromPlan(batch[i].overlay, **plans[i]));
         continue;
       }
-      if (plan.status().IsCancelled()) {
+      if (plans[i].status().IsCancelled()) {
         // The external token fired mid-chunk: keep the priced prefix.
         stop = StopReason::kCancelled;
         break;
       }
-      return plan.status();  // Real optimizer failure: propagate.
+      return plans[i].status();  // Real optimizer failure: propagate.
     }
-    next = end;
   }
 
   if (stop != StopReason::kConverged) table->MarkTruncated(stop);
@@ -799,113 +469,6 @@ std::string ConfigurationEvaluator::DescribeDecomposition() const {
                     (decompose_.compose_above_degree ? "on" : "off") + ", " +
                     pricing_report_.ToString();
   return out;
-}
-
-void ConfigurationEvaluator::CollectDecomposedWork(
-    const std::vector<int>& sorted, std::vector<BenefitEntry>& entries,
-    std::vector<char>& from_table, std::vector<QueryPlan>& plans,
-    std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
-    std::unordered_map<std::string, size_t>& task_index) {
-  const std::vector<Query>& queries = workload_->queries();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    PlanTask task;
-    task.query = qi;
-    for (int c : sorted) {
-      if (relevant_[static_cast<size_t>(c)].Test(qi)) {
-        task.relevant.push_back(c);
-      }
-    }
-    const int cls = distinct_query_[qi];
-    // Exact cell first (the overlap itself is priced — a *precise* cost,
-    // see benefit_table.h property 1), then the composed conservative
-    // bound, then the real what-if fallback through the cost cache. A
-    // priced-degree overlap can still miss when pricing was truncated or
-    // the class hit its subset cap; Compose covers those too.
-    if (benefit_table_->Lookup(cls, task.relevant, &entries[qi])) {
-      from_table[qi] = 1;
-      benefit_table_->CountHit();
-      continue;
-    }
-    if (decompose_.compose_above_degree &&
-        benefit_table_->Compose(cls, task.relevant, &entries[qi])) {
-      from_table[qi] = 1;
-      benefit_table_->CountComposed();
-      continue;
-    }
-    task.key = std::to_string(cls);
-    task.key.push_back('#');
-    for (int c : task.relevant) {
-      task.key += std::to_string(c);
-      task.key.push_back(',');
-    }
-    if (cost_cache_->Lookup(task.key, &plans[qi])) {
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
-      plan_source[qi] = -1;
-      continue;
-    }
-    auto [it, inserted] = task_index.emplace(task.key, tasks.size());
-    if (inserted) tasks.push_back(std::move(task));
-    plan_source[qi] = static_cast<int>(it->second);
-  }
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::AssembleDecomposed(
-    const std::vector<int>& sorted, const std::vector<BenefitEntry>& entries,
-    const std::vector<char>& from_table, std::vector<QueryPlan>& plans,
-    const std::vector<int>& plan_source,
-    const std::vector<Result<QueryPlan>>& task_plans) {
-  const std::vector<Query>& queries = workload_->queries();
-  Evaluation eval;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (from_table[qi]) {
-      const BenefitEntry& entry = entries[qi];
-      eval.per_query_cost.push_back(entry.cost);
-      eval.workload_cost += queries[qi].weight * entry.cost;
-      // entry.used ⊆ the priced subset ⊆ this configuration, so every id
-      // is attributable without re-checking membership in `sorted`.
-      for (int id : entry.used) eval.used_candidates.insert(id);
-      continue;
-    }
-    if (plan_source[qi] >= 0) {
-      const Result<QueryPlan>& computed =
-          task_plans[static_cast<size_t>(plan_source[qi])];
-      XIA_RETURN_IF_ERROR(computed.status());
-      plans[qi] = *computed;
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
-    }
-    const QueryPlan& plan = plans[qi];
-    eval.per_query_cost.push_back(plan.total_cost);
-    eval.workload_cost += queries[qi].weight * plan.total_cost;
-    RecordUsedCandidates(sorted, plan, &eval);
-  }
-  eval.update_cost = EstimateUpdateCost(sorted);
-  num_evaluations_.Increment();
-  return eval;
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateDecomposed(const std::vector<int>& sorted,
-                                           bool honor_cancel) {
-  const size_t num_queries = workload_->queries().size();
-  std::vector<BenefitEntry> entries(num_queries);
-  std::vector<char> from_table(num_queries, 0);
-  std::vector<QueryPlan> plans(num_queries);
-  std::vector<int> plan_source(num_queries, -1);
-  std::vector<PlanTask> tasks;
-  std::unordered_map<std::string, size_t> task_index;
-  CollectDecomposedWork(sorted, entries, from_table, plans, plan_source,
-                        tasks, task_index);
-  // Fallback what-ifs are counted here — the serial phase — as the calls
-  // this configuration *issues* (cache-resolved queries create no task).
-  benefit_table_->CountFallbackWhatIfs(tasks.size());
-  std::vector<Result<QueryPlan>> task_plans(tasks.size(),
-                                            Status::Internal("not evaluated"));
-  RunPlanTasks(tasks, PlanTaskPool(tasks.size()), honor_cancel, &task_plans);
-  return AssembleDecomposed(sorted, entries, from_table, plans, plan_source,
-                            task_plans);
 }
 
 Result<double> ConfigurationEvaluator::BaselineCost() {

@@ -7,18 +7,17 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "advisor/benefit_table.h"
 #include "advisor/candidate.h"
-#include "advisor/cost_cache.h"
 #include "common/bitmap.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "optimizer/cost_cache.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/whatif_kernel.h"
 #include "workload/workload.h"
 #include "xpath/containment.h"
 
@@ -33,31 +32,24 @@ namespace xia {
 /// Evaluations are memoized by configuration, since greedy and top-down
 /// searches revisit configurations.
 ///
-/// Concurrency: with `threads > 1` the per-query what-if optimizations
-/// inside one Evaluate() fan out over an internal thread pool, and
-/// EvaluateMany() fans out whole configurations; the memo and evaluation
-/// counter are lock-/atomic-protected so both levels may run
-/// concurrently. Per-query results are merged in query order, making the
-/// parallel costs bit-identical to the serial (`threads == 1`) path.
-///
-/// What-if cost caching (`use_cost_cache`, on by default): below the
-/// whole-configuration memo sits a signature-keyed per-query plan cache
-/// (advisor/cost_cache.h). A query's plan under a configuration depends
-/// only on the configuration's *relevant* candidates — those whose
-/// patterns can produce an index match for it — so the optimizer runs
-/// once per distinct (query, relevant-candidate-set) pair and every other
-/// (query, configuration) combination is a lookup. Results stay
-/// bit-identical to the uncached path (tests/cost_cache_test.cc), and
-/// cache hit/miss/bypass counts are deterministic at any thread count
-/// because lookups happen in serial dedup phases.
+/// Every evaluation is a batch (Evaluate is EvaluateMany of one): one
+/// serial pass resolves each (configuration, query) pair from the benefit
+/// table when decomposed scoring is on, else hands it to the what-if
+/// kernel (optimizer/whatif_kernel.h) as a request for the query under
+/// the candidates relevant to it. The kernel resolves requests from its
+/// plan cache or deduplicated plan tasks and fans the tasks out over
+/// `threads`; configurations are then assembled serially in query order,
+/// so costs and counters are bit-identical at any thread count. A query's
+/// plan depends only on the configuration's relevant candidates, so the
+/// optimizer runs once per distinct (query, relevant-candidate-set) pair
+/// and every other (query, configuration) pair is a cache hit.
 ///
 /// Decomposed mode (PriceBenefitTable, benefit_table.h): one step
-/// further than the cache — the what-if calls a search WOULD make are
-/// priced up front per (query class, small relevant subset), and
-/// configuration scoring becomes table lookups plus a conservative
-/// composed bound, with real what-if only as fallback. Optimizer-call
-/// count then scales with queries + candidates, not configurations
-/// explored.
+/// further — the what-if calls a search WOULD make are priced up front
+/// per (query class, small relevant subset), and configuration scoring
+/// becomes table lookups plus a conservative composed bound, with real
+/// what-if only as fallback. Optimizer-call count then scales with
+/// queries + candidates, not configurations explored.
 class ConfigurationEvaluator {
  public:
   /// One workload XPath expression (driving path or predicate pattern) —
@@ -79,22 +71,20 @@ class ConfigurationEvaluator {
     double TotalCost() const { return workload_cost + update_cost; }
   };
 
-  /// All pointers must outlive the evaluator. `account_update_cost`
+  /// All pointers must outlive the evaluator, and the database and base
+  /// catalog must not change while it lives. `account_update_cost`
   /// toggles the maintenance debit (ablation B). `threads` is the what-if
-  /// fan-out width: 1 (the default) evaluates serially exactly as before,
-  /// 0 resolves to std::thread::hardware_concurrency(). `use_cost_cache`
-  /// is the signature-keyed plan cache escape hatch; disabling it makes
-  /// every evaluation re-optimize every query (counted as bypasses).
-  /// `shared_cost_cache`, when non-null, replaces the evaluator's own
-  /// plan cache with an external one that outlives it (and whose
-  /// enabled() flag then overrides `use_cost_cache`) — how a server
-  /// shares one warm cache across many advises. Plans are bit-identical
-  /// either way; only hit/miss counts depend on prior warming.
+  /// fan-out width: 1 (the default) evaluates serially, 0 resolves to
+  /// std::thread::hardware_concurrency(). `shared_cost_cache`, when
+  /// non-null, replaces the evaluator's own plan cache with an external
+  /// one that outlives it — how a server shares one warm cache across
+  /// many advises. Results are identical either way; only hit/miss counts
+  /// depend on prior warming.
   ConfigurationEvaluator(const Optimizer* optimizer, const Workload* workload,
                          const Catalog* base_catalog,
                          const std::vector<CandidateIndex>* candidates,
                          ContainmentCache* cache, bool account_update_cost,
-                         int threads = 1, bool use_cost_cache = true,
+                         int threads = 1,
                          WhatIfCostCache* shared_cost_cache = nullptr);
 
   /// Installs the cooperative-cancellation token that Evaluate and
@@ -103,8 +93,8 @@ class ConfigurationEvaluator {
   /// (default) token costs one relaxed atomic load per check.
   void set_cancel(CancelToken cancel) { cancel_ = std::move(cancel); }
 
-  /// Evaluates the configuration given as candidate indices, optimizing
-  /// the workload's queries in parallel when threads > 1.
+  /// Evaluates the configuration given as candidate indices:
+  /// EvaluateMany of one.
   Result<Evaluation> Evaluate(const std::vector<int>& config);
 
   /// Evaluate, but ignoring the external CancelToken (deterministic
@@ -115,15 +105,13 @@ class ConfigurationEvaluator {
   /// this nearly free on the search paths.
   Result<Evaluation> EvaluateUngoverned(const std::vector<int>& config);
 
-  /// Evaluates several configurations concurrently, returning results
-  /// aligned with `configs`. This is the search-loop fan-out: scoring
-  /// every candidate of a greedy round costs one pool dispatch. With the
-  /// cost cache on, the fan-out unit is the distinct (query, relevance
-  /// signature) pair deduplicated across the whole batch — configurations
-  /// that look identical to a query share its one optimization; with the
-  /// cache off it is the distinct uncached configuration (serial
-  /// per-query loop inside each). Results and num_evaluations() match
-  /// what sequential Evaluate() calls would have produced.
+  /// Evaluates several configurations, returning results aligned with
+  /// `configs`. This is the search-loop fan-out: scoring every candidate
+  /// of a greedy round is one kernel batch, whose fan-out unit is the
+  /// distinct (query, relevant candidate set) pair deduplicated across
+  /// the whole batch. Results and num_evaluations() match what sequential
+  /// Evaluate() calls would have produced. A fired CancelToken fails every
+  /// configuration the memo cannot answer with kCancelled.
   std::vector<Result<Evaluation>> EvaluateMany(
       const std::vector<std::vector<int>>& configs);
 
@@ -138,12 +126,10 @@ class ConfigurationEvaluator {
   /// EvaluateUngoverned and BaselineCost deliberately stay on the exact
   /// path so closing evaluations report honest (non-composed) costs.
   ///
-  /// Pricing itself runs the (class, subset) what-ifs in parallel over
-  /// the thread pool, deduped through the cost cache, in deadline-/
-  /// cancel-governed chunks: an exhausted budget returns a usable
-  /// best-so-far table (report.stop_reason != kConverged), never an
-  /// error. Requires the cost cache (relevance bitmaps) to be enabled.
-  /// `dag` may be null (disables degree-2 pair pruning).
+  /// Pricing itself runs the (class, subset) what-ifs through the kernel
+  /// in deadline-/cancel-governed chunks: an exhausted budget returns a
+  /// usable best-so-far table (report.stop_reason != kConverged), never
+  /// an error. `dag` may be null (disables degree-2 pair pruning).
   Result<BenefitPricingReport> PriceBenefitTable(const DecomposeOptions& opts,
                                                  const GeneralizationDag* dag,
                                                  const Deadline& deadline);
@@ -176,10 +162,9 @@ class ConfigurationEvaluator {
   }
 
   /// Effective what-if fan-out width (>= 1).
-  int threads() const { return threads_; }
+  int threads() const { return kernel_.threads(); }
 
-  /// The signature-keyed plan cache (disabled instances only count
-  /// bypasses).
+  /// The what-if plan cache the kernel reads and fills.
   const WhatIfCostCache& cost_cache() const { return *cost_cache_; }
 
   /// Snapshot of both cache layers for search traces and bench output.
@@ -187,7 +172,7 @@ class ConfigurationEvaluator {
 
   /// The thread-count-deterministic subset of this evaluator's metrics as
   /// an obs::Snapshot — only values the serial lookup/dedup/assemble
-  /// phases produce (cost-cache hits/misses/bypasses/entries, containment
+  /// phases produce (cost-cache hits/misses/entries, containment
   /// entries, memo hits, evaluations). Search traces embed its TextLines:
   /// they must stay byte-identical at any thread count
   /// (tests/parallel_eval_test.cc), which rules out containment hit/miss
@@ -199,25 +184,11 @@ class ConfigurationEvaluator {
   }
 
  private:
-  /// One pending optimizer call: a distinct (query, relevant candidate
-  /// set) pair some configuration in the current batch needs.
-  struct PlanTask {
-    size_t query = 0;           // Representative workload query index.
-    std::vector<int> relevant;  // Sorted relevant candidate ids (the sig).
-    std::string key;            // Cost-cache key.
-  };
   const Optimizer* optimizer_;
   const Workload* workload_;
-  const Catalog* base_catalog_;
   const std::vector<CandidateIndex>* candidates_;
   ContainmentCache* cache_;
   bool account_update_cost_;
-  int threads_;
-  /// Spawned on first parallel use (always null when threads_ == 1), so
-  /// evaluators whose work the cost cache keeps small never pay OS
-  /// thread-creation cost.
-  std::unique_ptr<ThreadPool> pool_;
-  std::once_flag pool_once_;
   std::vector<WorkloadExpr> exprs_;
   CancelToken cancel_;
   std::mutex memo_mu_;
@@ -227,19 +198,13 @@ class ConfigurationEvaluator {
   // they are deterministic at any thread count.
   obs::Counter num_evaluations_{"advisor.evaluations"};
   obs::Counter memo_hits_{"advisor.memo_hits"};
-  /// The plan cache in use: owned_cost_cache_ (the pre-server default)
-  /// unless the constructor received an external shared one. Declared in
-  /// this order so cost_cache_ can be initialized from the owned cache.
+  /// The plan cache in use: owned_cost_cache_ unless the constructor
+  /// received an external shared one. Declared before kernel_, which is
+  /// initialized from it.
   std::unique_ptr<WhatIfCostCache> owned_cost_cache_;
   WhatIfCostCache* cost_cache_;
-  /// Queries with equal fingerprints share a slot id (and thus cached
-  /// plans): distinct_query_[qi] indexes the query's equivalence class.
-  std::vector<int> distinct_query_;
-  /// relevant_[c].Test(qi): candidate `c` can produce an index match for
-  /// query `qi` (the per-candidate × per-query match bitmap, precomputed
-  /// once through the shared ContainmentCache). Empty when the cost cache
-  /// is disabled.
-  std::vector<Bitmap> relevant_;
+  /// Overlay entry i is candidate i, named CandidateOverlayName(i).
+  WhatIfKernel kernel_;
   /// Decomposed mode (PriceBenefitTable): the priced atomic-benefit
   /// table, read-only after pricing, plus the knobs and report. Null
   /// table = exact mode.
@@ -248,114 +213,21 @@ class ConfigurationEvaluator {
   BenefitPricingReport pricing_report_;
 
   /// Canonical memo key (sorted, deduplicated config) + that config.
-  /// This is the single normalization point for the configuration memo:
-  /// Evaluate, EvaluateMany, and the cost-cache signature loop must all
-  /// funnel configs through it, so duplicate and unsorted inputs collapse
-  /// to one memo entry and one evaluation (regression:
-  /// tests/cost_cache_test.cc, MemoKeyCanonicalization*).
+  /// This is the single normalization point for the configuration memo,
+  /// so duplicate and unsorted inputs collapse to one memo entry and one
+  /// evaluation (regression: tests/cost_cache_test.cc,
+  /// MemoKeyCanonicalization*).
   static std::pair<std::string, std::vector<int>> CanonicalKey(
       const std::vector<int>& config);
 
-  /// Shared body of Evaluate/EvaluateUngoverned; `honor_cancel` selects
-  /// whether the external token is polled and `use_table` whether the
-  /// decomposed path scores this configuration (Evaluate passes
-  /// decomposed(); EvaluateUngoverned always passes false — the closing
-  /// evaluations stay exact). Decomposed and exact results are memoized
-  /// under disjoint keys ("d:" prefix), so both coexist per config.
-  Result<Evaluation> EvaluateImpl(const std::vector<int>& config,
-                                  bool honor_cancel, bool use_table);
-
-  /// Uncached evaluation of a canonical config. `parallel_queries` fans
-  /// the per-query optimizations out over the pool; EvaluateMany passes
-  /// false because it parallelizes at configuration granularity instead.
-  /// Does NOT count the evaluation — callers increment num_evaluations_
-  /// in a serial phase so the counter stays deterministic when a batch
-  /// fails part-way.
-  Result<Evaluation> EvaluateUncached(const std::vector<int>& sorted,
-                                      bool parallel_queries,
-                                      bool honor_cancel);
-
-  /// Cost-cache path of EvaluateUncached: serial lookup/dedup over the
-  /// queries, parallel optimization of the distinct misses, serial merge.
-  Result<Evaluation> EvaluateWithCostCache(const std::vector<int>& sorted,
-                                           bool parallel_tasks,
-                                           bool honor_cancel);
-
-  /// Serial phase 1: resolves each query of `sorted` from the cost cache
-  /// into `plans` or appends a deduplicated PlanTask. plan_source[qi] is
-  /// the task index that will produce the plan, or -1 when `plans[qi]`
-  /// is already filled from the cache.
-  void CollectPlanTasks(const std::vector<int>& sorted,
-                        std::vector<QueryPlan>& plans,
-                        std::vector<int>& plan_source,
-                        std::vector<PlanTask>& tasks,
-                        std::unordered_map<std::string, size_t>& task_index);
-
-  /// Optimizes a task's query against base catalog + ONLY its relevant
-  /// candidates. Bit-identical to optimizing under any configuration with
-  /// that relevance signature (see the comment in the implementation).
-  Result<QueryPlan> OptimizeRelevant(const PlanTask& task) const;
-
-  /// Parallel phase 2: runs every PlanTask through OptimizeRelevant with
-  /// first-failure sibling cancellation (ParallelForCancellable) and an
-  /// optional external-token check, then inserts the surviving plans into
-  /// the cost cache. Statuses, plans, and the cache entry count are
-  /// deterministic at any thread count: exactly the tasks below the
-  /// lowest failing index complete. Returns that lowest failing index
-  /// (SIZE_MAX when all succeeded).
-  size_t RunPlanTasks(const std::vector<PlanTask>& tasks,
-                      ThreadPool* task_pool, bool honor_cancel,
-                      std::vector<Result<QueryPlan>>* task_plans);
-
-  /// Serial phase 3: fills the remaining `plans` slots from `task_plans`
-  /// and folds the Evaluation in query order (the exact float-addition
-  /// order of the uncached path). Counts one configuration evaluation.
-  Result<Evaluation> AssembleFromPlans(
-      const std::vector<int>& sorted, std::vector<QueryPlan>& plans,
-      const std::vector<int>& plan_source,
-      const std::vector<Result<QueryPlan>>& task_plans);
-
-  /// Decomposed sibling of EvaluateWithCostCache: serial table resolve
-  /// (exact hit → composed bound → what-if fallback task), parallel run
-  /// of the deduplicated fallbacks, serial assemble.
-  Result<Evaluation> EvaluateDecomposed(const std::vector<int>& sorted,
-                                        bool honor_cancel);
-
-  /// Serial phase 1 of the decomposed path: resolves each query from the
-  /// benefit table into `entries` (from_table[qi] = 1) or falls back to
-  /// the cost-cache/task machinery exactly like CollectPlanTasks. Counts
-  /// table hits and composed scores (this is the serial phase that makes
-  /// the benefit.* counters thread-count deterministic).
-  void CollectDecomposedWork(
-      const std::vector<int>& sorted, std::vector<BenefitEntry>& entries,
-      std::vector<char>& from_table, std::vector<QueryPlan>& plans,
-      std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
-      std::unordered_map<std::string, size_t>& task_index);
-
-  /// Serial phase 3 of the decomposed path: folds table entries and
-  /// fallback plans in query order. Counts one configuration evaluation.
-  Result<Evaluation> AssembleDecomposed(
-      const std::vector<int>& sorted, const std::vector<BenefitEntry>& entries,
-      const std::vector<char>& from_table, std::vector<QueryPlan>& plans,
-      const std::vector<int>& plan_source,
-      const std::vector<Result<QueryPlan>>& task_plans);
-
-  /// The lazily-spawned pool (null when threads_ == 1). Thread-safe.
-  ThreadPool* pool();
-
-  /// Pool choice for a fan-out of `tasks` minimal plan tasks: null
-  /// (serial) unless there is enough work per worker to amortize dispatch
-  /// and possible first-use spawn. Purely a scheduling decision — plans,
-  /// costs, and counters are identical either way.
-  ThreadPool* PlanTaskPool(size_t tasks);
-
-  /// Folds the candidate ids used by `plan`'s access path into
-  /// `eval->used_candidates`. Only overlay indexes of the configuration
-  /// being evaluated (`sorted`) count: a *physical* catalog index whose
-  /// name merely resembles the "cand<N>" overlay convention must not be
-  /// attributed (regression: benefit_test.cc, PhysicalIndexNames*).
-  void RecordUsedCandidates(const std::vector<int>& sorted,
-                            const QueryPlan& plan, Evaluation* eval) const;
+  /// The one evaluation path. `honor_cancel` selects whether the external
+  /// token is polled and `use_table` whether decomposed scoring applies
+  /// (EvaluateUngoverned passes false for both — closing evaluations stay
+  /// exact). Decomposed and exact results are memoized under disjoint
+  /// keys ("d:" prefix), so both coexist per config.
+  std::vector<Result<Evaluation>> EvaluateMany(
+      const std::vector<std::vector<int>>& configs, bool honor_cancel,
+      bool use_table);
 
   double EstimateUpdateCost(const std::vector<int>& config) const;
 };

@@ -17,6 +17,29 @@ std::string BenefitPricingReport::ToString() const {
   return out;
 }
 
+std::string AdvisorCacheCounters::ToString() const {
+  std::string out = TraceLine();
+  out += "; containment-cache: " + std::to_string(containment.hits) +
+         " hits, " + std::to_string(containment.misses) + " misses, " +
+         std::to_string(containment.largest_shard) + " in largest of " +
+         std::to_string(containment.shards) + " shards";
+  if (benefit.entries > 0 || benefit.priced > 0) {
+    out += "; benefit-table: " + std::to_string(benefit.priced) +
+           " priced, " + std::to_string(benefit.table_hits) + " hits, " +
+           std::to_string(benefit.composed) + " composed, " +
+           std::to_string(benefit.fallback_whatifs) + " fallback what-ifs";
+    if (benefit.truncated) out += " (truncated)";
+  }
+  return out;
+}
+
+std::string AdvisorCacheCounters::TraceLine() const {
+  return "cost-cache: " + std::to_string(cost.hits) + " hits, " +
+         std::to_string(cost.misses) + " misses, " +
+         std::to_string(cost.entries) + " plans; containment-cache: " +
+         std::to_string(containment.entries) + " entries";
+}
+
 std::string BenefitTable::SubsetKey(const std::vector<int>& subset) {
   std::string key;
   for (int c : subset) {

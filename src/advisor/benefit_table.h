@@ -8,11 +8,12 @@
 #include <utility>
 #include <vector>
 
-#include "advisor/cost_cache.h"
 #include "advisor/dag.h"
 #include "common/bitmap.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
+#include "optimizer/cost_cache.h"
+#include "xpath/containment.h"
 
 namespace xia {
 
@@ -27,8 +28,8 @@ namespace xia {
 /// latency.
 ///
 /// Soundness rests on two properties the cost cache already proved out:
-///  1. Relevance signatures: a query's plan under configuration C depends
-///     only on R(q) ∩ C (cost_cache.h), so cost(q, S) for a priced subset
+///  1. Relevance: a query's plan under configuration C depends only on
+///     R(q) ∩ C (optimizer/cost_cache.h), so cost(q, S) for a priced subset
 ///     S equals cost(q, C) for every C with R(q) ∩ C == S — table lookups
 ///     are *exact*, not estimates.
 ///  2. Cost monotonicity: adding virtual indexes only widens the plan
@@ -85,15 +86,43 @@ struct BenefitPricingReport {
   std::string ToString() const;
 };
 
+/// Deterministic counter snapshot of an atomic-benefit table (xia::obs
+/// "benefit.*" family). All four counters advance in serial phases only.
+struct BenefitTableStats {
+  uint64_t priced = 0;            // Subsets priced into the table.
+  uint64_t table_hits = 0;        // Exact (class, overlap) lookups served.
+  uint64_t composed = 0;          // Queries scored by the composed bound.
+  uint64_t fallback_whatifs = 0;  // Real what-if calls issued as fallback.
+  size_t entries = 0;
+  bool truncated = false;
+};
+
+/// Combined cache counters the advisor searches report (SearchResult).
+struct AdvisorCacheCounters {
+  CostCacheStats cost;
+  ContainmentCacheStats containment;
+  /// All-zero unless the evaluator ran decomposed.
+  BenefitTableStats benefit;
+
+  /// Full rendering, including the timing-dependent containment hit/miss
+  /// split — for logs and bench output, not for determinism-checked
+  /// traces.
+  std::string ToString() const;
+
+  /// The deterministic subset (cost-cache hits/misses/entries and
+  /// containment entry count) — safe to embed in search traces that must
+  /// be identical at any thread count.
+  std::string TraceLine() const;
+};
+
 /// The atomic-benefit table: priced (query class, relevant subset) cells.
-/// Its deterministic counter snapshot is BenefitTableStats (cost_cache.h,
-/// next to the other advisor counter structs it travels with).
 ///
 /// Thread-safety contract: Insert only runs in the (serial insert phases
 /// of the) pricing pass; after pricing the table is read-only and safe to
 /// share across the evaluator's parallel phases. Counters are atomic but
 /// callers increment them in serial phases so they stay deterministic at
-/// any thread count (the same contract as WhatIfCostCache).
+/// any thread count (the same contract as the what-if kernel's cache
+/// lookups).
 class BenefitTable {
  public:
   explicit BenefitTable(int max_degree) : max_degree_(max_degree) {}
@@ -101,8 +130,7 @@ class BenefitTable {
   BenefitTable(const BenefitTable&) = delete;
   BenefitTable& operator=(const BenefitTable&) = delete;
 
-  /// Canonical key of a sorted candidate subset ("1,5," — the cost-cache
-  /// signature tail, so the two key spaces stay visually alignable).
+  /// Canonical key of a sorted candidate subset ("1,5,").
   static std::string SubsetKey(const std::vector<int>& subset);
 
   /// Prices `subset` (sorted) for `query_class`. First insert wins.

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "advisor/benefit.h"
-#include "advisor/cost_cache.h"
+#include "advisor/benefit_table.h"
 #include "common/deadline.h"
 #include "common/status.h"
 

@@ -9,16 +9,12 @@
 namespace xia {
 
 WhatIfSession::WhatIfSession(const Database* db, Catalog base,
-                             CostModel cost_model, int threads,
-                             bool use_cost_cache)
+                             CostModel cost_model, int threads)
     : db_(db),
       catalog_(std::move(base)),
       cost_model_(cost_model),
       optimizer_(db, cost_model),
-      cost_cache_(use_cost_cache) {
-  int resolved = ResolveThreadCount(threads);
-  if (resolved > 1) pool_ = std::make_unique<ThreadPool>(resolved);
-}
+      threads_(threads) {}
 
 Result<std::string> WhatIfSession::AddIndex(IndexDefinition def) {
   const PathSynopsis* synopsis = db_->synopsis(def.collection);
@@ -50,38 +46,21 @@ Result<EvaluateIndexesResult> WhatIfSession::EvaluateWorkload(
   XIA_SPAN("whatif.evaluate_workload");
   XIA_FAILPOINT("advisor.whatif.evaluate_workload");
   // The overlay IS the configuration: evaluate with no extra indexes.
-  // The shared cost cache carries plans across AddIndex/DropIndex edits:
-  // only queries whose relevant-index set an edit changed re-optimize.
   return EvaluateIndexesMode(optimizer_, workload.queries(), {}, catalog_,
-                             &cache_, pool_.get(), &cost_cache_);
+                             &cache_, threads_, &cost_cache_);
 }
 
 Result<QueryPlan> WhatIfSession::ExplainQuery(const Query& query) {
   XIA_SPAN("whatif.explain_query");
-  if (!cost_cache_.enabled()) {
-    cost_cache_.AddBypasses(1);
-    Result<QueryPlan> plan = optimizer_.Optimize(query, catalog_, &cache_);
-    if (plan.ok() && wlm::CaptureEnabled()) {
-      wlm::MaybeCapture(query, plan->total_cost);
-    }
-    return plan;
+  XIA_ASSIGN_OR_RETURN(EvaluateIndexesResult result,
+                       EvaluateIndexesMode(optimizer_, {query}, {}, catalog_,
+                                           &cache_, 1, &cost_cache_));
+  // Captured whether the plan came from the cache or the optimizer, so
+  // cached queries still count toward template frequencies.
+  if (wlm::CaptureEnabled()) {
+    wlm::MaybeCapture(query, result.plans.front().total_cost);
   }
-  const NormalizedQuery& nq = query.normalized;
-  std::string key = QueryFingerprint(nq);
-  key.push_back('\n');
-  key += RelevanceSignature(nq, catalog_.IndexesFor(nq.collection), &cache_);
-  QueryPlan cached;
-  if (cost_cache_.Lookup(key, &cached)) {
-    cached.query_id = query.id;
-    cached.query_text = query.text;
-    if (wlm::CaptureEnabled()) wlm::MaybeCapture(query, cached.total_cost);
-    return cached;
-  }
-  XIA_ASSIGN_OR_RETURN(QueryPlan plan,
-                       optimizer_.Optimize(query, catalog_, &cache_));
-  cost_cache_.Insert(key, plan);
-  if (wlm::CaptureEnabled()) wlm::MaybeCapture(query, plan.total_cost);
-  return plan;
+  return std::move(result.plans.front());
 }
 
 AdvisorCacheCounters WhatIfSession::cache_counters() const {

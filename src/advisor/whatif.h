@@ -1,13 +1,12 @@
 #ifndef XIA_ADVISOR_WHATIF_H_
 #define XIA_ADVISOR_WHATIF_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "advisor/cost_cache.h"
+#include "advisor/benefit_table.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "optimizer/cost_cache.h"
 #include "optimizer/explain.h"
 #include "optimizer/optimizer.h"
 #include "workload/workload.h"
@@ -24,20 +23,20 @@ namespace xia {
 /// session indexes or hide base-catalog ones; the base catalog is never
 /// modified.
 ///
-/// Evaluations consult a signature-keyed what-if cost cache shared across
-/// the session's lifetime: a query re-optimizes only when the set of
-/// overlay indexes that can serve it changed. The cache needs no
-/// invalidation hooks — keys embed the identities (names + statistics
-/// bits) of exactly the relevant indexes, so AddIndex/DropIndex naturally
-/// change the keys of affected queries and leave the rest hitting.
+/// Both EvaluateWorkload and ExplainQuery are EvaluateIndexesMode over
+/// the overlay, sharing one what-if cost cache for the session's
+/// lifetime: a query re-optimizes only when an input it can see changed.
+/// The cache needs no invalidation hooks — keys embed the identities
+/// (names + statistics bits) of exactly the relevant indexes and the
+/// state of the query's collection, so AddIndex/DropIndex and data
+/// changes alter the keys of affected queries and leave the rest hitting.
 class WhatIfSession {
  public:
   /// `db` must outlive the session; `base` is copied. `threads` is the
   /// fan-out width for EvaluateWorkload: 1 keeps evaluation serial, 0
-  /// resolves to std::thread::hardware_concurrency(). `use_cost_cache`
-  /// disables the plan cache (results are bit-identical either way).
+  /// resolves to std::thread::hardware_concurrency().
   WhatIfSession(const Database* db, Catalog base, CostModel cost_model,
-                int threads = 1, bool use_cost_cache = true);
+                int threads = 1);
 
   /// Adds a hypothetical index. A blank name is auto-generated. Fails if
   /// the collection lacks statistics or the name collides.
@@ -69,7 +68,7 @@ class WhatIfSession {
   Optimizer optimizer_;
   ContainmentCache cache_;
   WhatIfCostCache cost_cache_;
-  std::unique_ptr<ThreadPool> pool_;  // Null when threads == 1.
+  int threads_;
   std::vector<std::string> session_indexes_;
 };
 

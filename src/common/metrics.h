@@ -35,7 +35,7 @@ namespace obs {
 ///
 /// Counter-name schema (dotted, lowercase; keep bench JSON stable):
 ///   <subsystem>.<object>.<event>
-///   containment.{hits,misses}          costcache.{hits,misses,bypasses}
+///   containment.{hits,misses}          costcache.{hits,misses}
 ///   bufferpool.{hits,misses,evictions} threadpool.{tasks}
 ///   threadpool.queue_depth (gauge)     advisor.{evaluations,memo_hits}
 ///   optimizer.{plans_enumerated}       optimizer.choice.{collection_scan,

@@ -57,7 +57,7 @@ class IndexMatcher {
   /// True iff an index with definition `def` would produce at least one
   /// match for `query` — i.e. its presence in a catalog can influence the
   /// optimizer's plan at all. This is the relevance predicate behind the
-  /// advisor's what-if cost-cache signatures (advisor/cost_cache.h).
+  /// what-if cost-cache keys (optimizer/cost_cache.h).
   /// Implemented BY running Match on a throwaway entry, so it can never
   /// drift from the matching semantics above.
   bool CanServe(const NormalizedQuery& query, const IndexDefinition& def);

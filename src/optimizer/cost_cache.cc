@@ -1,10 +1,9 @@
-#include "advisor/cost_cache.h"
+#include "optimizer/cost_cache.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
-
-#include "index/index_matcher.h"
 
 namespace xia {
 
@@ -55,49 +54,59 @@ uint64_t FnvInt(uint64_t h, int64_t v) { return Fnv1a(h, &v, sizeof(v)); }
 
 }  // namespace
 
-bool WhatIfCostCache::Lookup(const std::string& key, QueryPlan* plan) {
-  if (!enabled_) {
-    bypasses_.Increment();
-    return false;
-  }
+uint32_t WhatIfCostCache::Intern(const std::string& identity) {
+  std::lock_guard<std::mutex> lock(intern_mu_);
+  return interned_
+      .try_emplace(identity, static_cast<uint32_t>(interned_.size()))
+      .first->second;
+}
+
+void WhatIfCostCache::Key(uint32_t context, std::vector<uint32_t>* entries,
+                          std::string* key) {
+  // Varints are self-delimiting, so the id sequence decodes uniquely; the
+  // entry set is sorted because the catalog, not the caller, orders the
+  // entries the optimizer sees (by name, which the identity includes).
+  std::sort(entries->begin(), entries->end());
+  key->clear();
+  auto append = [key](uint32_t id) {
+    for (; id >= 0x80; id >>= 7) {
+      key->push_back(static_cast<char>((id & 0x7f) | 0x80));
+    }
+    key->push_back(static_cast<char>(id));
+  };
+  append(context);
+  for (uint32_t id : *entries) append(id);
+}
+
+WhatIfCostCache::PlanPtr WhatIfCostCache::Lookup(const std::string& key) {
   Shard& shard = shards_[std::hash<std::string>()(key) % kNumShards];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      *plan = it->second;
       hits_.Increment();
-      return true;
+      return it->second;
     }
   }
   misses_.Increment();
-  return false;
+  return nullptr;
 }
 
-void WhatIfCostCache::Insert(const std::string& key, const QueryPlan& plan) {
-  if (!enabled_) return;
+void WhatIfCostCache::Insert(const std::string& key, PlanPtr plan) {
   Shard& shard = shards_[std::hash<std::string>()(key) % kNumShards];
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map.emplace(key, plan);  // First insert wins.
+  shard.map.emplace(key, std::move(plan));  // First insert wins.
 }
 
 CostCacheStats WhatIfCostCache::stats() const {
   CostCacheStats s;
   s.hits = hits_.Value();
   s.misses = misses_.Value();
-  s.bypasses = bypasses_.Value();
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     s.entries += shard.map.size();
   }
   return s;
-}
-
-void WhatIfCostCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
 }
 
 std::string QueryFingerprint(const NormalizedQuery& query) {
@@ -140,17 +149,30 @@ std::string CatalogEntryIdentity(const CatalogEntry& entry) {
   return id;
 }
 
-std::string RelevanceSignature(const NormalizedQuery& query,
-                               const std::vector<const CatalogEntry*>& entries,
-                               ContainmentCache* cache) {
-  IndexMatcher matcher(cache);
-  std::string sig;
-  for (const CatalogEntry* entry : entries) {
-    if (!matcher.CanServe(query, entry->def)) continue;
-    sig.append(CatalogEntryIdentity(*entry));
-    sig.push_back(kRecordSep);
+std::string CollectionStateIdentity(const Optimizer& optimizer,
+                                    const std::string& collection) {
+  std::string id(1, kRecordSep);
+  id.append(collection);
+  id.push_back(kFieldSep);
+  const Database& db = optimizer.db();
+  if (const Collection* coll = db.GetCollection(collection)) {
+    id.append(std::to_string(coll->ByteSize()));
+    id.push_back(kFieldSep);
+    id.append(std::to_string(coll->num_nodes()));
   }
-  return sig;
+  id.push_back(kFieldSep);
+  if (const PathSynopsis* synopsis = db.synopsis(collection)) {
+    id.append(std::to_string(synopsis->version()));
+  }
+  id.push_back(kFieldSep);
+  constexpr size_t kDoubles = sizeof(CostModel) / sizeof(double);
+  static_assert(sizeof(CostModel) == kDoubles * sizeof(double),
+                "CostModel must stay a flat struct of doubles");
+  double model[kDoubles];
+  std::memcpy(model, &optimizer.cost_model(), sizeof(model));
+  for (double v : model) AppendDoubleBits(&id, v);
+  id.push_back(optimizer.options().enable_index_anding ? 'a' : '-');
+  return id;
 }
 
 uint64_t PlanFingerprint(const QueryPlan& plan) {
@@ -177,30 +199,6 @@ uint64_t PlanFingerprint(const QueryPlan& plan) {
   h = FnvDouble(h, plan.sort_cost);
   h = FnvDouble(h, plan.total_cost);
   return h;
-}
-
-std::string AdvisorCacheCounters::ToString() const {
-  std::string out = TraceLine();
-  out += "; containment-cache: " + std::to_string(containment.hits) +
-         " hits, " + std::to_string(containment.misses) + " misses, " +
-         std::to_string(containment.largest_shard) + " in largest of " +
-         std::to_string(containment.shards) + " shards";
-  if (benefit.entries > 0 || benefit.priced > 0) {
-    out += "; benefit-table: " + std::to_string(benefit.priced) +
-           " priced, " + std::to_string(benefit.table_hits) + " hits, " +
-           std::to_string(benefit.composed) + " composed, " +
-           std::to_string(benefit.fallback_whatifs) + " fallback what-ifs";
-    if (benefit.truncated) out += " (truncated)";
-  }
-  return out;
-}
-
-std::string AdvisorCacheCounters::TraceLine() const {
-  return "cost-cache: " + std::to_string(cost.hits) + " hits, " +
-         std::to_string(cost.misses) + " misses, " +
-         std::to_string(cost.bypasses) + " bypassed, " +
-         std::to_string(cost.entries) + " plans; containment-cache: " +
-         std::to_string(containment.entries) + " entries";
 }
 
 }  // namespace xia

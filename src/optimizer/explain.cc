@@ -1,31 +1,12 @@
 #include "optimizer/explain.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/string_util.h"
+#include "optimizer/whatif_kernel.h"
 
 namespace xia {
-
-namespace {
-
-/// Same hook (and hit-argument convention) as the advisor's evaluator:
-/// "advisor.whatif.optimize" with arg = workload query index, so tests
-/// inject a failure into a specific query's what-if optimization no
-/// matter which EXPLAIN path runs it.
-Result<QueryPlan> OptimizeQueryWithFailpoint(const Optimizer& optimizer,
-                                             const Query& query,
-                                             size_t query_index,
-                                             const Catalog& overlay,
-                                             ContainmentCache* cache) {
-  XIA_FAILPOINT_ARG("advisor.whatif.optimize",
-                    static_cast<int64_t>(query_index));
-  return optimizer.Optimize(query, overlay, cache);
-}
-
-}  // namespace
 
 std::string CandidatePattern::ToString() const {
   std::string out = pattern.ToString();
@@ -143,115 +124,26 @@ Result<Catalog> MakeVirtualOverlay(const Database& db,
 Result<EvaluateIndexesResult> EvaluateIndexesMode(
     const Optimizer& optimizer, const std::vector<Query>& queries,
     const std::vector<IndexDefinition>& config, const Catalog& base_catalog,
-    ContainmentCache* cache, ThreadPool* pool, WhatIfCostCache* cost_cache) {
+    ContainmentCache* cache, int threads, WhatIfCostCache* cost_cache) {
   XIA_ASSIGN_OR_RETURN(
       Catalog overlay,
       MakeVirtualOverlay(optimizer.db(), base_catalog, config,
                          optimizer.cost_model().storage));
-  // Optimize into per-query slots (the overlay and statistics are only
-  // read), then fold costs and use counts serially in query order so the
-  // result does not depend on scheduling.
-  std::vector<Result<QueryPlan>> plans(queries.size(),
-                                       Status::Internal("not evaluated"));
-  if (cost_cache != nullptr && cost_cache->enabled()) {
-    // Serial phase 1: resolve each query against the plan cache by its
-    // (fingerprint, relevance signature) key and deduplicate the misses.
-    // Keys here carry full entry identities (names + stats bits), so a
-    // cache outlives catalog edits without invalidation hooks.
-    struct Task {
-      size_t query;     // Representative query index.
-      std::string key;  // Cost-cache key.
-    };
-    std::map<std::string, std::vector<const CatalogEntry*>> indexes_for;
-    std::vector<Task> tasks;
-    std::unordered_map<std::string, size_t> task_index;
-    // Signature memo: equal-fingerprint queries have equal relevance
-    // signatures by definition, so repeated workload queries compute the
-    // (comparatively expensive) signature once per distinct query.
-    std::unordered_map<std::string, std::string> key_by_fingerprint;
-    std::vector<int> plan_source(queries.size(), -1);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const NormalizedQuery& nq = queries[qi].normalized;
-      std::string fp = QueryFingerprint(nq);
-      auto [key_it, fresh] = key_by_fingerprint.try_emplace(std::move(fp));
-      if (fresh) {
-        auto [coll_it, first_seen] = indexes_for.try_emplace(nq.collection);
-        if (first_seen) coll_it->second = overlay.IndexesFor(nq.collection);
-        std::string key = key_it->first;
-        key.push_back('\n');
-        key += RelevanceSignature(nq, coll_it->second, cache);
-        key_it->second = std::move(key);
-      }
-      const std::string& key = key_it->second;
-      QueryPlan cached;
-      if (cost_cache->Lookup(key, &cached)) {
-        // Equal key ⇒ bit-identical plan; only the labels differ.
-        cached.query_id = queries[qi].id;
-        cached.query_text = queries[qi].text;
-        plans[qi] = std::move(cached);
-        continue;
-      }
-      auto [it, inserted] = task_index.emplace(key, tasks.size());
-      if (inserted) tasks.push_back(Task{qi, it->first});
-      plan_source[qi] = static_cast<int>(it->second);
-    }
-    // Parallel phase 2: optimize the distinct misses against the full
-    // overlay. (The minimal-overlay trick the evaluator uses is an
-    // optimization, not a correctness requirement — the full overlay
-    // yields the same plan, since irrelevant entries produce no matches.)
-    std::vector<Result<QueryPlan>> task_plans(
-        tasks.size(), Status::Internal("not evaluated"));
-    // First-failure sibling cancellation: one bad task stops the batch,
-    // and the outcome (statuses AND cache inserts below) is deterministic
-    // at any thread count — exactly the tasks below the lowest failure
-    // complete.
-    ParallelForCancellable(
-        pool, tasks.size(),
-        [&](size_t ti) {
-          task_plans[ti] = OptimizeQueryWithFailpoint(
-              optimizer, queries[tasks[ti].query], tasks[ti].query, overlay,
-              cache);
-          return task_plans[ti].ok();
-        },
-        [&](size_t ti) {
-          task_plans[ti] = Status::Cancelled(
-              "cancelled: a lower-indexed what-if task failed first");
-        });
-    // Serial phase 3: memoize and distribute.
-    for (size_t ti = 0; ti < tasks.size(); ++ti) {
-      if (task_plans[ti].ok()) {
-        cost_cache->Insert(tasks[ti].key, *task_plans[ti]);
-      }
-    }
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (plan_source[qi] < 0) continue;
-      const Result<QueryPlan>& computed =
-          task_plans[static_cast<size_t>(plan_source[qi])];
-      plans[qi] = computed;
-      if (plans[qi].ok()) {
-        plans[qi]->query_id = queries[qi].id;
-        plans[qi]->query_text = queries[qi].text;
-      }
-    }
-  } else {
-    if (cost_cache != nullptr) cost_cache->AddBypasses(queries.size());
-    ParallelForCancellable(
-        pool, queries.size(),
-        [&](size_t qi) {
-          plans[qi] =
-              OptimizeQueryWithFailpoint(optimizer, queries[qi], qi, overlay,
-                                         cache);
-          return plans[qi].ok();
-        },
-        [&](size_t qi) {
-          plans[qi] = Status::Cancelled(
-              "cancelled: a lower-indexed what-if optimization failed first");
-        });
-  }
+  std::optional<WhatIfCostCache> call_cache;
+  if (cost_cache == nullptr) cost_cache = &call_cache.emplace();
+  WhatIfKernel kernel(&optimizer, &queries, &overlay, /*overlay=*/{}, cache,
+                      cost_cache, threads);
+  std::vector<WhatIfKernel::Request> requests(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) requests[qi].query = qi;
+  std::vector<Result<WhatIfKernel::PlanPtr>> plans = kernel.Run(requests);
+
   EvaluateIndexesResult result;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     XIA_RETURN_IF_ERROR(plans[qi].status());
-    QueryPlan plan = std::move(*plans[qi]);
+    // Cached plans carry the labels of the query that first computed them.
+    QueryPlan plan = **plans[qi];
+    plan.query_id = queries[qi].id;
+    plan.query_text = queries[qi].text;
     result.total_weighted_cost += queries[qi].weight * plan.total_cost;
     if (plan.access.use_index) {
       result.index_use_counts[plan.access.index_def.name]++;

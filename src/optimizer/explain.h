@@ -5,9 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "advisor/cost_cache.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "optimizer/cost_cache.h"
 #include "optimizer/optimizer.h"
 #include "query/query.h"
 #include "xpath/containment.h"
@@ -60,21 +59,16 @@ struct EvaluateIndexesResult {
 /// `base_catalog`), re-optimize every query, and report estimated costs
 /// and which indexes the plans actually use.
 ///
-/// With a non-null `pool` the per-query optimizations fan out over it;
-/// plans, costs, and use counts are merged in query order, so the result
-/// is identical to the serial (null-pool) run.
-///
-/// With a non-null, enabled `cost_cache`, each query is first resolved by
-/// its (fingerprint, relevance signature) key: queries whose relevant
-/// overlay entries are unchanged since a previous call reuse the cached
-/// plan instead of re-optimizing, bit-identically (the signature embeds
-/// entry statistics, so AddIndex/DropIndex/RefreshStats between calls
-/// change keys and naturally miss). The caller owns the cache and its
-/// lifetime; it must be bound to this optimizer's database + cost model.
+/// A thin adapter over the what-if kernel (optimizer/whatif_kernel.h):
+/// queries resolve through `cost_cache` — a cache private to this call
+/// when null — so repeated queries optimize once, and a caller-owned
+/// cache carries plans across calls, catalog edits, and data changes
+/// (keys pin every optimizer input). `threads` is the fan-out width;
+/// results are identical at any width.
 Result<EvaluateIndexesResult> EvaluateIndexesMode(
     const Optimizer& optimizer, const std::vector<Query>& queries,
     const std::vector<IndexDefinition>& config, const Catalog& base_catalog,
-    ContainmentCache* cache, ThreadPool* pool = nullptr,
+    ContainmentCache* cache, int threads = 1,
     WhatIfCostCache* cost_cache = nullptr);
 
 /// Builds a catalog overlay with `config` added as virtual indexes whose

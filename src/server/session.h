@@ -9,9 +9,9 @@
 #include <string>
 
 #include "advisor/advisor.h"
-#include "advisor/cost_cache.h"
 #include "advisor/whatif.h"
 #include "index/catalog.h"
+#include "optimizer/cost_cache.h"
 #include "storage/buffer_pool.h"
 #include "storage/database.h"
 #include "storage/storage_engine.h"
@@ -49,10 +49,11 @@ struct SharedState {
   /// verbs afterwards.
   AdvisorOptions default_options;
   ContainmentCache containment;
-  /// Signature-keyed what-if plan cache shared by every session's
-  /// `advise` (via AdvisorOptions::shared_cost_cache). Safe to share:
-  /// keys embed catalog-entry identities, so equal keys imply
-  /// bit-identical plans no matter which session inserted them.
+  /// What-if plan cache shared by every session's `advise` (via
+  /// AdvisorOptions::shared_cost_cache). Safe to share: keys pin every
+  /// optimizer input — the query, its collection's state, and the
+  /// relevant catalog entries — so equal keys imply bit-identical plans
+  /// no matter which session, workload, or data state inserted them.
   WhatIfCostCache what_if_cache;
   /// Shared page cache for `run` executions (warm across sessions).
   BufferPool buffer_pool{4096};

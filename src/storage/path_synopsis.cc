@@ -1,6 +1,7 @@
 #include "storage/path_synopsis.h"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "common/metrics.h"
@@ -37,8 +38,20 @@ std::string SynopsisNode::PathString(const NameTable& names) const {
   return prefix;
 }
 
+namespace {
+
+uint64_t NextSynopsisVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 PathSynopsis::PathSynopsis(const NameTable* names)
-    : names_(names), root_(std::make_unique<SynopsisNode>()), rng_(7) {}
+    : names_(names),
+      root_(std::make_unique<SynopsisNode>()),
+      version_(NextSynopsisVersion()),
+      rng_(7) {}
 
 SynopsisNode* PathSynopsis::ChildFor(SynopsisNode* parent, NameId name,
                                      bool is_attr) {
@@ -110,6 +123,7 @@ SynopsisNode* PathSynopsis::FindChild(SynopsisNode* parent, NameId name,
 }
 
 void PathSynopsis::InvalidateMemos() {
+  version_ = NextSynopsisVersion();
   std::lock_guard<std::mutex> lock(caches_->mu);
   caches_->agg.clear();
   caches_->sel.clear();

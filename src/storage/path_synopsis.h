@@ -126,6 +126,11 @@ class PathSynopsis {
   /// Total node instances recorded.
   uint64_t TotalNodes() const { return total_nodes_; }
 
+  /// Process-unique stamp of the synopsis contents: drawn at construction
+  /// and renewed by every mutation, so equal versions mean equal
+  /// statistics. What-if cost-cache keys pin it (optimizer/cost_cache.h).
+  uint64_t version() const { return version_; }
+
   /// All (path string, count) pairs in preorder — demo / debug output.
   std::vector<std::pair<std::string, uint64_t>> EnumeratePaths() const;
 
@@ -142,6 +147,7 @@ class PathSynopsis {
   std::unique_ptr<SynopsisNode> root_;  // Virtual document node.
   uint64_t total_nodes_ = 0;
   uint64_t removed_nodes_ = 0;  // Instances removed incrementally.
+  uint64_t version_;
   Random rng_;  // Deterministic reservoir sampling.
   // Estimator memos, shared by concurrent what-if optimizations. Behind
   // a unique_ptr so the mutex does not cost PathSynopsis its movability.
@@ -161,6 +167,8 @@ class PathSynopsis {
   void AddNode(const Document& doc, NodeIndex idx, SynopsisNode* parent);
   void RemoveNode(const Document& doc, NodeIndex idx, SynopsisNode* parent);
   void ObserveValue(SynopsisNode* sn, const std::string& value);
+  /// Drops the estimator memos and draws a new version() — the common
+  /// tail of every mutation.
   void InvalidateMemos();
 };
 

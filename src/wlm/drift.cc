@@ -35,11 +35,11 @@ Result<double> DriftMonitor::CurrentCost(const Workload& workload,
   Optimizer optimizer(db_, cost_model_);
   // Empty hypothetical configuration: EvaluateIndexesMode prices the
   // workload under the catalog exactly as it stands. The monitor's
-  // session-lifetime cost cache makes repeated checks of a stable
-  // workload nearly free (signatures change when the catalog does).
+  // lifetime cost cache makes repeated checks of a stable workload nearly
+  // free; keys change when the catalog or the data does.
   Result<EvaluateIndexesResult> evaluated = EvaluateIndexesMode(
       optimizer, workload.queries(), /*config=*/{}, catalog, &cache_,
-      /*pool=*/nullptr, &cost_cache_);
+      /*threads=*/1, &cost_cache_);
   if (!evaluated.ok()) return evaluated.status();
   return evaluated->total_weighted_cost;
 }

@@ -5,8 +5,8 @@
 #include <string>
 
 #include "advisor/advisor.h"
-#include "advisor/cost_cache.h"
 #include "index/catalog.h"
+#include "optimizer/cost_cache.h"
 #include "storage/database.h"
 #include "workload/workload.h"
 #include "xpath/containment.h"
@@ -64,8 +64,9 @@ struct ReadviseOutcome {
 
 /// Watches recommendation staleness for one database. The monitor keeps
 /// the what-if machinery warm across checks: one containment cache and
-/// one signature-keyed cost cache serve every Check(), so a stable
-/// workload re-prices almost entirely from cache.
+/// one what-if cost cache serve every Check(), so a stable workload
+/// re-prices almost entirely from cache, while catalog or data changes
+/// between checks re-price exactly the queries they can affect.
 class DriftMonitor {
  public:
   /// `db` must outlive the monitor.

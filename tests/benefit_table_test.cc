@@ -95,7 +95,7 @@ BenefitEntry Entry(double cost, std::vector<int> used = {}) {
   return e;
 }
 
-TEST(BenefitTableMechanicsTest, SubsetKeyMatchesCostCacheSignatureTail) {
+TEST(BenefitTableMechanicsTest, SubsetKeyIsCommaTerminatedIds) {
   EXPECT_EQ(BenefitTable::SubsetKey({}), "");
   EXPECT_EQ(BenefitTable::SubsetKey({1, 5}), "1,5,");
 }
@@ -414,12 +414,12 @@ class BenefitAdvisorTest : public ::testing::Test {
   /// never reach the what-if layer at all.
   static uint64_t WhatIfRequests(const Recommendation& rec) {
     const CostCacheStats& c = rec.search.counters.cost;
-    return c.hits + c.misses + c.bypasses;
+    return c.hits + c.misses;
   }
 
-  /// True optimizer invocations (signature-cache misses).
+  /// True optimizer invocations (plan-cache misses).
   static uint64_t OptimizerRuns(const Recommendation& rec) {
-    return rec.search.counters.cost.misses + rec.search.counters.cost.bypasses;
+    return rec.search.counters.cost.misses;
   }
 
   Database db_;

@@ -391,8 +391,7 @@ TEST_F(DmlTest, WriteHeavyCaptureWindowDropsIndexesViaDriftReadvising) {
   wlm::QueryLog read_log(4096);
   {
     wlm::ScopedCaptureLog armed(&read_log);
-    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                          /*use_cost_cache=*/true);
+    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
     for (int round = 0; round < 10; ++round) {
       for (const std::string& text : templates) {
         ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
@@ -428,8 +427,7 @@ TEST_F(DmlTest, WriteHeavyCaptureWindowDropsIndexesViaDriftReadvising) {
       wlm::MaybeCaptureDml(wlm::CaptureKind::kDelete, "xmark", "/site",
                            50.0);
     }
-    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                          /*use_cost_cache=*/true);
+    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
     for (const std::string& text : templates) {
       ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
     }

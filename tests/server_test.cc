@@ -25,6 +25,7 @@
 #include "server/server.h"
 #include "server/session.h"
 #include "storage/storage_engine.h"
+#include "xml/serializer.h"
 #include "xmldata/xmark_gen.h"
 
 namespace xia {
@@ -257,6 +258,54 @@ TEST_F(ServerTest, ConcurrentSessionsShareCostCacheBitIdentically) {
   // Proof the cache was actually shared: four identical advises can only
   // miss each distinct plan once, so hits must have accrued.
   EXPECT_GT(shared_.what_if_cache.stats().hits, 0u);
+}
+
+// Regression: the shared plan cache kept serving plans priced before an
+// `insert` changed the collection, so an advise after a write differed
+// from what a server that had never seen the old data replies.
+TEST_F(ServerTest, InsertThenAdviseMatchesFreshServer) {
+  Preload(4);
+  StartServer();
+  std::vector<std::string> docs;
+  Random rng(7);
+  for (int i = 0; i < 4; ++i) {
+    Document doc =
+        GenerateXMarkDocument(shared_.db.mutable_names(), XMarkParams(), &rng);
+    docs.push_back(SerializeDocument(doc, shared_.db.names()));
+  }
+
+  BlockingClient client = Connect();
+  ASSERT_TRUE(client.Call("workload xmark").ok());
+  ASSERT_TRUE(client.Call("advise 64").ok());  // Warms the shared cache.
+  for (const std::string& xml : docs) {
+    Result<std::string> inserted = client.Call("insert xmark " + xml);
+    ASSERT_TRUE(inserted.ok());
+    ASSERT_EQ(ClassifyResponse(*inserted), ResponseKind::kOk) << *inserted;
+  }
+  Result<std::string> warm = client.Call("advise 64");
+  ASSERT_TRUE(warm.ok());
+
+  SharedState fresh_state;
+  ASSERT_TRUE(
+      PopulateXMark(&fresh_state.db, "xmark", 4, XMarkParams(), 42).ok());
+  ServerOptions options;
+  options.tcp_port = 0;
+  auto fresh_server = std::make_unique<Server>(&fresh_state, options);
+  ASSERT_TRUE(fresh_server->Start().ok());
+  Result<BlockingClient> fresh_client =
+      BlockingClient::ConnectTcp(fresh_server->port());
+  ASSERT_TRUE(fresh_client.ok());
+  ASSERT_TRUE(fresh_client->Call("workload xmark").ok());
+  for (const std::string& xml : docs) {
+    ASSERT_TRUE(fresh_client->Call("insert xmark " + xml).ok());
+  }
+  Result<std::string> cold = fresh_client->Call("advise 64");
+  ASSERT_TRUE(cold.ok());
+  fresh_server.reset();
+
+  EXPECT_EQ(ClassifyResponse(*warm), ResponseKind::kOk);
+  EXPECT_NE(warm->find("Recommended configuration"), std::string::npos);
+  EXPECT_EQ(*warm, *cold);
 }
 
 TEST_F(ServerTest, DeadlineExpiredAdviseReturnsFlaggedBestSoFar) {

@@ -67,7 +67,7 @@ std::string RecommendationSignature(const Recommendation& rec) {
 
 uint64_t CostRequests(const Recommendation& rec) {
   const CostCacheStats& c = rec.search.counters.cost;
-  return c.hits + c.misses + c.bypasses;
+  return c.hits + c.misses;
 }
 
 // ------------------------------------------------------- Fingerprinting.
@@ -223,8 +223,7 @@ TEST_F(CaptureHookTest, WhatIfPathCapturesIncludingCacheHits) {
   const std::string text =
       "for $i in doc(\"xmark\")/site/regions/africa/item "
       "where $i/quantity > 5 return $i/name";
-  WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                        /*use_cost_cache=*/true);
+  WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
   QueryLog log(64);
   ScopedCapture armed(&log);
   ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
@@ -554,8 +553,7 @@ TEST_F(WlmAdvisingTest, CompressedAdvisingMatchesHandWeightedWorkload) {
       obs::Registry().TakeSnapshot().counter("wlm.captured");
   {
     ScopedCapture armed(&log);
-    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                          /*use_cost_cache=*/true);
+    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
     for (int round = 0; round < 10; ++round) {
       for (const std::string& text : templates) {
         ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
