@@ -94,12 +94,17 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload) {
   }
 
   // Step 4: configuration search with optimizer-backed benefit estimation.
+  // Constructing the evaluator decides the what-if kernel's relevance
+  // matrix (every candidate against every query class): its own span.
   Optimizer optimizer(db_, options_.cost_model);
-  ConfigurationEvaluator evaluator(&optimizer, &workload, base_catalog_,
-                                   &rec.candidates, &cache_,
-                                   options_.account_update_cost,
-                                   options_.threads,
-                                   options_.shared_cost_cache);
+  ConfigurationEvaluator evaluator = [&] {
+    XIA_SPAN("advisor.relevance");
+    return ConfigurationEvaluator(&optimizer, &workload, base_catalog_,
+                                  &rec.candidates, &cache_,
+                                  options_.account_update_cost,
+                                  options_.threads,
+                                  options_.shared_cost_cache);
+  }();
   evaluator.set_cancel(options_.cancel);
 
   // Step 3.5 (decomposed mode): price the atomic-benefit table before

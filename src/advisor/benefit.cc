@@ -89,7 +89,9 @@ ConfigurationEvaluator::ConfigurationEvaluator(
       cost_cache_(shared_cost_cache ? shared_cost_cache
                                     : owned_cost_cache_.get()),
       kernel_(optimizer, &workload->queries(), base_catalog,
-              CandidateOverlay(*candidates), cache, cost_cache_, threads) {
+              CandidateOverlay(*candidates), cache, cost_cache_, threads),
+      coverage_(candidates->size()),
+      coverage_once_(candidates->size()) {
   // Build the workload expression table: driving paths + predicates.
   for (size_t qi = 0; qi < workload_->queries().size(); ++qi) {
     const NormalizedQuery& nq = workload_->queries()[qi].normalized;
@@ -111,38 +113,46 @@ ConfigurationEvaluator::ConfigurationEvaluator(
       exprs_.push_back(std::move(expr));
     }
   }
+  expr_ids_.reserve(exprs_.size());
+  for (const WorkloadExpr& expr : exprs_) {
+    expr_ids_.push_back(cache_->Intern(expr.pattern));
+  }
+}
+
+const Bitmap& ConfigurationEvaluator::Coverage(int candidate) {
+  const size_t c = static_cast<size_t>(candidate);
+  std::call_once(coverage_once_[c], [&] {
+    const CandidateIndex& cand = (*candidates_)[c];
+    const PatternId pattern = cache_->Intern(cand.def.pattern);
+    Bitmap bits(exprs_.size());
+    for (size_t e = 0; e < exprs_.size(); ++e) {
+      const WorkloadExpr& expr = exprs_[e];
+      const NormalizedQuery& nq =
+          workload_->queries()[static_cast<size_t>(expr.query)].normalized;
+      if (cand.def.collection != nq.collection) continue;
+      // Type gate: a sargable expression counts as covered only by an
+      // index that can serve it sargably (matching key type); non-sargable
+      // expressions need a lossless (VARCHAR) index for structural
+      // service. Structural coverage of a sargable expression deliberately
+      // does NOT count — otherwise a cheap VARCHAR index would make the
+      // better DOUBLE candidate look redundant to the heuristic.
+      bool type_ok = expr.sargable_op
+                         ? cand.def.type == expr.implied_type
+                         : cand.def.type == ValueType::kVarchar;
+      if (type_ok && cache_->Contains(pattern, expr_ids_[e])) bits.Set(e);
+    }
+    coverage_[c] = std::move(bits);
+  });
+  return coverage_[c];
 }
 
 bool ConfigurationEvaluator::Covers(int candidate, size_t expr_index) {
-  const CandidateIndex& cand =
-      (*candidates_)[static_cast<size_t>(candidate)];
-  const WorkloadExpr& expr = exprs_[expr_index];
-  const NormalizedQuery& nq =
-      workload_->queries()[static_cast<size_t>(expr.query)].normalized;
-  if (cand.def.collection != nq.collection) return false;
-  // Type gate: a sargable expression counts as covered only by an index
-  // that can serve it sargably (matching key type); non-sargable
-  // expressions need a lossless (VARCHAR) index for structural service.
-  // Structural coverage of a sargable expression deliberately does NOT
-  // count — otherwise a cheap VARCHAR index would make the better DOUBLE
-  // candidate look redundant to the heuristic.
-  bool type_ok = expr.sargable_op
-                     ? cand.def.type == expr.implied_type
-                     : cand.def.type == ValueType::kVarchar;
-  if (!type_ok) return false;
-  return cache_->Contains(cand.def.pattern, expr.pattern);
+  return Coverage(candidate).Test(expr_index);
 }
 
 Bitmap ConfigurationEvaluator::CoverageOf(const std::vector<int>& config) {
   Bitmap covered(exprs_.size());
-  for (size_t e = 0; e < exprs_.size(); ++e) {
-    for (int c : config) {
-      if (Covers(c, e)) {
-        covered.Set(e);
-        break;
-      }
-    }
-  }
+  for (int c : config) covered |= Coverage(c);
   return covered;
 }
 

@@ -150,7 +150,7 @@ class ConfigurationEvaluator {
   /// Bitmap over exprs(): which workload expressions some candidate in
   /// `config` covers (containment + type compatibility). This is the
   /// paper's "bitmap of XPath patterns in the workload queries that have
-  /// indexes on them".
+  /// indexes on them": the OR of each member's coverage bitmap.
   Bitmap CoverageOf(const std::vector<int>& config);
 
   /// True when candidate `candidate` covers expression `expr_index`.
@@ -211,6 +211,12 @@ class ConfigurationEvaluator {
   DecomposeOptions decompose_;
   std::unique_ptr<BenefitTable> benefit_table_;
   BenefitPricingReport pricing_report_;
+  /// exprs_[e].pattern interned in cache_.
+  std::vector<PatternId> expr_ids_;
+  /// coverage_[c]: the expressions candidate c covers, filled on first
+  /// use under coverage_once_[c] — searches that never ask pay nothing.
+  std::vector<Bitmap> coverage_;
+  std::vector<std::once_flag> coverage_once_;
 
   /// Canonical memo key (sorted, deduplicated config) + that config.
   /// This is the single normalization point for the configuration memo,
@@ -230,6 +236,9 @@ class ConfigurationEvaluator {
       bool use_table);
 
   double EstimateUpdateCost(const std::vector<int>& config) const;
+
+  /// coverage_[candidate], computed on first use.
+  const Bitmap& Coverage(int candidate);
 };
 
 /// Internal name given to candidate `i` in evaluation overlays.

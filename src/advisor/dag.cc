@@ -8,6 +8,11 @@ GeneralizationDag GeneralizationDag::Build(
   size_t n = candidates.size();
   dag.nodes_.resize(n);
 
+  std::vector<PatternId> ids;
+  ids.reserve(n);
+  for (const CandidateIndex& c : candidates) {
+    ids.push_back(cache->Intern(c.def.pattern));
+  }
   // Strict-ancestor matrix: ancestor[i][j] = i strictly contains j.
   std::vector<std::vector<bool>> ancestor(n, std::vector<bool>(n, false));
   for (size_t i = 0; i < n; ++i) {
@@ -18,8 +23,8 @@ GeneralizationDag GeneralizationDag::Build(
       if (a.def.collection != b.def.collection || a.def.type != b.def.type) {
         continue;
       }
-      ancestor[i][j] = cache->Contains(a.def.pattern, b.def.pattern) &&
-                       !cache->Contains(b.def.pattern, a.def.pattern);
+      ancestor[i][j] =
+          cache->Contains(ids[i], ids[j]) && !cache->Contains(ids[j], ids[i]);
     }
   }
   // Immediate edges: i -> j with no k strictly between.

@@ -36,21 +36,33 @@ std::optional<PathPattern> UnifyPatterns(const PathPattern& a,
 
 namespace {
 
-/// Derived-candidate factory: fills stats and provenance.
-CandidateIndex MakeGenerated(const CandidateIndex& a, const CandidateIndex& b,
-                             PathPattern pattern, const Database& db) {
+/// Adds the candidate that unifying `(*all)[a]` with `(*all)[b]` into
+/// `pattern` generates, or merges its provenance (source queries,
+/// sargability) into the candidate that already has its key. Statistics
+/// are estimated for a new candidate only. Returns true when one was
+/// added. Takes indices, not references: adding may reallocate `*all`.
+bool AddGenerated(size_t a, size_t b, PathPattern pattern, const Database& db,
+                  std::vector<CandidateIndex>* all,
+                  std::map<std::string, int>* by_key) {
   CandidateIndex out;
-  out.def.collection = a.def.collection;
+  out.def.collection = (*all)[a].def.collection;
   out.def.pattern = std::move(pattern);
-  out.def.type = a.def.type;
+  out.def.type = (*all)[a].def.type;
   out.from_generalization = true;
-  out.sargable = a.sargable || b.sargable;
-  out.source_queries = a.source_queries;
-  MergeCandidate(&out, b);
+  out.sargable = (*all)[a].sargable || (*all)[b].sargable;
+  out.source_queries = (*all)[a].source_queries;
+  MergeCandidate(&out, (*all)[b]);
+  auto [it, inserted] =
+      by_key->emplace(out.Key(), static_cast<int>(all->size()));
+  if (!inserted) {
+    MergeCandidate(&(*all)[static_cast<size_t>(it->second)], out);
+    return false;
+  }
   const PathSynopsis* synopsis = db.synopsis(out.def.collection);
   XIA_CHECK(synopsis != nullptr);
   out.stats = EstimateVirtualIndex(*synopsis, out.def, StorageConstants());
-  return out;
+  all->push_back(std::move(out));
+  return true;
 }
 
 }  // namespace
@@ -83,15 +95,8 @@ std::vector<CandidateIndex> GeneralizeCandidates(
         std::optional<PathPattern> unified =
             UnifyPatterns(a.def.pattern, b.def.pattern);
         if (!unified.has_value()) continue;
-        CandidateIndex cand =
-            MakeGenerated(a, b, std::move(*unified), db);
-        auto [it, inserted] =
-            by_key.emplace(cand.Key(), static_cast<int>(all.size()));
-        if (inserted) {
-          all.push_back(std::move(cand));
+        if (AddGenerated(i, j, std::move(*unified), db, &all, &by_key)) {
           ++generated;
-        } else {
-          MergeCandidate(&all[static_cast<size_t>(it->second)], cand);
         }
       }
     }
@@ -103,15 +108,9 @@ std::vector<CandidateIndex> GeneralizeCandidates(
         if (p.length() < 2 || p.steps()[1].is_attribute) continue;
         std::vector<Step> steps(p.steps().begin() + 1, p.steps().end());
         steps.front().axis = Axis::kDescendant;
-        CandidateIndex cand =
-            MakeGenerated(all[i], all[i], PathPattern(std::move(steps)), db);
-        auto [it, inserted] =
-            by_key.emplace(cand.Key(), static_cast<int>(all.size()));
-        if (inserted) {
-          all.push_back(std::move(cand));
+        if (AddGenerated(i, i, PathPattern(std::move(steps)), db, &all,
+                         &by_key)) {
           ++generated;
-        } else {
-          MergeCandidate(&all[static_cast<size_t>(it->second)], cand);
         }
       }
     }

@@ -35,6 +35,12 @@ struct IndexMatch {
   std::string ToString() const;
 };
 
+/// A normalized query's patterns interned in one ContainmentCache.
+struct QueryPatternIds {
+  std::vector<PatternId> predicates;  // Aligned with query.predicates.
+  PatternId for_path = 0;
+};
+
 /// Index matching: decides which catalog indexes can serve which patterns
 /// of a normalized query. The core rule is containment — an index whose
 /// pattern contains the query pattern reaches a superset of the needed
@@ -54,15 +60,28 @@ class IndexMatcher {
       const NormalizedQuery& query,
       const std::vector<const CatalogEntry*>& indexes);
 
+  /// Interns `query`'s predicate and FOR-path patterns in the cache.
+  QueryPatternIds Intern(const NormalizedQuery& query);
+
   /// True iff an index with definition `def` would produce at least one
   /// match for `query` — i.e. its presence in a catalog can influence the
   /// optimizer's plan at all. This is the relevance predicate behind the
-  /// what-if cost-cache keys (optimizer/cost_cache.h).
-  /// Implemented BY running Match on a throwaway entry, so it can never
-  /// drift from the matching semantics above.
-  bool CanServe(const NormalizedQuery& query, const IndexDefinition& def);
+  /// what-if cost-cache keys (optimizer/cost_cache.h). It runs Match's
+  /// own per-index core, so it can never drift from the matching
+  /// semantics above. `ids` is Intern(query) and `pattern` the cache's
+  /// id of def.pattern, so a caller testing one fixed pattern set over
+  /// and over interns it once.
+  bool CanServe(const NormalizedQuery& query, const QueryPatternIds& ids,
+                const IndexDefinition& def, PatternId pattern);
 
  private:
+  /// The matching core: appends to `out` the matches of one index
+  /// (definition `def`, pattern interned as `pattern`, reported as
+  /// `entry`) for `query`, whose patterns are interned as `ids`.
+  void MatchIndex(const NormalizedQuery& query, const QueryPatternIds& ids,
+                  const IndexDefinition& def, PatternId pattern,
+                  const CatalogEntry* entry, std::vector<IndexMatch>* out);
+
   ContainmentCache* cache_;
 };
 

@@ -41,16 +41,26 @@ WhatIfKernel::WhatIfKernel(const Optimizer* optimizer,
     class_of_[qi] = it->second;
   }
 
-  // Relevance uses the matcher's semantics (CanServe), computed once per
-  // (entry, class).
+  // Relevance is the matcher's own predicate (CanServe), decided once per
+  // (entry, class) over patterns interned once.
   IndexMatcher matcher(containment_);
+  std::vector<QueryPatternIds> class_patterns;
+  class_patterns.reserve(representative.size());
+  for (size_t qi : representative) {
+    class_patterns.push_back(matcher.Intern(qs[qi].normalized));
+  }
   relevant_.reserve(overlay_.size());
   for (const CatalogEntry& entry : overlay_) {
+    const PatternId pattern = containment_->Intern(entry.def.pattern);
     Bitmap bits(qs.size());
     std::vector<signed char> verdict(representative.size(), -1);
     for (size_t qi = 0; qi < qs.size(); ++qi) {
-      signed char& v = verdict[static_cast<size_t>(class_of_[qi])];
-      if (v < 0) v = matcher.CanServe(qs[qi].normalized, entry.def) ? 1 : 0;
+      const size_t cls = static_cast<size_t>(class_of_[qi]);
+      signed char& v = verdict[cls];
+      if (v < 0) {
+        v = matcher.CanServe(qs[qi].normalized, class_patterns[cls], entry.def,
+                             pattern);
+      }
       if (v == 1) bits.Set(qi);
     }
     relevant_.push_back(std::move(bits));
@@ -70,7 +80,10 @@ WhatIfKernel::WhatIfKernel(const Optimizer* optimizer,
     context_id_.push_back(cache_->Intern(fingerprints[cls] + state->second));
     std::vector<uint32_t> ids;
     for (const CatalogEntry* entry : base_->IndexesFor(nq.collection)) {
-      if (!matcher.CanServe(nq, entry->def)) continue;
+      if (!matcher.CanServe(nq, class_patterns[cls], entry->def,
+                            containment_->Intern(entry->def.pattern))) {
+        continue;
+      }
       auto [id, first] = base_id.try_emplace(entry, 0);
       if (first) id->second = cache_->Intern(CatalogEntryIdentity(*entry));
       ids.push_back(id->second);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "xpath/nfa.h"
 
 namespace xia {
@@ -92,35 +93,53 @@ bool PatternsEquivalent(const PathPattern& a, const PathPattern& b) {
   return PatternContains(a, b) && PatternContains(b, a);
 }
 
-bool ContainmentCache::Contains(const PathPattern& general,
-                                const PathPattern& specific) {
-  auto key = std::make_pair(general.Hash(), specific.Hash());
-  Shard& shard = shards_[KeyHash()(key) % kNumShards];
-  std::string gs = general.ToString();
-  std::string ss = specific.ToString();
+PatternId ContainmentCache::Intern(const PathPattern& pattern) {
+  InternShard& shard = intern_shards_[pattern.Hash() % kNumShards];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto [it, inserted] = shard.ids.try_emplace(pattern, 0);
+  if (inserted) {
+    std::lock_guard<std::mutex> ids_lock(patterns_mu_);
+    it->second = static_cast<PatternId>(patterns_.size());
+    patterns_.push_back(&it->first);
+  }
+  return it->second;
+}
+
+bool ContainmentCache::Contains(PatternId general, PatternId specific) {
+  const uint64_t key = (uint64_t{general} << 32) | specific;
+  // Fibonacci hashing: the top bits of the product pick the shard.
+  MemoShard& shard = memo_shards_[(key * 0x9E3779B97F4A7C15ULL) >> 60];
+  static_assert(kNumShards == 16, "the shard pick keeps the top 4 bits");
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.first.first == gs &&
-        it->second.first.second == ss) {
+    auto it = shard.verdicts.find(key);
+    if (it != shard.verdicts.end()) {
       hits_.Increment();
-      return it->second.second;
+      return it->second;
     }
   }
   // Compute outside the lock: the NFA product check is the expensive
   // part, and racing computations of the same pair agree by purity.
   misses_.Increment();
-  bool result = PatternContains(general, specific);
+  const PathPattern* g = nullptr;
+  const PathPattern* s = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(patterns_mu_);
+    XIA_CHECK(general < patterns_.size() && specific < patterns_.size());
+    g = patterns_[general];
+    s = patterns_[specific];
+  }
+  bool result = PatternContains(*g, *s);
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map[key] = {{std::move(gs), std::move(ss)}, result};
+  shard.verdicts.emplace(key, result);
   return result;
 }
 
 size_t ContainmentCache::size() const {
   size_t total = 0;
-  for (Shard& shard : shards_) {
+  for (MemoShard& shard : memo_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
+    total += shard.verdicts.size();
   }
   return total;
 }
@@ -130,10 +149,10 @@ ContainmentCacheStats ContainmentCache::stats() const {
   s.hits = hits_.Value();
   s.misses = misses_.Value();
   s.shards = kNumShards;
-  for (Shard& shard : shards_) {
+  for (MemoShard& shard : memo_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    s.entries += shard.map.size();
-    s.largest_shard = std::max(s.largest_shard, shard.map.size());
+    s.entries += shard.verdicts.size();
+    s.largest_shard = std::max(s.largest_shard, shard.verdicts.size());
   }
   return s;
 }

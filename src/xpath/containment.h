@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "xpath/path.h"
@@ -44,20 +44,43 @@ bool PatternsIntersect(const PathPattern& a, const PathPattern& b);
 /// Mutual containment.
 bool PatternsEquivalent(const PathPattern& a, const PathPattern& b);
 
+/// Dense identifier of a pattern interned in one ContainmentCache.
+using PatternId = uint32_t;
+
 /// Memoizing wrapper around PatternContains. The advisor performs O(C²)
-/// containment tests over the candidate set; this cache makes repeated
-/// tests O(1).
+/// containment tests over the candidate set; this cache decides each
+/// (general, specific) pair once.
 ///
-/// Thread-safe: the map is split into fixed shards, each behind its own
-/// mutex, so concurrent what-if optimizations (which all funnel index
-/// matching through one shared cache) contend only when two lookups hash
-/// to the same shard. Misses compute PatternContains outside any lock —
-/// two threads may race to compute the same pair, but the result is a
-/// pure function of the patterns, so whichever insert lands first wins
-/// and both observe the identical value.
+/// Patterns are interned first: Intern() hands out dense ids (0, 1, ...)
+/// in first-seen order, and patterns equal under operator== share one.
+/// The memo is keyed by the id pair, so a lookup builds, hashes and
+/// compares no strings. Loops that test one fixed pattern set over and
+/// over (coverage bitmaps, the what-if kernel's relevance matrix, the
+/// generalization DAG) intern once and then call Contains by id; one-off
+/// callers use the pattern overload, which interns and then looks up. An
+/// id means something only to the cache that assigned it.
+///
+/// Thread-safe: the intern table and the memo are each split into fixed
+/// shards, each behind its own mutex, so concurrent what-if optimizations
+/// (which all funnel index matching through one shared cache) contend
+/// only when two lookups land on the same shard. A new pattern also takes
+/// the id-table lock once. Misses compute PatternContains outside any
+/// lock — two threads may race to compute the same pair, but the result
+/// is a pure function of the patterns, so whichever insert lands first
+/// wins and both observe the identical value.
 class ContainmentCache {
  public:
-  bool Contains(const PathPattern& general, const PathPattern& specific);
+  /// The id of `pattern`, assigning the next dense id on first sight.
+  PatternId Intern(const PathPattern& pattern);
+
+  /// Memoized PatternContains(general, specific) over ids this cache
+  /// assigned.
+  bool Contains(PatternId general, PatternId specific);
+
+  /// Intern-then-lookup, for one-off callers.
+  bool Contains(const PathPattern& general, const PathPattern& specific) {
+    return Contains(Intern(general), Intern(specific));
+  }
 
   /// Total memoized pairs across shards (takes every shard lock; meant
   /// for tests and reporting, not hot paths).
@@ -67,22 +90,22 @@ class ContainmentCache {
   ContainmentCacheStats stats() const;
 
  private:
-  struct KeyHash {
-    size_t operator()(const std::pair<size_t, size_t>& k) const {
-      return k.first * 1000003 + k.second;
-    }
-  };
-  // Keyed by the two patterns' hashes; collisions re-verified by string.
-  using Map =
-      std::unordered_map<std::pair<size_t, size_t>,
-                         std::pair<std::pair<std::string, std::string>, bool>,
-                         KeyHash>;
   static constexpr size_t kNumShards = 16;
-  struct Shard {
+  struct InternShard {
     std::mutex mu;
-    Map map;
+    std::unordered_map<PathPattern, PatternId, PathPatternHash> ids;
   };
-  mutable std::array<Shard, kNumShards> shards_;
+  // Keyed by (general id << 32) | specific id.
+  struct MemoShard {
+    std::mutex mu;
+    std::unordered_map<uint64_t, bool> verdicts;
+  };
+  std::array<InternShard, kNumShards> intern_shards_;
+  mutable std::array<MemoShard, kNumShards> memo_shards_;
+  // patterns_[id] points at the interned key in its InternShard (map
+  // nodes never move). Taken only when a pattern is new and on a miss.
+  std::mutex patterns_mu_;
+  std::vector<const PathPattern*> patterns_;
   // xia::obs counters (registry names "containment.*"): per-instance
   // reads via stats() keep their old semantics, while every live cache
   // also contributes to process-wide snapshots.

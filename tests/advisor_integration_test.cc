@@ -4,6 +4,7 @@
 
 #include "advisor/advisor.h"
 #include "advisor/analysis.h"
+#include "common/metrics.h"
 #include "exec/executor.h"
 #include "workload/tpox_queries.h"
 #include "workload/variation.h"
@@ -173,6 +174,30 @@ TEST_F(AdvisorIntegrationTest, MaterializeAndExecuteRecommendation) {
     ASSERT_TRUE(scan_run.ok()) << query.id;
     EXPECT_EQ(idx_run->nodes, scan_run->nodes) << query.id;
   }
+}
+
+TEST_F(AdvisorIntegrationTest, RelevanceSetupHasItsOwnSpanAndTraceIsUnchanged) {
+  // Evaluator construction (the what-if kernel's relevance matrix) is
+  // timed as advisor.relevance, once per Recommend; turning spans on
+  // changes no search trace.
+  Advisor plain(&db_, &catalog_, Options(SearchAlgorithm::kGreedyHeuristic));
+  Result<Recommendation> untraced = plain.Recommend(workload_);
+  ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
+
+  auto relevance_calls = [] {
+    obs::Snapshot snap = obs::Registry().TakeSnapshot();
+    auto it = snap.spans.find("advisor.relevance");
+    return it == snap.spans.end() ? uint64_t{0} : it->second.count;
+  };
+  const uint64_t before = relevance_calls();
+  obs::SetSpansEnabled(true);
+  Advisor traced_advisor(&db_, &catalog_,
+                         Options(SearchAlgorithm::kGreedyHeuristic));
+  Result<Recommendation> traced = traced_advisor.Recommend(workload_);
+  obs::SetSpansEnabled(false);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  EXPECT_EQ(relevance_calls(), before + 1);
+  EXPECT_EQ(traced->search.TraceString(), untraced->search.TraceString());
 }
 
 TEST_F(AdvisorIntegrationTest, MultiCollectionTpoxPipeline) {

@@ -3,6 +3,9 @@
 #include <memory>
 
 #include "advisor/benefit.h"
+#include "advisor/enumeration.h"
+#include "advisor/generalize.h"
+#include "common/random.h"
 #include "index/index_builder.h"
 #include "workload/xmark_queries.h"
 #include "xmldata/xmark_gen.h"
@@ -290,6 +293,63 @@ TEST_F(BenefitTest, SargableExprNotCoveredByWrongType) {
       EXPECT_FALSE(evaluator.Covers(vc, e));
     }
   }
+}
+
+TEST_F(BenefitTest, CoverageEqualsOrOfContainmentOverRandomConfigs) {
+  // The enumerated and generalized XMark candidates, plus one on another
+  // collection, which must cover nothing here.
+  Result<EnumerationResult> enumeration =
+      EnumerateBasicCandidates(db_, workload_, &cache_);
+  ASSERT_TRUE(enumeration.ok()) << enumeration.status().ToString();
+  std::vector<CandidateIndex> candidates =
+      GeneralizeCandidates(enumeration->candidates, db_, GeneralizeOptions());
+  candidates.push_back(candidates.front());
+  candidates.back().def.collection = "elsewhere";
+  ConfigurationEvaluator evaluator(optimizer_.get(), &workload_,
+                                   &base_catalog_, &candidates, &cache_,
+                                   /*account_update_cost=*/true);
+  const auto& exprs = evaluator.exprs();
+
+  // Reference: the per-pair definition (collection gate, type gate,
+  // uncached containment), ORed over the configuration.
+  auto covers = [&](int c, size_t e) {
+    const CandidateIndex& cand = candidates[static_cast<size_t>(c)];
+    const ConfigurationEvaluator::WorkloadExpr& expr = exprs[e];
+    if (cand.def.collection !=
+        workload_.queries()[static_cast<size_t>(expr.query)]
+            .normalized.collection) {
+      return false;
+    }
+    bool type_ok = expr.sargable_op ? cand.def.type == expr.implied_type
+                                    : cand.def.type == ValueType::kVarchar;
+    return type_ok && PatternContains(cand.def.pattern, expr.pattern);
+  };
+  Random rng(5);
+  size_t covered_bits = 0;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<int> config;
+    const int64_t size = rng.Uniform(0, 6);
+    for (int64_t k = 0; k < size; ++k) {
+      config.push_back(static_cast<int>(
+          rng.Uniform(0, static_cast<int64_t>(candidates.size()) - 1)));
+    }
+    Bitmap coverage = evaluator.CoverageOf(config);
+    ASSERT_EQ(coverage.size(), exprs.size());
+    for (size_t e = 0; e < exprs.size(); ++e) {
+      bool expected = false;
+      for (int c : config) {
+        EXPECT_EQ(evaluator.Covers(c, e), covers(c, e))
+            << candidates[static_cast<size_t>(c)].def.Key() << " / "
+            << exprs[e].pattern.ToString();
+        expected = expected || covers(c, e);
+      }
+      EXPECT_EQ(coverage.Test(e), expected) << "round " << round;
+    }
+    covered_bits += coverage.Count();
+  }
+  EXPECT_GT(covered_bits, 0u);
+  EXPECT_TRUE(
+      evaluator.CoverageOf({static_cast<int>(candidates.size()) - 1}).None());
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "common/random.h"
 #include "xpath/containment.h"
 #include "xpath/nfa.h"
 #include "xpath/parser.h"
@@ -182,6 +185,115 @@ TEST(ContainmentCacheTest, CachesAndStaysCorrect) {
   EXPECT_TRUE(cache.Contains(g, s));  // Cached path.
   EXPECT_FALSE(cache.Contains(s, g));
   EXPECT_EQ(cache.size(), 2u);
+}
+
+// ------------------------------------------------- Interned containment.
+
+/// A seeded universe of random patterns: 1-4 steps over the names a, b,
+/// c; each step `/` or `//`, a name or `*`; the last step may be an
+/// attribute. Small alphabets make containment (and duplicates) common.
+std::vector<PathPattern> RandomUniverse(uint64_t seed, size_t count) {
+  Random rng(seed);
+  const std::vector<std::string> names = {"a", "b", "c"};
+  std::vector<PathPattern> out;
+  for (size_t i = 0; i < count; ++i) {
+    PathPattern p;
+    const int64_t length = rng.Uniform(1, 4);
+    for (int64_t k = 0; k < length; ++k) {
+      Step step;
+      step.axis = rng.Bernoulli(0.3) ? Axis::kDescendant : Axis::kChild;
+      step.is_attribute = k + 1 == length && rng.Bernoulli(0.2);
+      step.wildcard = rng.Bernoulli(0.3);
+      if (!step.wildcard) step.name = rng.Choice(names);
+      p.Add(step);
+    }
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+TEST(InternedContainmentTest, IdKeyedLookupsMatchUncachedContainment) {
+  const std::vector<PathPattern> universe = RandomUniverse(7, 80);
+  ContainmentCache cache;
+  std::vector<PatternId> ids;
+  for (const PathPattern& p : universe) ids.push_back(cache.Intern(p));
+  // Ids are dense, and equal patterns (only they) share one.
+  std::set<PatternId> distinct(ids.begin(), ids.end());
+  ASSERT_FALSE(distinct.empty());
+  EXPECT_EQ(*distinct.rbegin() + 1, distinct.size());
+  for (size_t i = 0; i < universe.size(); ++i) {
+    for (size_t j = 0; j < universe.size(); ++j) {
+      EXPECT_EQ(ids[i] == ids[j], universe[i] == universe[j]);
+      const bool expected = PatternContains(universe[i], universe[j]);
+      EXPECT_EQ(cache.Contains(ids[i], ids[j]), expected)
+          << universe[i].ToString() << " ⊇ " << universe[j].ToString();
+      EXPECT_EQ(cache.Contains(universe[i], universe[j]), expected);
+    }
+  }
+  EXPECT_EQ(cache.stats().entries, distinct.size() * distinct.size());
+}
+
+TEST(InternedContainmentTest, StaleWildcardNameSharesId) {
+  // A wildcard step keeps whatever name it had when edited through
+  // mutable_steps(); operator== and Hash() ignore it, and so does Intern.
+  PathPattern clean = P("/a/*/c");
+  PathPattern stale = P("/a/b/c");
+  stale.mutable_steps()[1].wildcard = true;
+  ASSERT_EQ(stale.steps()[1].name, "b");
+  ASSERT_EQ(stale, clean);
+  ASSERT_EQ(stale.Hash(), clean.Hash());
+  ContainmentCache cache;
+  const PatternId id = cache.Intern(stale);
+  EXPECT_EQ(cache.Intern(clean), id);
+  const PatternId specific = cache.Intern(P("/a/x/c"));
+  EXPECT_TRUE(cache.Contains(id, specific));
+  EXPECT_TRUE(cache.Contains(clean, P("/a/x/c")));
+  EXPECT_TRUE(cache.Contains(stale, P("/a/y/c")));
+  EXPECT_EQ(cache.stats().entries, 2u);  // (id, /a/x/c), (id, /a/y/c).
+}
+
+TEST(InternedContainmentTest, ConcurrentInternAndLookupAgree) {
+  const std::vector<PathPattern> universe = RandomUniverse(11, 40);
+  std::set<std::string> distinct;
+  for (const PathPattern& p : universe) distinct.insert(p.ToString());
+  ContainmentCache cache;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<PatternId>> ids(kThreads);
+  std::vector<std::vector<bool>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the universe from a different offset, so the
+      // threads race to intern and to decide different pairs first.
+      const size_t n = universe.size();
+      ids[t].resize(n);
+      for (size_t k = 0; k < n; ++k) {
+        const size_t i = (k + static_cast<size_t>(t) * n / kThreads) % n;
+        ids[t][i] = cache.Intern(universe[i]);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          answers[t].push_back(cache.Contains(ids[t][i], ids[t][j]));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(ids[t], ids[0]);
+    EXPECT_EQ(answers[t], answers[0]);
+  }
+  for (size_t i = 0; i < universe.size(); ++i) {
+    for (size_t j = 0; j < universe.size(); ++j) {
+      EXPECT_EQ(answers[0][i * universe.size() + j],
+                PatternContains(universe[i], universe[j]));
+    }
+  }
+  const ContainmentCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, distinct.size() * distinct.size());
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<uint64_t>(kThreads) * universe.size() *
+                universe.size());
 }
 
 // ----------------------------------------- Property sweep over a universe.

@@ -327,7 +327,9 @@ TEST_F(CostCacheTest, CanServeAgreesWithMatch) {
       CatalogEntry entry;
       entry.def = cand.def;
       bool via_match = !matcher.Match(q.normalized, {&entry}).empty();
-      EXPECT_EQ(matcher.CanServe(q.normalized, cand.def), via_match)
+      EXPECT_EQ(matcher.CanServe(q.normalized, matcher.Intern(q.normalized),
+                                 cand.def, cache.Intern(cand.def.pattern)),
+                via_match)
           << cand.def.pattern.ToString();
     }
   }

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <set>
 
+#include "advisor/enumeration.h"
 #include "advisor/generalize.h"
+#include "workload/xmark_queries.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/containment.h"
 #include "xpath/parser.h"
@@ -222,6 +226,120 @@ TEST_F(GeneralizeTest, DisabledGeneralizationIsIdentity) {
   GeneralizeOptions zero;
   zero.max_rounds = 0;
   EXPECT_EQ(GeneralizeCandidates(basics, db_, zero).size(), 2u);
+}
+
+// ------------------------------------------- One estimate per new candidate.
+
+/// Reference: generalization as it was first written, estimating the
+/// statistics of every unified pair and discarding the estimate when the
+/// key already exists.
+std::vector<CandidateIndex> GeneralizeEstimatingEveryPair(
+    std::vector<CandidateIndex> basics, const Database& db,
+    const GeneralizeOptions& options) {
+  auto make = [&db](const CandidateIndex& a, const CandidateIndex& b,
+                    PathPattern pattern) {
+    CandidateIndex out;
+    out.def.collection = a.def.collection;
+    out.def.pattern = std::move(pattern);
+    out.def.type = a.def.type;
+    out.from_generalization = true;
+    out.sargable = a.sargable || b.sargable;
+    out.source_queries = a.source_queries;
+    MergeCandidate(&out, b);
+    out.stats = EstimateVirtualIndex(*db.synopsis(out.def.collection),
+                                     out.def, StorageConstants());
+    return out;
+  };
+  std::vector<CandidateIndex> all = std::move(basics);
+  std::map<std::string, int> by_key;
+  for (size_t i = 0; i < all.size(); ++i) {
+    by_key.emplace(all[i].Key(), static_cast<int>(i));
+  }
+  size_t generated = 0;
+  auto add = [&](CandidateIndex cand) {
+    auto [it, inserted] =
+        by_key.emplace(cand.Key(), static_cast<int>(all.size()));
+    if (inserted) {
+      all.push_back(std::move(cand));
+      ++generated;
+    } else {
+      MergeCandidate(&all[static_cast<size_t>(it->second)], cand);
+    }
+  };
+  size_t frontier_begin = 0;
+  for (size_t round = 0; round < options.max_rounds; ++round) {
+    size_t size_before = all.size();
+    for (size_t i = 0; i < size_before && generated < options.max_generated;
+         ++i) {
+      for (size_t j = std::max(i + 1, frontier_begin);
+           j < size_before && generated < options.max_generated; ++j) {
+        if (all[i].def.collection != all[j].def.collection ||
+            all[i].def.type != all[j].def.type) {
+          continue;
+        }
+        std::optional<PathPattern> unified =
+            UnifyPatterns(all[i].def.pattern, all[j].def.pattern);
+        if (unified.has_value()) add(make(all[i], all[j], *unified));
+      }
+    }
+    if (options.enable_descendant_rule) {
+      for (size_t i = frontier_begin;
+           i < size_before && generated < options.max_generated; ++i) {
+        const PathPattern& p = all[i].def.pattern;
+        if (p.length() < 2 || p.steps()[1].is_attribute) continue;
+        std::vector<Step> steps(p.steps().begin() + 1, p.steps().end());
+        steps.front().axis = Axis::kDescendant;
+        add(make(all[i], all[i], PathPattern(std::move(steps))));
+      }
+    }
+    if (all.size() == size_before) break;
+    frontier_begin = size_before;
+  }
+  return all;
+}
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST_F(GeneralizeTest, EstimatesOnlyNewCandidatesWithIdenticalResult) {
+  ContainmentCache cache;
+  Result<EnumerationResult> enumeration =
+      EnumerateBasicCandidates(db_, MakeXMarkWorkload("xmark"), &cache);
+  ASSERT_TRUE(enumeration.ok()) << enumeration.status().ToString();
+  const std::vector<CandidateIndex>& basics = enumeration->candidates;
+  for (bool descendant : {false, true}) {
+    for (size_t cap : {size_t{500}, size_t{7}}) {
+      GeneralizeOptions options;
+      options.enable_descendant_rule = descendant;
+      options.max_generated = cap;
+      SCOPED_TRACE("descendant rule " + std::to_string(descendant) +
+                   ", max_generated " + std::to_string(cap));
+      std::vector<CandidateIndex> got =
+          GeneralizeCandidates(basics, db_, options);
+      std::vector<CandidateIndex> want =
+          GeneralizeEstimatingEveryPair(basics, db_, options);
+      ASSERT_EQ(got.size(), want.size());
+      if (cap == 7) {
+        EXPECT_EQ(got.size(), basics.size() + cap);  // Truncated.
+      }
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].Key(), want[i].Key()) << i;
+        EXPECT_EQ(got[i].from_generalization, want[i].from_generalization);
+        EXPECT_EQ(got[i].sargable, want[i].sargable) << got[i].Key();
+        EXPECT_EQ(got[i].source_queries, want[i].source_queries)
+            << got[i].Key();
+        const VirtualIndexStats& g = got[i].stats;
+        const VirtualIndexStats& w = want[i].stats;
+        EXPECT_TRUE(BitEqual(g.entries, w.entries) &&
+                    BitEqual(g.size_bytes, w.size_bytes) &&
+                    BitEqual(g.leaf_pages, w.leaf_pages) &&
+                    g.height == w.height && BitEqual(g.distinct, w.distinct) &&
+                    BitEqual(g.avg_key_bytes, w.avg_key_bytes))
+            << got[i].Key();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "advisor/enumeration.h"
+#include "advisor/generalize.h"
 #include "index/index_matcher.h"
+#include "optimizer/whatif_kernel.h"
 #include "query/parser.h"
+#include "workload/tpox_queries.h"
+#include "workload/xmark_queries.h"
+#include "xmldata/tpox_gen.h"
+#include "xmldata/xmark_gen.h"
 #include "xpath/parser.h"
 
 namespace xia {
@@ -179,6 +186,59 @@ TEST_F(MatcherTest, ToStringIsReadable) {
   ASSERT_FALSE(matches.empty());
   std::string s = matches[0].ToString();
   EXPECT_NE(s.find("exact"), std::string::npos);
+}
+
+/// The what-if kernel's relevance matrix, over the enumerated and
+/// generalized candidates of `workload`, against the relevance predicate's
+/// definition: a candidate is relevant to a query iff Match, run on a
+/// fresh cache, emits at least one match for it.
+void ExpectRelevanceMatchesMatcher(const Database& db,
+                                   const Workload& workload) {
+  ContainmentCache cache;
+  Result<EnumerationResult> enumeration =
+      EnumerateBasicCandidates(db, workload, &cache);
+  ASSERT_TRUE(enumeration.ok()) << enumeration.status().ToString();
+  std::vector<CandidateIndex> candidates =
+      GeneralizeCandidates(enumeration->candidates, db, GeneralizeOptions());
+  std::vector<CatalogEntry> overlay(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    overlay[i].def = candidates[i].def;
+    overlay[i].def.name = "cand" + std::to_string(i);
+    overlay[i].stats = candidates[i].stats;
+  }
+  Optimizer optimizer(&db, CostModel());
+  Catalog base;
+  WhatIfCostCache plans;
+  WhatIfKernel kernel(&optimizer, &workload.queries(), &base, overlay, &cache,
+                      &plans);
+
+  ContainmentCache reference_cache;
+  IndexMatcher reference(&reference_cache);
+  size_t relevant = 0;
+  for (size_t q = 0; q < workload.queries().size(); ++q) {
+    const NormalizedQuery& nq = workload.queries()[q].normalized;
+    for (size_t e = 0; e < overlay.size(); ++e) {
+      const bool expected = !reference.Match(nq, {&overlay[e]}).empty();
+      EXPECT_EQ(kernel.Relevant(static_cast<int>(e), q), expected)
+          << workload.queries()[q].id << " / "
+          << overlay[e].def.pattern.ToString();
+      relevant += expected ? 1 : 0;
+    }
+  }
+  EXPECT_GT(relevant, 0u);
+  EXPECT_GT(candidates.size(), enumeration->candidates.size());
+}
+
+TEST(RelevanceParityTest, XMarkKernelRelevanceEqualsMatch) {
+  Database db;
+  ASSERT_TRUE(PopulateXMark(&db, "xmark", 6, XMarkParams(), 42).ok());
+  ExpectRelevanceMatchesMatcher(db, MakeXMarkWorkload("xmark"));
+}
+
+TEST(RelevanceParityTest, TpoxKernelRelevanceEqualsMatch) {
+  Database db;
+  ASSERT_TRUE(PopulateTpox(&db, 20, 40, 10, TpoxParams(), 11).ok());
+  ExpectRelevanceMatchesMatcher(db, MakeTpoxWorkload());
 }
 
 }  // namespace

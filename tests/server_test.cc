@@ -13,6 +13,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -674,6 +675,76 @@ TEST(DispatcherBudgetTest, BudgetMsRequiresNonNegativeInteger) {
   EXPECT_EQ(Dispatch(&shared, &session, "advise --budget-ms 1e3 64")
                 .find("budget"),
             std::string::npos);
+}
+
+// Every verb row of the table in docs/PROTOCOL.md against the
+// dispatcher's lock choice: a row whose class names "exclusive" must hold
+// the state lock exclusively for each spelled sub-command, every other
+// row (light, advise, serving) must not.
+TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
+  std::ifstream doc(XIA_PROTOCOL_DOC);
+  ASSERT_TRUE(doc.is_open()) << XIA_PROTOCOL_DOC;
+  std::set<std::string> verbs;
+  size_t rows = 0;
+  bool in_table = false;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("| verb | class |", 0) == 0) {
+      in_table = true;
+      continue;
+    }
+    if (!in_table || line.rfind("|---", 0) == 0) continue;
+    if (line.rfind("|", 0) != 0) {
+      if (rows > 0) break;  // End of the table.
+      continue;
+    }
+    // Cells split on unescaped pipes; `\|` separates alternatives.
+    std::vector<std::string> cells;
+    std::string cell;
+    for (size_t i = 1; i < line.size(); ++i) {
+      if (line[i] == '\\' && i + 1 < line.size() && line[i + 1] == '|') {
+        cell.push_back('|');
+        ++i;
+      } else if (line[i] == '|') {
+        cells.push_back(cell);
+        cell.clear();
+      } else {
+        cell.push_back(line[i]);
+      }
+    }
+    ASSERT_GE(cells.size(), 2u) << line;
+    ++rows;
+    const bool exclusive = cells[1].find("exclusive") != std::string::npos;
+    // Each `...` spelling in the first cell is "verb [sub|sub ...] ...".
+    for (size_t open = cells[0].find('`'); open != std::string::npos;
+         open = cells[0].find('`', open + 1)) {
+      const size_t close = cells[0].find('`', open + 1);
+      ASSERT_NE(close, std::string::npos) << line;
+      std::istringstream spelling(cells[0].substr(open + 1, close - open - 1));
+      open = close;
+      std::string verb;
+      std::string sub_token;
+      spelling >> verb >> sub_token;
+      std::string subs;
+      for (char c : sub_token) {
+        if (c != '<' && c != '>' && c != '[' && c != ']') subs.push_back(c);
+      }
+      std::istringstream alternatives(subs);
+      std::string sub;
+      do {
+        sub.clear();
+        std::getline(alternatives, sub, '|');
+        EXPECT_EQ(CommandDispatcher::IsExclusiveVerb(verb, sub), exclusive)
+            << "`" << verb << " " << sub << "` is documented as "
+            << cells[1];
+      } while (alternatives.good());
+      verbs.insert(verb);
+    }
+  }
+  EXPECT_GE(rows, 30u);
+  for (const char* verb : {"savecoll", "loadcoll", "log", "update", "drift"}) {
+    EXPECT_EQ(verbs.count(verb), 1u) << verb;
+  }
 }
 
 TEST(DispatcherDbTest, DbVerbWithoutEngineReportsMemoryOnly) {
