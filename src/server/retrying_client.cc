@@ -1,25 +1,11 @@
 #include "server/retrying_client.h"
 
-#include <sstream>
 #include <utility>
 
-#include "common/string_util.h"
+#include "server/session.h"
 
 namespace xia {
 namespace server {
-
-namespace {
-
-/// First two lowercased tokens of a command line.
-void VerbAndSub(const std::string& line, std::string* verb,
-                std::string* sub) {
-  std::istringstream input(line);
-  input >> *verb >> *sub;
-  *verb = ToLower(*verb);
-  *sub = ToLower(*sub);
-}
-
-}  // namespace
 
 RetryingClient::RetryingClient(std::string unix_socket_path,
                                RetryPolicy policy)
@@ -30,34 +16,7 @@ RetryingClient::RetryingClient(int tcp_port, RetryPolicy policy)
     : tcp_port_(tcp_port), policy_(std::move(policy)) {}
 
 bool RetryingClient::IsIdempotentCommand(const std::string& line) {
-  std::string verb;
-  std::string sub;
-  VerbAndSub(line, &verb, &sub);
-  // Read-only verbs, liveness probes, and session-local state (lost on
-  // reconnect anyway, so re-sending cannot double-apply anything).
-  if (verb == "ping" || verb == "help" || verb == "health" ||
-      verb == "ready" || verb == "stats" || verb == "show" ||
-      verb == "run" || verb == "enumerate" || verb == "workload" ||
-      verb == "query" || verb == "ddl" || verb == "advise" ||
-      verb == "whatif" || verb == "drain" || verb == "quit" ||
-      verb == "exit") {
-    return true;
-  }
-  // Mixed verbs: only their read-only subcommands are safe. `update` is
-  // a session-workload edit only with an insert|delete sub-token; the
-  // DML form (`update <collection> <doc> <xml>`) tombstones the target
-  // and inserts a fresh document — re-sending after a lost reply would
-  // double-insert.
-  if (verb == "update") return sub == "insert" || sub == "delete";
-  if (verb == "db") return sub == "status";
-  if (verb == "log") return sub == "stats";
-  if (verb == "drift") return sub == "check" || sub == "threshold";
-  if (verb == "failpoint") return sub.empty() || sub == "list";
-  // gen / load / loadcoll / savecoll / analyze / materialize / capture /
-  // insert / delete / db checkpoint / ...: the server may already have
-  // executed the lost request; re-sending could apply the mutation twice
-  // (a re-sent insert appends a second document under a new DocId).
-  return false;
+  return CommandDispatcher::Lookup(line).retry_safe;
 }
 
 Status RetryingClient::EnsureConnected() {

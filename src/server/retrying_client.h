@@ -66,10 +66,10 @@ class RetryingClient {
   /// the caller whether more time (not more attempts) could help.
   Result<std::string> Call(const std::string& command);
 
-  /// True when `line`'s verb is safe to re-send after an ambiguous
-  /// transport failure (the server may have executed it already).
-  /// Read-only verbs and session-local setup are; shared-state
-  /// mutations are not. Exposed for tests.
+  /// True when `line`'s verb row is retry-safe (VerbSpec::retry_safe):
+  /// safe to re-send after an ambiguous transport failure, when the
+  /// server may have executed it already. Read-only verbs and
+  /// session-local setup are; shared-state mutations are not.
   static bool IsIdempotentCommand(const std::string& line);
 
   void Close() { client_.Close(); }

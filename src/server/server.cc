@@ -5,6 +5,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -12,23 +14,12 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/string_util.h"
 #include "server/net_util.h"
 
 namespace xia {
 namespace server {
 
 namespace {
-
-/// First token of a request line, lowercased — the span/latency label.
-/// Non-command payloads label as "empty".
-std::string VerbOf(const std::string& request) {
-  std::istringstream input(request);
-  std::string verb;
-  input >> verb;
-  if (verb.empty()) return "empty";
-  return ToLower(verb);
-}
 
 /// Failpoint hooks live in tiny Status helpers so the XIA_FAILPOINT
 /// early-return macro composes with the surrounding loops.
@@ -50,7 +41,9 @@ Status WriteFailpoint(int64_t connection_id) {
 }  // namespace
 
 Server::Server(SharedState* shared, ServerOptions options)
-    : shared_(shared), options_(std::move(options)), dispatcher_(shared) {}
+    : shared_(shared),
+      options_(std::move(options)),
+      dispatcher_(shared, this) {}
 
 Server::~Server() {
   RequestStop();
@@ -120,6 +113,16 @@ Status Server::Start() {
 void Server::Drain() {
   if (draining_.exchange(true)) return;
   ready_.store(false, std::memory_order_relaxed);
+}
+
+std::string Server::NotReadyReason() const {
+  if (draining_.load(std::memory_order_relaxed)) return "draining";
+  if (!ready_.load(std::memory_order_relaxed)) return "recovering";
+  if (inflight_advises_.load(std::memory_order_relaxed) >=
+      options_.max_inflight_advises) {
+    return "at advise capacity";
+  }
+  return "";
 }
 
 void Server::RequestStop() {
@@ -287,48 +290,22 @@ void Server::HandleConnection(int fd, uint64_t connection_id) {
 std::string Server::HandleRequest(const std::string& request,
                                   ClientSession* session, bool* quit) {
   requests_.Increment();
-  std::string verb = VerbOf(request);
-  if (verb == "empty") {
+  if (std::all_of(request.begin(), request.end(),
+                  [](unsigned char c) { return std::isspace(c); })) {
     // A zero-length (or all-whitespace) payload is a well-formed frame
     // carrying no command: answer ERR, keep the connection.
     protocol_errors_.Increment();
     return ErrResponse("empty request");
   }
-  // Liveness/readiness/drain are answered before the dispatcher and
-  // without touching SharedState locks: `health` must respond while
-  // recovery holds the state lock exclusively, and `drain` must land on
-  // a server whose workers are all wedged in long advises.
-  if (verb == "health") {
-    return OkResponse("alive");
+  const VerbSpec& spec = CommandDispatcher::Lookup(request);
+  if (draining_.load(std::memory_order_relaxed) && !spec.while_draining) {
+    // Lame duck: only the verbs an operator watching the drain needs
+    // still answer; everything else gets GOAWAY and a close.
+    goaway_.Increment();
+    *quit = true;
+    return GoawayResponse("server draining");
   }
-  if (verb == "ready") {
-    if (draining_.load(std::memory_order_relaxed)) {
-      return ErrResponse("not ready: draining");
-    }
-    if (!ready_.load(std::memory_order_relaxed)) {
-      return ErrResponse("not ready: recovering");
-    }
-    if (inflight_advises_.load(std::memory_order_relaxed) >=
-        options_.max_inflight_advises) {
-      return ErrResponse("not ready: at advise capacity");
-    }
-    return OkResponse("ready");
-  }
-  if (verb == "drain") {
-    Drain();
-    return OkResponse("draining");
-  }
-  if (draining_.load(std::memory_order_relaxed)) {
-    // Lame duck. Observation verbs still answer (an operator watching
-    // the drain needs them); everything else gets GOAWAY and a close.
-    if (verb != "stats" && verb != "quit" && verb != "exit") {
-      goaway_.Increment();
-      *quit = true;
-      return GoawayResponse("server draining");
-    }
-  }
-  bool is_advise =
-      CommandDispatcher::Classify(request) == VerbClass::kAdvise;
+  const bool is_advise = spec.admission == VerbAdmission::kAdvise;
   if (is_advise) {
     // Advise admission: never queue behind other advises — overload gets
     // a fast BUSY the load generator (and a human) can react to.
@@ -357,14 +334,17 @@ std::string Server::HandleRequest(const std::string& request,
                     std::chrono::steady_clock::now() - started)
                     .count();
   // Per-verb latency histograms, recorded unconditionally: the server IS
-  // the investigation surface, unlike library spans (default-off).
+  // the investigation surface, unlike library spans (default-off). Keyed
+  // by the row, so junk verbs share one `unknown` histogram instead of
+  // each growing the never-freed registry.
   obs::Registry()
-      .GetSpanHistogram("server.verb." + verb)
+      .GetSpanHistogram(std::string("server.verb.") + spec.verb)
       .Record(static_cast<uint64_t>(micros));
   if (outcome == CommandOutcome::kQuit) {
     *quit = true;
     return OkResponse("bye");
   }
+  if (outcome == CommandOutcome::kRefused) return ErrResponse(out.str());
   return OkResponse(out.str());
 }
 

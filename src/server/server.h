@@ -32,8 +32,9 @@ namespace server {
 ///   - connections: at most `max_connections` concurrently; an accept
 ///     beyond that is answered with one BUSY frame and closed.
 ///   - advises: at most `max_inflight_advises` advise-class requests
-///     (advise / drift readvise) run at once; excess requests get an
-///     immediate BUSY reply without touching the advisor.
+///     (rows with VerbAdmission::kAdvise: advise, drift readvise) run at
+///     once; excess requests get an immediate BUSY reply without
+///     touching the advisor.
 ///
 /// Connection governance (misbehaving clients cost a socket, never a
 /// worker):
@@ -44,9 +45,10 @@ namespace server {
 ///   - `health` answers whenever the process is alive; `ready` answers
 ///     whether it should receive traffic (false while recovering,
 ///     draining, or at advise capacity); `drain` flips the server into
-///     lame-duck mode where everything new gets GOAWAY. All three are
-///     handled before the dispatcher and take no locks, so they answer
-///     even while recovery holds the state lock exclusively.
+///     lame-duck mode where every verb whose row does not answer while
+///     draining gets GOAWAY. All three take no locks (VerbLock::kNone),
+///     so they answer even while recovery holds the state lock
+///     exclusively; the server is their ServingHost.
 ///
 /// Observability (xia::obs):
 ///   gauges   server.connections, server.advises_inflight
@@ -100,7 +102,7 @@ struct ServerOptions {
   int64_t idle_timeout_ms = 0;
 };
 
-class Server {
+class Server : private ServingHost {
  public:
   /// `shared` must outlive the server.
   Server(SharedState* shared, ServerOptions options);
@@ -143,10 +145,11 @@ class Server {
 
   /// Enters draining: readiness goes false, in-flight requests finish,
   /// and every new connection or subsequent request is answered with one
-  /// GOAWAY frame and a close (health/ready/stats/quit still answered).
-  /// The embedder decides when to RequestStop() — typically once
-  /// active_connections() reaches zero. Idempotent.
-  void Drain();
+  /// GOAWAY frame and a close (verbs whose row answers while draining —
+  /// health/ready/drain/stats/quit/exit — still answered). The embedder
+  /// decides when to RequestStop() — typically once active_connections()
+  /// reaches zero. Idempotent.
+  void Drain() override;
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
 
  private:
@@ -155,6 +158,9 @@ class Server {
 
   /// One accepted connection, start to close (runs on the pool).
   void HandleConnection(int fd, uint64_t connection_id);
+
+  /// Why `ready` says no: draining, recovering, or at advise capacity.
+  std::string NotReadyReason() const override;
 
   /// Executes one request payload and returns the response payload.
   std::string HandleRequest(const std::string& request,

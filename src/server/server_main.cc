@@ -32,9 +32,9 @@
 //   --data-dir PATH             persistent storage directory: recover
 //                               the previous run's state on startup
 //                               (skipping --preload regeneration when
-//                               state exists), WAL-log load/analyze,
-//                               checkpoint bulk loads, and checkpoint
-//                               on clean shutdown
+//                               state exists), WAL-log load/insert/
+//                               delete/update/analyze, checkpoint bulk
+//                               loads, and checkpoint on clean shutdown
 //   --capture [capacity]        arm workload capture from startup
 //   --failpoint SPEC            arm fault injection (repeatable; the
 //                               XIA_FAILPOINTS env var is also honored)
@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
       }
       std::cerr << "preloaded " << preload << "\n";
     }
-    if (shared.engine && !preloads.empty()) {
+    if (!preloads.empty()) {
       // Preload bulk-mutates the database without WAL records; checkpoint
       // so the generated state is durable from the first client on.
       Status status = shared.engine->Checkpoint();
@@ -314,16 +314,14 @@ int main(int argc, char** argv) {
   srv.RequestStop();
   srv.Wait();
 
-  if (shared.engine) {
-    // All sessions have drained; final checkpoint so the next start
-    // replays an empty WAL.
-    Status status = shared.engine->Close();
-    if (!status.ok()) {
-      std::cerr << "storage close: " << status.ToString() << "\n";
-      return 1;
-    }
-    std::cerr << "storage checkpointed and closed\n";
+  // All sessions have drained; final checkpoint so the next start
+  // replays an empty WAL.
+  Status closed = shared.engine->Close();
+  if (!closed.ok()) {
+    std::cerr << "storage close: " << closed.ToString() << "\n";
+    return 1;
   }
+  if (!data_dir.empty()) std::cerr << "storage checkpointed and closed\n";
 
   if (!stats_json.empty()) {
     if (!obs::Registry().WriteJsonFile(stats_json)) {

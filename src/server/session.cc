@@ -44,323 +44,113 @@ wlm::DriftMonitor* SharedState::DriftWatcher() {
   return drift.get();
 }
 
-const char* HelpText() {
-  return
-      "commands:\n"
-      "  gen xmark <docs> | gen tpox <cust> <orders> <secs>\n"
-      "  load <collection> <file.xml>\n"
-      "  savecoll <collection> <dir> | loadcoll <collection> <dir>\n"
-      "  analyze <collection>\n"
-      "  workload xmark|tpox | workload file <path>\n"
-      "  query <weight> <text...>\n"
-      "  update <insert|delete> <collection> <weight> <pattern>\n"
-      "  insert <collection> <xml...> | delete <collection> <doc-id>\n"
-      "  update <collection> <doc-id> <xml...>   (replace document)\n"
-      "  show workload|catalog|candidates|dag|stats <coll>\n"
-      "  enumerate <query...>\n"
-      "  advise [--from-log] [--compress] [--decompose|--exact]"
-      " [--budget-ms <N>] <budget_kb> [greedy|heuristic|topdown]\n"
-      "  whatif start|add <coll> <pattern> <double|varchar>|drop <name>|eval\n"
-      "  capture on [capacity]|off\n"
-      "  log stats | save <path> | load <path> | clear\n"
-      "  drift check | readvise | threshold <t>\n"
-      "  failpoint <name=mode[,mode...]>|<name=off>|list\n"
-      "  db status | db checkpoint   (persistent storage, --data-dir)\n"
-      "  health | ready | drain      (serving state; see docs/PROTOCOL.md)\n"
-      "  ddl | materialize | run <query...> | stats | ping | help | quit\n";
+/// One command line as its handler sees it.
+struct VerbCall {
+  SharedState& shared;
+  ServingHost* host;  // Null outside a server.
+  ClientSession* session;
+  std::string verb;         // Lowercased first token.
+  std::string rest;         // Everything after it, trimmed.
+  std::istringstream args;  // `rest`, for token-wise parsing.
+  std::ostream& out;
+  CommandOutcome outcome = CommandOutcome::kHandled;
+};
+
+namespace {
+
+/// Checkpoints after a successful bulk (unlogged) mutation and, when the
+/// engine persists, reports it.
+void CheckpointAfterBulk(VerbCall& call) {
+  // Bulk generation/materialization bypasses the WAL (the engine logs
+  // only logical mutations it executed itself); the checkpoint here is
+  // what makes the bulk result durable. Memory-only it does nothing.
+  Status status = call.shared.engine->Checkpoint();
+  if (!status.ok()) {
+    call.out << "checkpoint failed: " << status.ToString() << "\n";
+  } else if (call.shared.engine->persistent()) {
+    call.out << "checkpointed (epoch " << call.shared.engine->epoch() << ")\n";
+  }
 }
 
-VerbClass CommandDispatcher::Classify(const std::string& line) {
-  std::istringstream input(line);
-  std::string verb;
-  std::string sub;
-  input >> verb >> sub;
-  verb = ToLower(verb);
-  if (verb == "advise") return VerbClass::kAdvise;
-  if (verb == "drift" && ToLower(sub) == "readvise") return VerbClass::kAdvise;
-  return VerbClass::kLight;
+void CmdPing(VerbCall& call) { call.out << "pong\n"; }
+
+void CmdHelp(VerbCall& call) {
+  call.out << "commands:\n";
+  for (const VerbSpec& spec : CommandDispatcher::Verbs()) {
+    if (*spec.usage != '\0') call.out << "  " << spec.usage << "\n";
+  }
 }
 
-bool CommandDispatcher::IsExclusiveVerb(const std::string& verb) {
-  return IsExclusiveVerb(verb, "");
+void CmdQuit(VerbCall& call) { call.outcome = CommandOutcome::kQuit; }
+
+// Serving verbs answer a server with one bare status word (`OK alive`,
+// `ERR not ready: draining`) and the REPL with a line; a REPL is alive
+// and ready by construction.
+
+void CmdHealth(VerbCall& call) {
+  call.out << "alive" << (call.host != nullptr ? "" : "\n");
 }
 
-bool CommandDispatcher::IsExclusiveVerb(const std::string& verb,
-                                        const std::string& sub) {
-  // Verbs that mutate the shared database/catalog (gen, load, loadcoll,
-  // analyze, materialize, and the DML verbs insert/delete/update),
-  // install/uninstall the process-wide capture sink (capture), drive the
-  // drift monitor's long mutating pipeline (drift), or run the
-  // persistence engine's checkpoint/WAL machinery (db). Everything else
-  // reads shared state through thread-safe caches and may run
-  // concurrently.
-  //
-  // `update` is two verbs: `update <insert|delete> ...` edits the
-  // per-session workload (read-only on shared state), while
-  // `update <collection> <doc> <xml>` is a DML document update and must
-  // serialize like every other mutation.
-  if (verb == "update") return sub != "insert" && sub != "delete";
-  return verb == "gen" || verb == "load" || verb == "loadcoll" ||
-         verb == "analyze" || verb == "materialize" || verb == "capture" ||
-         verb == "drift" || verb == "db" || verb == "insert" ||
-         verb == "delete";
+void CmdReady(VerbCall& call) {
+  std::string reason = call.host != nullptr ? call.host->NotReadyReason() : "";
+  if (!reason.empty()) {
+    call.out << "not ready: " << reason;
+    call.outcome = CommandOutcome::kRefused;
+    return;
+  }
+  call.out << "ready" << (call.host != nullptr ? "" : "\n");
 }
 
-CommandOutcome CommandDispatcher::Execute(const std::string& line,
-                                          ClientSession* session,
-                                          std::ostream& out) {
-  std::istringstream input(line);
-  std::string command;
-  input >> command;
-  command = ToLower(command);
-  std::string rest;
-  std::getline(input, rest);
-  std::istringstream params(rest);
-  if (command.empty()) return CommandOutcome::kHandled;
-  if (command == "quit" || command == "exit") return CommandOutcome::kQuit;
-  if (command == "ping") {
-    out << "pong\n";
-    return CommandOutcome::kHandled;
+void CmdDrain(VerbCall& call) {
+  if (call.host == nullptr) {
+    call.out << "drain applies to a running server (start with --serve)\n";
+    return;
   }
-  if (command == "help") {
-    out << HelpText();
-    return CommandOutcome::kHandled;
-  }
-  // Serving-state verbs are normally intercepted by the Server before
-  // the dispatcher (server.cc — they must answer without locks). These
-  // fallbacks keep the REPL and scripted sessions from seeing "unknown
-  // command": a live REPL is trivially alive and ready.
-  if (command == "health") {
-    out << "alive\n";
-    return CommandOutcome::kHandled;
-  }
-  if (command == "ready") {
-    out << "ready\n";
-    return CommandOutcome::kHandled;
-  }
-  if (command == "drain") {
-    out << "drain applies to a running server (start with --serve)\n";
-    return CommandOutcome::kHandled;
-  }
-
-  // Reader/writer discipline: see IsExclusiveVerb. The sub-token matters
-  // only for `update` (session-workload edit vs DML document update).
-  std::string sub;
-  {
-    std::istringstream peek(rest);
-    peek >> sub;
-    sub = ToLower(sub);
-  }
-  std::shared_lock<std::shared_mutex> read_lock(shared_->mu,
-                                                std::defer_lock);
-  std::unique_lock<std::shared_mutex> write_lock(shared_->mu,
-                                                 std::defer_lock);
-  if (IsExclusiveVerb(command, sub)) {
-    write_lock.lock();
-  } else {
-    read_lock.lock();
-  }
-
-  if (command == "gen") {
-    CmdGen(params, out);
-  } else if (command == "load") {
-    CmdLoad(params, out);
-  } else if (command == "savecoll" || command == "loadcoll") {
-    CmdSaveLoadColl(command, params, out);
-  } else if (command == "analyze") {
-    CmdAnalyze(params, out);
-  } else if (command == "workload") {
-    CmdWorkload(session, params, out);
-  } else if (command == "query") {
-    CmdQuery(session, rest, out);
-  } else if (command == "update") {
-    if (sub == "insert" || sub == "delete") {
-      CmdUpdate(session, rest, out);
-    } else {
-      CmdDmlUpdate(rest, out);
-    }
-  } else if (command == "insert") {
-    CmdInsert(rest, out);
-  } else if (command == "delete") {
-    CmdDelete(params, out);
-  } else if (command == "show") {
-    CmdShow(session, params, out);
-  } else if (command == "enumerate") {
-    CmdEnumerate(std::string(Trim(rest)), out);
-  } else if (command == "advise") {
-    CmdAdvise(session, params, out);
-  } else if (command == "whatif") {
-    CmdWhatIf(session, params, out);
-  } else if (command == "ddl") {
-    CmdDdl(session, out);
-  } else if (command == "materialize") {
-    CmdMaterialize(session, out);
-  } else if (command == "run") {
-    CmdRun(std::string(Trim(rest)), out);
-  } else if (command == "capture") {
-    CmdCapture(params, out);
-  } else if (command == "log") {
-    CmdLog(params, out);
-  } else if (command == "drift") {
-    CmdDrift(session, params, out);
-  } else if (command == "failpoint") {
-    CmdFailpoint(std::string(Trim(rest)), out);
-  } else if (command == "db") {
-    CmdDb(params, out);
-  } else if (command == "stats") {
-    CmdStats(out);
-  } else {
-    out << "unknown command '" << command << "' — type 'help'\n";
-  }
-  return CommandOutcome::kHandled;
+  call.host->Drain();
+  call.out << "draining";
 }
 
-void CommandDispatcher::CmdGen(std::istream& args, std::ostream& out) {
+void CmdUnknown(VerbCall& call) {
+  call.out << "unknown command '" << call.verb << "' — type 'help'\n";
+}
+
+void CmdGen(VerbCall& call) {
   std::string kind;
-  args >> kind;
+  call.args >> kind;
   if (kind == "xmark") {
     int docs = 10;
-    args >> docs;
+    call.args >> docs;
     Status status =
-        PopulateXMark(&shared_->db, "xmark", docs, XMarkParams(), 42);
-    out << (status.ok()
-                ? "generated xmark: " +
-                      std::to_string(
-                          shared_->db.GetCollection("xmark")->num_nodes()) +
-                      " nodes\n"
-                : status.ToString() + "\n");
-    if (status.ok()) CheckpointAfterBulk(out);
+        PopulateXMark(&call.shared.db, "xmark", docs, XMarkParams(), 42);
+    call.out << (status.ok()
+                     ? "generated xmark: " +
+                           std::to_string(
+                               call.shared.db.GetCollection("xmark")
+                                   ->num_nodes()) +
+                           " nodes\n"
+                     : status.ToString() + "\n");
+    if (status.ok()) CheckpointAfterBulk(call);
   } else if (kind == "tpox") {
     int customers = 50;
     int orders = 100;
     int securities = 20;
-    args >> customers >> orders >> securities;
-    Status status = PopulateTpox(&shared_->db, customers, orders, securities,
+    call.args >> customers >> orders >> securities;
+    Status status = PopulateTpox(&call.shared.db, customers, orders, securities,
                                  TpoxParams(), 11);
-    out << (status.ok() ? "generated tpox collections\n"
-                        : status.ToString() + "\n");
-    if (status.ok()) CheckpointAfterBulk(out);
+    call.out << (status.ok() ? "generated tpox collections\n"
+                             : status.ToString() + "\n");
+    if (status.ok()) CheckpointAfterBulk(call);
   } else {
-    out << "usage: gen xmark <docs> | gen tpox <c> <o> <s>\n";
+    call.out << "usage: gen xmark <docs> | gen tpox <c> <o> <s>\n";
   }
 }
-
-void CommandDispatcher::CmdLoad(std::istream& args, std::ostream& out) {
-  std::string collection;
-  std::string path;
-  args >> collection >> path;
-  std::ifstream in(path);
-  if (!in) {
-    out << "cannot open " << path << "\n";
-    return;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  // With a persistence engine attached the mutation goes through it so a
-  // WAL record makes the load durable; otherwise mutate the db directly.
-  if (shared_->db.GetCollection(collection) == nullptr) {
-    Status created =
-        shared_->engine
-            ? shared_->engine->CreateCollection(collection)
-            : shared_->db.CreateCollection(collection).status();
-    if (!created.ok()) {
-      out << created.ToString() << "\n";
-      return;
-    }
-  }
-  Status status = shared_->engine
-                      ? shared_->engine->LoadXml(collection, buffer.str())
-                      : shared_->db.LoadXml(collection, buffer.str());
-  out << (status.ok() ? "loaded 1 document (run 'analyze " + collection +
-                            "' to refresh stats)\n"
-                      : status.ToString() + "\n");
-}
-
-void CommandDispatcher::CmdSaveLoadColl(const std::string& verb,
-                                        std::istream& args,
-                                        std::ostream& out) {
-  std::string collection;
-  std::string dir;
-  args >> collection >> dir;
-  if (verb == "savecoll") {
-    Status status = SaveCollectionToDirectory(shared_->db, collection, dir);
-    out << (status.ok() ? "saved to " + dir + "\n"
-                        : status.ToString() + "\n");
-  } else {
-    Result<size_t> loaded =
-        LoadCollectionFromDirectory(&shared_->db, collection, dir);
-    out << (loaded.ok() ? "loaded " + std::to_string(*loaded) +
-                              " documents (analyzed)\n"
-                        : loaded.status().ToString() + "\n");
-    if (loaded.ok()) CheckpointAfterBulk(out);
-  }
-}
-
-void CommandDispatcher::CmdAnalyze(std::istream& args, std::ostream& out) {
-  std::string collection;
-  args >> collection;
-  Status status = shared_->engine ? shared_->engine->Analyze(collection)
-                                  : shared_->db.Analyze(collection);
-  out << (status.ok() ? "statistics rebuilt\n" : status.ToString() + "\n");
-}
-
-void CommandDispatcher::CmdWorkload(ClientSession* session, std::istream& args,
-                                    std::ostream& out) {
-  std::string kind;
-  args >> kind;
-  if (kind == "xmark") {
-    session->workload = MakeXMarkWorkload("xmark");
-    out << "loaded built-in xmark workload (" << session->workload.size()
-        << " queries)\n";
-  } else if (kind == "tpox") {
-    session->workload = MakeTpoxWorkload();
-    out << "loaded built-in tpox workload (" << session->workload.size()
-        << " queries)\n";
-  } else if (kind == "file") {
-    std::string path;
-    args >> path;
-    Result<Workload> loaded = LoadWorkloadFile(path);
-    if (!loaded.ok()) {
-      out << loaded.status().ToString() << "\n";
-      return;
-    }
-    session->workload = std::move(*loaded);
-    out << "loaded " << session->workload.size() << " queries from " << path
-        << "\n";
-  } else {
-    out << "usage: workload xmark|tpox | workload file <path>\n";
-  }
-}
-
-void CommandDispatcher::CmdQuery(ClientSession* session,
-                                 const std::string& rest, std::ostream& out) {
-  std::istringstream params(rest);
-  double weight = 1.0;
-  params >> weight;
-  std::string text;
-  std::getline(params, text);
-  Status status =
-      session->workload.AddQueryText(std::string(Trim(text)), weight);
-  out << (status.ok() ? "added\n" : status.ToString() + "\n");
-}
-
-void CommandDispatcher::CmdUpdate(ClientSession* session,
-                                  const std::string& rest, std::ostream& out) {
-  Result<Workload> parsed = ParseWorkloadText("update " + rest);
-  if (!parsed.ok()) {
-    out << parsed.status().ToString() << "\n";
-  } else {
-    session->workload.AddUpdate(parsed->updates()[0]);
-    out << "added\n";
-  }
-}
-
-namespace {
 
 /// Shared DML reply/capture tail: feeds the armed capture sink (the DML
 /// half of the workload stream maintenance-aware advising consumes) and
-/// renders the result line the shell and the server both emit.
-void ReportDml(wlm::CaptureKind kind, const std::string& collection,
+/// renders the result line the shell and the server both emit, e.g.
+/// "inserted doc 4 of xmark (...)".
+void ReportDml(const char* what, wlm::CaptureKind kind,
+               const std::string& collection,
                const Result<dml::DmlResult>& result, std::ostream& out) {
   if (!result.ok()) {
     out << result.status().ToString() << "\n";
@@ -373,9 +163,6 @@ void ReportDml(wlm::CaptureKind kind, const std::string& collection,
         static_cast<double>(r.maintenance.entries_inserted +
                             r.maintenance.entries_removed));
   }
-  const char* what = kind == wlm::CaptureKind::kInsert   ? "inserted"
-                     : kind == wlm::CaptureKind::kDelete ? "deleted"
-                                                         : "updated";
   out << what << " doc " << r.doc << " of " << collection << " ("
       << r.maintenance.indexes_touched << " indexes, +"
       << r.maintenance.entries_inserted << "/-"
@@ -384,132 +171,211 @@ void ReportDml(wlm::CaptureKind kind, const std::string& collection,
       << (r.synopsis_rebuilt ? " nodes, stats rebuilt)\n" : " nodes)\n");
 }
 
-}  // namespace
-
-void CommandDispatcher::CmdInsert(const std::string& rest,
-                                  std::ostream& out) {
-  std::istringstream params(rest);
+void CmdLoad(VerbCall& call) {
   std::string collection;
-  params >> collection;
+  std::string path;
+  call.args >> collection >> path;
+  std::ifstream in(path);
+  if (!in) {
+    call.out << "cannot open " << path << "\n";
+    return;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (call.shared.db.GetCollection(collection) == nullptr) {
+    Status created = call.shared.engine->CreateCollection(collection);
+    if (!created.ok()) {
+      call.out << created.ToString() << "\n";
+      return;
+    }
+  }
+  // A load is an insert of the file's document: indexes and statistics
+  // are maintained, and the WAL (if any) logs an insert record.
+  ReportDml("loaded 1 document as", wlm::CaptureKind::kInsert, collection,
+            call.shared.engine->InsertDocument(collection, buffer.str()),
+            call.out);
+}
+
+void CmdSaveColl(VerbCall& call) {
+  std::string collection;
+  std::string dir;
+  call.args >> collection >> dir;
+  Status status = SaveCollectionToDirectory(call.shared.db, collection, dir);
+  call.out << (status.ok() ? "saved to " + dir + "\n"
+                           : status.ToString() + "\n");
+}
+
+void CmdLoadColl(VerbCall& call) {
+  std::string collection;
+  std::string dir;
+  call.args >> collection >> dir;
+  Result<size_t> loaded =
+      LoadCollectionFromDirectory(&call.shared.db, collection, dir);
+  call.out << (loaded.ok() ? "loaded " + std::to_string(*loaded) +
+                                 " documents (analyzed)\n"
+                           : loaded.status().ToString() + "\n");
+  if (loaded.ok()) CheckpointAfterBulk(call);
+}
+
+void CmdAnalyze(VerbCall& call) {
+  std::string collection;
+  call.args >> collection;
+  Status status = call.shared.engine->Analyze(collection);
+  call.out << (status.ok() ? "statistics rebuilt\n"
+                           : status.ToString() + "\n");
+}
+
+void CmdWorkload(VerbCall& call) {
+  std::string kind;
+  call.args >> kind;
+  Workload& workload = call.session->workload;
+  if (kind == "xmark") {
+    workload = MakeXMarkWorkload("xmark");
+    call.out << "loaded built-in xmark workload (" << workload.size()
+             << " queries)\n";
+  } else if (kind == "tpox") {
+    workload = MakeTpoxWorkload();
+    call.out << "loaded built-in tpox workload (" << workload.size()
+             << " queries)\n";
+  } else if (kind == "file") {
+    std::string path;
+    call.args >> path;
+    Result<Workload> loaded = LoadWorkloadFile(path);
+    if (!loaded.ok()) {
+      call.out << loaded.status().ToString() << "\n";
+      return;
+    }
+    workload = std::move(*loaded);
+    call.out << "loaded " << workload.size() << " queries from " << path
+             << "\n";
+  } else {
+    call.out << "usage: workload xmark|tpox | workload file <path>\n";
+  }
+}
+
+void CmdQuery(VerbCall& call) {
+  double weight = 1.0;
+  call.args >> weight;
+  std::string text;
+  std::getline(call.args, text);
+  Status status =
+      call.session->workload.AddQueryText(std::string(Trim(text)), weight);
+  call.out << (status.ok() ? "added\n" : status.ToString() + "\n");
+}
+
+void CmdUpdateOp(VerbCall& call) {
+  // Same grammar as an `update` line of a workload file.
+  Result<Workload> parsed = ParseWorkloadText("update " + call.rest);
+  if (!parsed.ok()) {
+    call.out << parsed.status().ToString() << "\n";
+  } else {
+    call.session->workload.AddUpdate(parsed->updates()[0]);
+    call.out << "added\n";
+  }
+}
+
+void CmdInsert(VerbCall& call) {
+  std::string collection;
+  call.args >> collection;
   std::string xml;
-  std::getline(params, xml);
+  std::getline(call.args, xml);
   std::string body(Trim(xml));
   if (collection.empty() || body.empty()) {
-    out << "usage: insert <collection> <xml...>\n";
+    call.out << "usage: insert <collection> <xml...>\n";
     return;
   }
-  Result<dml::DmlResult> result =
-      shared_->engine ? shared_->engine->InsertDocument(collection, body)
-                      : dml::ApplyInsert(&shared_->db, &shared_->catalog,
-                                         collection, body);
-  ReportDml(wlm::CaptureKind::kInsert, collection, result, out);
+  ReportDml("inserted", wlm::CaptureKind::kInsert, collection,
+            call.shared.engine->InsertDocument(collection, body), call.out);
 }
 
-void CommandDispatcher::CmdDelete(std::istream& args, std::ostream& out) {
+void CmdDelete(VerbCall& call) {
   std::string collection;
   int64_t doc = -1;
-  if (!(args >> collection >> doc) || doc < 0) {
-    out << "usage: delete <collection> <doc-id>\n";
+  if (!(call.args >> collection >> doc) || doc < 0) {
+    call.out << "usage: delete <collection> <doc-id>\n";
     return;
   }
   DocId id = static_cast<DocId>(doc);
-  Result<dml::DmlResult> result =
-      shared_->engine ? shared_->engine->DeleteDocument(collection, id)
-                      : dml::ApplyDelete(&shared_->db, &shared_->catalog,
-                                         collection, id);
-  ReportDml(wlm::CaptureKind::kDelete, collection, result, out);
+  ReportDml("deleted", wlm::CaptureKind::kDelete, collection,
+            call.shared.engine->DeleteDocument(collection, id), call.out);
 }
 
-void CommandDispatcher::CmdDmlUpdate(const std::string& rest,
-                                     std::ostream& out) {
-  std::istringstream params(rest);
+void CmdUpdate(VerbCall& call) {
   std::string collection;
   int64_t doc = -1;
-  if (!(params >> collection >> doc) || doc < 0) {
-    out << "usage: update <collection> <doc-id> <xml...> |"
-           " update <insert|delete> <collection> <weight> <pattern>\n";
-    return;
-  }
   std::string xml;
-  std::getline(params, xml);
-  std::string body(Trim(xml));
-  if (body.empty()) {
-    out << "usage: update <collection> <doc-id> <xml...>\n";
+  if (!(call.args >> collection >> doc) || doc < 0 ||
+      !std::getline(call.args, xml) || Trim(xml).empty()) {
+    call.out << "usage: update <collection> <doc-id> <xml...>\n";
     return;
   }
-  DocId id = static_cast<DocId>(doc);
-  Result<dml::DmlResult> result =
-      shared_->engine
-          ? shared_->engine->UpdateDocument(collection, id, body)
-          : dml::ApplyUpdate(&shared_->db, &shared_->catalog, collection, id,
-                             body);
-  ReportDml(wlm::CaptureKind::kUpdate, collection, result, out);
+  ReportDml("updated", wlm::CaptureKind::kUpdate, collection,
+            call.shared.engine->UpdateDocument(
+                collection, static_cast<DocId>(doc), std::string(Trim(xml))),
+            call.out);
 }
 
-void CommandDispatcher::CmdShow(ClientSession* session, std::istream& args,
-                                std::ostream& out) {
+void CmdShow(VerbCall& call) {
   std::string what;
-  args >> what;
+  call.args >> what;
   if (what == "workload") {
-    out << session->workload.Describe();
+    call.out << call.session->workload.Describe();
   } else if (what == "stats") {
     std::string collection;
-    args >> collection;
-    const PathSynopsis* synopsis = shared_->db.synopsis(collection);
+    call.args >> collection;
+    const PathSynopsis* synopsis = call.shared.db.synopsis(collection);
     if (synopsis == nullptr) {
-      out << "no statistics for '" << collection << "' (run 'analyze')\n";
+      call.out << "no statistics for '" << collection << "' (run 'analyze')\n";
     } else {
-      out << synopsis->Describe(/*max_paths=*/60);
+      call.out << synopsis->Describe(/*max_paths=*/60);
     }
   } else if (what == "catalog") {
-    for (const CatalogEntry* entry : shared_->catalog.AllIndexes()) {
-      out << "  " << entry->def.DdlString()
-          << (entry->is_virtual ? "  [virtual]\n" : "\n");
+    for (const CatalogEntry* entry : call.shared.catalog.AllIndexes()) {
+      call.out << "  " << entry->def.DdlString()
+               << (entry->is_virtual ? "  [virtual]\n" : "\n");
     }
-    if (shared_->catalog.size() == 0) out << "  (empty)\n";
+    if (call.shared.catalog.size() == 0) call.out << "  (empty)\n";
   } else if (what == "candidates" || what == "dag") {
-    if (!session->recommendation.has_value()) {
-      out << "run 'advise' first\n";
+    if (!call.session->recommendation.has_value()) {
+      call.out << "run 'advise' first\n";
       return;
     }
     if (what == "candidates") {
-      out << session->recommendation->enumeration.ToString();
+      call.out << call.session->recommendation->enumeration.ToString();
     } else {
-      out << session->recommendation->dag.ToText(
-          session->recommendation->candidates);
+      call.out << call.session->recommendation->dag.ToText(
+          call.session->recommendation->candidates);
     }
   } else {
-    out << "usage: show workload|catalog|candidates|dag|stats <coll>\n";
+    call.out << "usage: show workload|catalog|candidates|dag|stats <coll>\n";
   }
 }
 
-void CommandDispatcher::CmdEnumerate(const std::string& rest,
-                                     std::ostream& out) {
-  Result<Query> query = ParseQuery(rest);
+void CmdEnumerate(VerbCall& call) {
+  Result<Query> query = ParseQuery(call.rest);
   if (!query.ok()) {
-    out << query.status().ToString() << "\n";
+    call.out << query.status().ToString() << "\n";
     return;
   }
   query->id = "shell";
   Result<EnumerateIndexesResult> result =
-      EnumerateIndexesMode(shared_->db, *query, &shared_->containment);
-  out << (result.ok() ? result->ToString()
-                      : result.status().ToString() + "\n");
+      EnumerateIndexesMode(call.shared.db, *query, &call.shared.containment);
+  call.out << (result.ok() ? result->ToString()
+                           : result.status().ToString() + "\n");
 }
 
-void CommandDispatcher::CmdAdvise(ClientSession* session, std::istream& args,
-                                  std::ostream& out) {
+void CmdAdvise(VerbCall& call) {
   double budget_kb = 128;
   std::string algo = "heuristic";
   bool from_log = false;
   bool compress = false;
   bool decompose = false;
   bool exact = false;
-  int64_t budget_ms = session->options.time_budget_ms;
+  int64_t budget_ms = call.session->options.time_budget_ms;
   // Flags first (any order), then the positional budget and algorithm.
   std::string token;
   bool have_budget = false;
-  while (args >> token) {
+  while (call.args >> token) {
     if (token == "--from-log") {
       from_log = true;
     } else if (token == "--compress") {
@@ -519,14 +385,15 @@ void CommandDispatcher::CmdAdvise(ClientSession* session, std::istream& args,
     } else if (token == "--exact") {
       exact = true;
     } else if (token == "--budget-ms") {
-      // Strict parse: `args >> int64` would accept "1e3" as 1 and leave
-      // "e3" to be misread as the space budget.
+      // Strict parse: `args >> int64` would accept "1e3" as 1 and leave "e3"
+      // to be misread as the space budget.
       std::string value;
       std::optional<double> parsed;
-      if (!(args >> value) || !(parsed = ParseDouble(value)).has_value() ||
+      if (!(call.args >> value) ||
+          !(parsed = ParseDouble(value)).has_value() ||
           !std::isfinite(*parsed) || *parsed < 0 ||
           *parsed != std::floor(*parsed)) {
-        out << "--budget-ms needs a non-negative integer\n";
+        call.out << "--budget-ms needs a non-negative integer\n";
         return;
       }
       budget_ms = static_cast<int64_t>(*parsed);
@@ -536,7 +403,7 @@ void CommandDispatcher::CmdAdvise(ClientSession* session, std::istream& args,
       // were half-accepted instead of refused.
       std::optional<double> parsed = ParseDouble(token);
       if (!parsed.has_value() || !std::isfinite(*parsed) || *parsed < 0) {
-        out << "bad budget '" << token << "'\n";
+        call.out << "bad budget '" << token << "'\n";
         return;
       }
       budget_kb = *parsed;
@@ -548,41 +415,42 @@ void CommandDispatcher::CmdAdvise(ClientSession* session, std::istream& args,
   // The advised workload: the hand-built session workload, or the capture
   // log — raw (one weight-1 query per execution) or compressed into
   // weighted templates (weight = frequency × mean cost).
-  Workload advised = session->workload;
+  Workload advised = call.session->workload;
   if (from_log) {
-    if (!shared_->capture_log) {
-      out << "no capture log — run 'capture on' first\n";
+    if (!call.shared.capture_log) {
+      call.out << "no capture log — run 'capture on' first\n";
       return;
     }
-    std::vector<wlm::CaptureRecord> records = shared_->capture_log->Snapshot();
+    std::vector<wlm::CaptureRecord> records =
+        call.shared.capture_log->Snapshot();
     if (records.empty()) {
-      out << "capture log is empty — nothing to advise\n";
+      call.out << "capture log is empty — nothing to advise\n";
       return;
     }
     if (compress) {
       Result<wlm::CompressedWorkload> compressed = wlm::CompressLog(records);
       if (!compressed.ok()) {
-        out << compressed.status().ToString() << "\n";
+        call.out << compressed.status().ToString() << "\n";
         return;
       }
-      out << compressed->report.ToString();
+      call.out << compressed->report.ToString();
       advised = std::move(compressed->workload);
     } else {
       Result<Workload> raw = wlm::WorkloadFromLog(records);
       if (!raw.ok()) {
-        out << raw.status().ToString() << "\n";
+        call.out << raw.status().ToString() << "\n";
         return;
       }
       advised = std::move(*raw);
-      out << "advising " << advised.size()
-          << " captured queries (uncompressed)\n";
+      call.out << "advising " << advised.size()
+               << " captured queries (uncompressed)\n";
     }
   } else if (compress) {
-    out << "--compress needs --from-log\n";
+    call.out << "--compress needs --from-log\n";
     return;
   }
   if (decompose && exact) {
-    out << "--decompose and --exact are mutually exclusive\n";
+    call.out << "--decompose and --exact are mutually exclusive\n";
     return;
   }
   // Decomposed scoring (benefit_table.h): explicit --decompose, or the
@@ -590,350 +458,479 @@ void CommandDispatcher::CmdAdvise(ClientSession* session, std::istream& args,
   // threshold the exact path's per-configuration what-ifs dominate
   // advise latency, which is exactly what decomposition removes. Opt out
   // with --exact.
-  session->options.decompose.enabled =
+  call.session->options.decompose.enabled =
       decompose ||
       (from_log && !exact && advised.size() >= kDecomposeAutoTemplates);
-  if (session->options.decompose.enabled && from_log &&
+  if (call.session->options.decompose.enabled && from_log &&
       advised.size() >= kDecomposeAutoTemplates && !decompose) {
-    out << "large log (" << advised.size() << " templates >= "
-        << kDecomposeAutoTemplates
-        << "): using decomposed scoring (pass --exact to override)\n";
+    call.out << "large log (" << advised.size() << " templates >= "
+             << kDecomposeAutoTemplates
+             << "): using decomposed scoring (pass --exact to override)\n";
   }
-  session->options.space_budget_bytes = budget_kb * 1024;
-  session->options.time_budget_ms = budget_ms;
+  call.session->options.space_budget_bytes = budget_kb * 1024;
+  call.session->options.time_budget_ms = budget_ms;
   if (algo == "greedy") {
-    session->options.algorithm = SearchAlgorithm::kGreedy;
+    call.session->options.algorithm = SearchAlgorithm::kGreedy;
   } else if (algo == "topdown") {
-    session->options.algorithm = SearchAlgorithm::kTopDown;
+    call.session->options.algorithm = SearchAlgorithm::kTopDown;
   } else {
-    session->options.algorithm = SearchAlgorithm::kGreedyHeuristic;
+    call.session->options.algorithm = SearchAlgorithm::kGreedyHeuristic;
   }
   // Every session's advise funnels through the shared plan cache: a
   // template one session priced is a cache hit for all the others.
-  session->options.shared_cost_cache = &shared_->what_if_cache;
-  Advisor advisor(&shared_->db, &shared_->catalog, session->options);
+  call.session->options.shared_cost_cache = &call.shared.what_if_cache;
+  Advisor advisor(&call.shared.db, &call.shared.catalog, call.session->options);
   Result<Recommendation> rec = advisor.Recommend(advised);
   if (!rec.ok()) {
-    out << rec.status().ToString() << "\n";
+    call.out << rec.status().ToString() << "\n";
     return;
   }
-  session->recommendation = std::move(*rec);
-  if (session->recommendation->stop_reason != StopReason::kConverged) {
-    out << "stop_reason: "
-        << StopReasonName(session->recommendation->stop_reason)
-        << " — results are degraded (budget truncated the search)\n";
+  call.session->recommendation = std::move(*rec);
+  if (call.session->recommendation->stop_reason != StopReason::kConverged) {
+    call.out << "stop_reason: "
+             << StopReasonName(call.session->recommendation->stop_reason)
+             << " — results are degraded (budget truncated the search)\n";
   }
-  out << session->recommendation->Report();
+  call.out << call.session->recommendation->Report();
   // Remember what this advice promised, so `drift check` can compare the
   // captured stream against it later. drift_mu: concurrent advises hold
   // SharedState::mu only shared. A budget-truncated advise is flagged
   // degraded so it cannot silently lower a converged drift baseline.
   {
-    std::lock_guard<std::mutex> lock(shared_->drift_mu);
-    shared_->DriftWatcher()->RecordPrediction(
-        session->recommendation->recommended_cost,
+    std::lock_guard<std::mutex> lock(call.shared.drift_mu);
+    call.shared.DriftWatcher()->RecordPrediction(
+        call.session->recommendation->recommended_cost,
         advised.TotalQueryWeight(),
-        session->recommendation->stop_reason != StopReason::kConverged);
+        call.session->recommendation->stop_reason != StopReason::kConverged);
   }
   Result<RecommendationAnalysis> analysis = AnalyzeRecommendation(
-      shared_->db, shared_->catalog, advised, *session->recommendation,
-      session->options.cost_model, &shared_->containment);
-  if (analysis.ok()) out << analysis->ToTable();
+      call.shared.db, call.shared.catalog, advised,
+      *call.session->recommendation, call.session->options.cost_model,
+      &call.shared.containment);
+  if (analysis.ok()) call.out << analysis->ToTable();
 }
 
-void CommandDispatcher::CmdWhatIf(ClientSession* session, std::istream& args,
-                                  std::ostream& out) {
+void CmdWhatIf(VerbCall& call) {
   std::string sub;
-  args >> sub;
+  call.args >> sub;
   if (sub == "start") {
     // Seed the overlay with the current recommendation, if any.
-    session->whatif.emplace(&shared_->db, shared_->catalog,
-                            session->options.cost_model);
+    call.session->whatif.emplace(&call.shared.db, call.shared.catalog,
+                                 call.session->options.cost_model);
     size_t seeded = 0;
-    if (session->recommendation.has_value()) {
-      for (const IndexDefinition& def : session->recommendation->indexes) {
-        if (session->whatif->AddIndex(def).ok()) ++seeded;
+    if (call.session->recommendation.has_value()) {
+      for (const IndexDefinition& def : call.session->recommendation->indexes) {
+        if (call.session->whatif->AddIndex(def).ok()) ++seeded;
       }
     }
-    out << "what-if session started (" << seeded
-        << " indexes seeded from the recommendation)\n";
+    call.out << "what-if session started (" << seeded
+             << " indexes seeded from the recommendation)\n";
     return;
   }
-  if (!session->whatif.has_value()) {
-    out << "run 'whatif start' first\n";
+  if (!call.session->whatif.has_value()) {
+    call.out << "run 'whatif start' first\n";
     return;
   }
   if (sub == "add") {
     IndexDefinition def;
     std::string pattern_text;
     std::string type_text;
-    args >> def.collection >> pattern_text >> type_text;
+    call.args >> def.collection >> pattern_text >> type_text;
     Result<PathPattern> pattern = ParsePathPattern(pattern_text);
     if (!pattern.ok()) {
-      out << pattern.status().ToString() << "\n";
+      call.out << pattern.status().ToString() << "\n";
       return;
     }
     def.pattern = std::move(*pattern);
     def.type = ToLower(type_text) == "double" ? ValueType::kDouble
                                               : ValueType::kVarchar;
-    Result<std::string> name = session->whatif->AddIndex(std::move(def));
-    out << (name.ok() ? "added virtual index " + *name + "\n"
-                      : name.status().ToString() + "\n");
+    Result<std::string> name = call.session->whatif->AddIndex(std::move(def));
+    call.out << (name.ok() ? "added virtual index " + *name + "\n"
+                           : name.status().ToString() + "\n");
   } else if (sub == "drop") {
     std::string name;
-    args >> name;
-    Status status = session->whatif->DropIndex(name);
-    out << (status.ok() ? "dropped\n" : status.ToString() + "\n");
+    call.args >> name;
+    Status status = call.session->whatif->DropIndex(name);
+    call.out << (status.ok() ? "dropped\n" : status.ToString() + "\n");
   } else if (sub == "eval") {
     Result<EvaluateIndexesResult> result =
-        session->whatif->EvaluateWorkload(session->workload);
-    out << (result.ok() ? result->ToString()
-                        : result.status().ToString() + "\n");
+        call.session->whatif->EvaluateWorkload(call.session->workload);
+    call.out << (result.ok() ? result->ToString()
+                             : result.status().ToString() + "\n");
   } else {
-    out << "usage: whatif start|add <coll> <pattern> "
+    call.out << "usage: whatif start|add <coll> <pattern> "
            "<double|varchar>|drop <name>|eval\n";
   }
 }
 
-void CommandDispatcher::CmdDdl(ClientSession* session, std::ostream& out) {
-  if (session->recommendation.has_value()) {
-    out << ConfigurationDdlScript(session->recommendation->indexes);
+void CmdDdl(VerbCall& call) {
+  if (call.session->recommendation.has_value()) {
+    call.out << ConfigurationDdlScript(call.session->recommendation->indexes);
   } else {
-    out << "run 'advise' first\n";
+    call.out << "run 'advise' first\n";
   }
 }
 
-void CommandDispatcher::CmdMaterialize(ClientSession* session,
-                                       std::ostream& out) {
-  if (!session->recommendation.has_value()) {
-    out << "run 'advise' first\n";
+void CmdMaterialize(VerbCall& call) {
+  if (!call.session->recommendation.has_value()) {
+    call.out << "run 'advise' first\n";
     return;
   }
   Result<double> built = MaterializeConfiguration(
-      shared_->db, session->recommendation->indexes, &shared_->catalog,
-      session->options.cost_model.storage);
-  out << (built.ok()
-              ? "materialized " +
-                    std::to_string(session->recommendation->indexes.size()) +
-                    " indexes (" + FormatBytes(*built) + ")\n"
-              : built.status().ToString() + "\n");
-  if (built.ok()) CheckpointAfterBulk(out);
+      call.shared.db, call.session->recommendation->indexes,
+      &call.shared.catalog, call.session->options.cost_model.storage);
+  const size_t built_count = call.session->recommendation->indexes.size();
+  call.out << (built.ok() ? "materialized " + std::to_string(built_count) +
+                                " indexes (" + FormatBytes(*built) + ")\n"
+                          : built.status().ToString() + "\n");
+  if (built.ok()) CheckpointAfterBulk(call);
 }
 
-void CommandDispatcher::CmdRun(const std::string& rest, std::ostream& out) {
-  Result<Query> query = ParseQuery(rest);
+void CmdRun(VerbCall& call) {
+  Result<Query> query = ParseQuery(call.rest);
   if (!query.ok()) {
-    out << query.status().ToString() << "\n";
+    call.out << query.status().ToString() << "\n";
     return;
   }
   query->id = "shell";
-  Optimizer optimizer(&shared_->db, shared_->default_options.cost_model);
+  Optimizer optimizer(&call.shared.db, call.shared.default_options.cost_model);
   Result<QueryPlan> plan =
-      optimizer.Optimize(*query, shared_->catalog, &shared_->containment);
+      optimizer.Optimize(*query, call.shared.catalog, &call.shared.containment);
   if (!plan.ok()) {
-    out << plan.status().ToString() << "\n";
+    call.out << plan.status().ToString() << "\n";
     return;
   }
-  out << plan->ExplainWithStats();
-  Executor executor(&shared_->db, &shared_->catalog,
-                    shared_->default_options.cost_model,
-                    &shared_->buffer_pool);
+  call.out << plan->ExplainWithStats();
+  Executor executor(&call.shared.db, &call.shared.catalog,
+                    call.shared.default_options.cost_model,
+                    &call.shared.buffer_pool);
   Result<ExecResult> run = executor.Execute(*plan);
   if (!run.ok()) {
-    out << run.status().ToString() << "\n";
+    call.out << run.status().ToString() << "\n";
     return;
   }
-  out << "-> " << run->nodes.size() << " result nodes from "
-      << run->docs_matched << " docs in " << FormatDouble(run->wall_micros)
-      << "us (" << FormatDouble(run->simulated_page_reads) << " pages)\n";
+  call.out << "-> " << run->nodes.size() << " result nodes from "
+           << run->docs_matched << " docs in " << FormatDouble(run->wall_micros)
+           << "us (" << FormatDouble(run->simulated_page_reads) << " pages)\n";
   std::string rendered =
-      RenderResults(shared_->db, query->normalized.collection, *run, 5);
-  if (!rendered.empty()) out << rendered;
+      RenderResults(call.shared.db, query->normalized.collection, *run, 5);
+  if (!rendered.empty()) call.out << rendered;
 }
 
-void CommandDispatcher::CmdCapture(std::istream& args, std::ostream& out) {
+void CmdCapture(VerbCall& call) {
   std::string sub;
-  args >> sub;
+  call.args >> sub;
   if (sub == "on") {
     size_t capacity = 4096;
-    args >> capacity;
-    if (!shared_->capture_log) {
-      shared_->capture_log = std::make_unique<wlm::QueryLog>(capacity);
+    call.args >> capacity;
+    if (!call.shared.capture_log) {
+      call.shared.capture_log = std::make_unique<wlm::QueryLog>(capacity);
     }
-    wlm::SetCaptureLog(shared_->capture_log.get());
-    out << "capture armed (" << shared_->capture_log->stats().capacity
-        << " record ring; 'run' and what-if queries are recorded)\n";
+    wlm::SetCaptureLog(call.shared.capture_log.get());
+    call.out << "capture armed (" << call.shared.capture_log->stats().capacity
+             << " record ring; 'run' and what-if queries are recorded)\n";
   } else if (sub == "off") {
     wlm::SetCaptureLog(nullptr);
-    out << "capture disarmed (log retained — see 'log stats')\n";
+    call.out << "capture disarmed (log retained — see 'log stats')\n";
   } else {
-    out << "usage: capture on [capacity]|off\n";
+    call.out << "usage: capture on [capacity]|off\n";
   }
 }
 
-void CommandDispatcher::CmdLog(std::istream& args, std::ostream& out) {
+void CmdLog(VerbCall& call) {
   std::string sub;
-  args >> sub;
-  if (!shared_->capture_log) {
-    out << "no capture log — run 'capture on' first\n";
+  call.args >> sub;
+  if (!call.shared.capture_log) {
+    call.out << "no capture log — run 'capture on' first\n";
     return;
   }
   if (sub == "stats") {
-    out << shared_->capture_log->stats().ToString() << "\n";
+    call.out << call.shared.capture_log->stats().ToString() << "\n";
   } else if (sub == "save") {
     std::string path;
-    args >> path;
+    call.args >> path;
     Status status =
-        wlm::SaveCaptureLogFile(shared_->capture_log->Snapshot(), path);
-    out << (status.ok() ? "saved to " + path + "\n"
-                        : status.ToString() + "\n");
+        wlm::SaveCaptureLogFile(call.shared.capture_log->Snapshot(), path);
+    call.out << (status.ok() ? "saved to " + path + "\n"
+                             : status.ToString() + "\n");
   } else if (sub == "load") {
     std::string path;
-    args >> path;
+    call.args >> path;
     Result<std::vector<wlm::CaptureRecord>> loaded =
         wlm::LoadCaptureLogFile(path);
     if (!loaded.ok()) {
-      out << loaded.status().ToString() << "\n";
+      call.out << loaded.status().ToString() << "\n";
       return;
     }
     size_t appended = 0;
     for (wlm::CaptureRecord& r : *loaded) {
-      if (shared_->capture_log->Append(std::move(r)).ok()) ++appended;
+      if (call.shared.capture_log->Append(std::move(r)).ok()) ++appended;
     }
-    out << "appended " << appended << " records from " << path << "\n";
+    call.out << "appended " << appended << " records from " << path << "\n";
   } else if (sub == "clear") {
-    shared_->capture_log->Clear();
-    out << "cleared\n";
+    call.shared.capture_log->Clear();
+    call.out << "cleared\n";
   } else {
-    out << "usage: log stats | save <path> | load <path> | clear\n";
+    call.out << "usage: log stats | save <path> | load <path> | clear\n";
   }
 }
 
-void CommandDispatcher::CmdDrift(ClientSession* session, std::istream& args,
-                                 std::ostream& out) {
-  // Exclusive verb (IsExclusiveVerb): no advise holds `mu` shared right
+void CmdDrift(VerbCall& call) {
+  // Exclusive verb (see its table row): no advise holds `mu` shared right
   // now, but take drift_mu anyway so the lazy-creation story has exactly
   // one lock discipline.
   std::string sub;
-  args >> sub;
-  std::lock_guard<std::mutex> drift_lock(shared_->drift_mu);
+  call.args >> sub;
+  std::lock_guard<std::mutex> drift_lock(call.shared.drift_mu);
   if (sub == "threshold") {
     double threshold = 0;
-    if (args >> threshold) {
-      shared_->DriftWatcher()->set_threshold(threshold);
+    if (call.args >> threshold) {
+      call.shared.DriftWatcher()->set_threshold(threshold);
     }
-    out << "drift threshold: " << shared_->DriftWatcher()->threshold()
-        << "\n";
+    call.out << "drift threshold: " << call.shared.DriftWatcher()->threshold()
+             << "\n";
     return;
   }
   if (sub != "check" && sub != "readvise") {
-    out << "usage: drift check | readvise | threshold <t>\n";
+    call.out << "usage: drift check | readvise | threshold <t>\n";
     return;
   }
-  if (!shared_->capture_log) {
-    out << "no capture log — run 'capture on' first\n";
+  if (!call.shared.capture_log) {
+    call.out << "no capture log — run 'capture on' first\n";
     return;
   }
-  std::vector<wlm::CaptureRecord> records = shared_->capture_log->Snapshot();
+  std::vector<wlm::CaptureRecord> records = call.shared.capture_log->Snapshot();
   if (records.empty()) {
-    out << "capture log is empty — nothing to check\n";
+    call.out << "capture log is empty — nothing to check\n";
     return;
   }
   Result<wlm::CompressedWorkload> compressed = wlm::CompressLog(records);
   if (!compressed.ok()) {
-    out << compressed.status().ToString() << "\n";
+    call.out << compressed.status().ToString() << "\n";
     return;
   }
   if (sub == "check") {
-    Result<wlm::DriftReport> report =
-        shared_->DriftWatcher()->Check(compressed->workload, shared_->catalog);
-    out << (report.ok() ? report->ToString() : report.status().ToString())
-        << "\n";
+    Result<wlm::DriftReport> report = call.shared.DriftWatcher()->Check(
+        compressed->workload, call.shared.catalog);
+    call.out << (report.ok() ? report->ToString() : report.status().ToString())
+             << "\n";
     return;
   }
   // readvise: check, and when stale run the (anytime) advisor over the
   // compressed capture; the new promise is recorded for the next check.
-  Result<wlm::ReadviseOutcome> outcome = shared_->DriftWatcher()->MaybeReadvise(
-      compressed->workload, shared_->catalog, session->options);
+  Result<wlm::ReadviseOutcome> outcome =
+      call.shared.DriftWatcher()->MaybeReadvise(
+          compressed->workload, call.shared.catalog, call.session->options);
   if (!outcome.ok()) {
-    out << outcome.status().ToString() << "\n";
+    call.out << outcome.status().ToString() << "\n";
     return;
   }
-  out << outcome->drift.ToString() << "\n";
+  call.out << outcome->drift.ToString() << "\n";
   if (outcome->recommendation.has_value()) {
-    session->recommendation = std::move(*outcome->recommendation);
-    out << session->recommendation->Report();
+    call.session->recommendation = std::move(*outcome->recommendation);
+    call.out << call.session->recommendation->Report();
   } else {
-    out << "configuration still fresh — no re-advising\n";
+    call.out << "configuration still fresh — no re-advising\n";
   }
 }
 
-void CommandDispatcher::CmdFailpoint(const std::string& rest,
-                                     std::ostream& out) {
-  if (rest.empty() || rest == "list") {
+void CmdFailpoint(VerbCall& call) {
+  if (call.rest.empty() || call.rest == "list") {
     std::vector<std::string> armed = fp::ArmedNames();
-    if (armed.empty()) out << "no failpoints armed\n";
+    if (armed.empty()) call.out << "no failpoints armed\n";
     for (const std::string& name : armed) {
-      out << "  " << name << " (trips: " << fp::Trips(name) << ")\n";
+      call.out << "  " << name << " (trips: " << fp::Trips(name) << ")\n";
     }
     return;
   }
-  Status status = fp::ArmFromSpec(rest);
-  out << (status.ok() ? "armed: " + rest + "\n" : status.ToString() + "\n");
+  Status status = fp::ArmFromSpec(call.rest);
+  call.out << (status.ok() ? "armed: " + call.rest + "\n"
+                           : status.ToString() + "\n");
 }
 
-void CommandDispatcher::CmdDb(std::istream& args, std::ostream& out) {
+void CmdDb(VerbCall& call) {
   std::string sub;
-  args >> sub;
-  if (sub == "status") {
-    if (!shared_->engine) {
-      out << "persistence: off (memory-only; start with --data-dir)\n";
-      return;
-    }
-    const storage::RecoveryStats& rec = shared_->engine->recovery();
-    out << "persistence: on\n"
-        << "  dir: " << shared_->engine->dir() << "\n"
-        << "  epoch: " << shared_->engine->epoch() << "\n"
-        << "  next_lsn: " << shared_->engine->next_lsn() << "\n"
-        << "  recovery: "
-        << (rec.opened_existing ? "opened existing state" : "fresh database")
-        << "\n"
-        << "  recovery.pages_read: " << rec.pages_read << "\n"
-        << "  recovery.wal_records_replayed: " << rec.wal_records_replayed
-        << "\n"
-        << "  recovery.wal_clean: " << (rec.wal_was_clean ? "yes" : "no")
-        << " (torn bytes: " << rec.wal_torn_bytes << ")\n";
-  } else if (sub == "checkpoint") {
-    if (!shared_->engine) {
-      out << "persistence: off (memory-only; start with --data-dir)\n";
-      return;
-    }
-    Status status = shared_->engine->Checkpoint();
-    out << (status.ok() ? "checkpointed (epoch " +
-                              std::to_string(shared_->engine->epoch()) +
-                              ", wal reset)\n"
-                        : status.ToString() + "\n");
+  call.args >> sub;
+  if (sub != "status" && sub != "checkpoint") {
+    call.out << "usage: db status | db checkpoint\n";
+    return;
+  }
+  if (!call.shared.engine->persistent()) {
+    call.out << "persistence: off (memory-only; start with --data-dir)\n";
+  } else if (sub == "status") {
+    const storage::RecoveryStats& rec = call.shared.engine->recovery();
+    call.out << "persistence: on\n"
+             << "  dir: " << call.shared.engine->dir() << "\n"
+             << "  epoch: " << call.shared.engine->epoch() << "\n"
+             << "  next_lsn: " << call.shared.engine->next_lsn() << "\n"
+             << "  recovery: "
+             << (rec.opened_existing ? "opened existing state"
+                                     : "fresh database")
+             << "\n"
+             << "  recovery.pages_read: " << rec.pages_read << "\n"
+             << "  recovery.wal_records_replayed: "
+             << rec.wal_records_replayed << "\n"
+             << "  recovery.wal_clean: " << (rec.wal_was_clean ? "yes" : "no")
+             << " (torn bytes: " << rec.wal_torn_bytes << ")\n";
   } else {
-    out << "usage: db status | db checkpoint\n";
+    Status status = call.shared.engine->Checkpoint();
+    call.out << (status.ok() ? "checkpointed (epoch " +
+                                   std::to_string(call.shared.engine->epoch()) +
+                                   ", wal reset)\n"
+                             : status.ToString() + "\n");
   }
 }
 
-void CommandDispatcher::CheckpointAfterBulk(std::ostream& out) {
-  if (!shared_->engine) return;
-  // Bulk generation/materialization bypasses the WAL (the engine logs
-  // only logical mutations it executed itself); the checkpoint here is
-  // what makes the bulk result durable.
-  Status status = shared_->engine->Checkpoint();
-  out << (status.ok()
-              ? "checkpointed (epoch " +
-                    std::to_string(shared_->engine->epoch()) + ")\n"
-              : "checkpoint failed: " + status.ToString() + "\n");
-}
-
-void CommandDispatcher::CmdStats(std::ostream& out) {
+void CmdStats(VerbCall& call) {
   // Process-wide xia::obs registry: every cache, pool, and scan counter
   // the process has touched so far, in one snapshot.
-  out << obs::Registry().TakeSnapshot().ToText("  ");
+  call.out << obs::Registry().TakeSnapshot().ToText("  ");
+}
+
+}  // namespace
+
+const std::vector<VerbSpec>& CommandDispatcher::Verbs() {
+  constexpr VerbLock kNone = VerbLock::kNone;
+  constexpr VerbLock kExclusive = VerbLock::kExclusive;
+  constexpr VerbAdmission kAdvise = VerbAdmission::kAdvise;
+  // Rows whose fields are left out take the VerbSpec defaults: any
+  // sub-verb, shared lock, light admission, not retry-safe, GOAWAY while
+  // draining.
+  static const std::vector<VerbSpec> table = {
+      {.verb = "gen", .lock = kExclusive,
+       .usage = "gen xmark <docs> | gen tpox <cust> <orders> <secs>",
+       .handler = &CmdGen},
+      {.verb = "load", .lock = kExclusive,
+       .usage = "load <collection> <file.xml>   (inserts one document)",
+       .handler = &CmdLoad},
+      {.verb = "savecoll", .usage = "savecoll <collection> <dir>",
+       .handler = &CmdSaveColl},
+      {.verb = "loadcoll", .lock = kExclusive,
+       .usage = "loadcoll <collection> <dir>", .handler = &CmdLoadColl},
+      {.verb = "analyze", .lock = kExclusive, .usage = "analyze <collection>",
+       .handler = &CmdAnalyze},
+      {.verb = "workload", .retry_safe = true,
+       .usage = "workload xmark|tpox | workload file <path>",
+       .handler = &CmdWorkload},
+      {.verb = "query", .retry_safe = true, .usage = "query <weight> <text...>",
+       .handler = &CmdQuery},
+      {.verb = "updateop", .retry_safe = true,
+       .usage = "updateop <insert|delete> <collection> <weight> <pattern>",
+       .handler = &CmdUpdateOp},
+      {.verb = "insert", .lock = kExclusive,
+       .usage = "insert <collection> <xml...>", .handler = &CmdInsert},
+      {.verb = "delete", .lock = kExclusive,
+       .usage = "delete <collection> <doc-id>", .handler = &CmdDelete},
+      {.verb = "update", .lock = kExclusive,
+       .usage = "update <collection> <doc-id> <xml...>   (replace document)",
+       .handler = &CmdUpdate},
+      {.verb = "show", .retry_safe = true,
+       .usage = "show workload|catalog|candidates|dag|stats <coll>",
+       .handler = &CmdShow},
+      {.verb = "enumerate", .retry_safe = true, .usage = "enumerate <query...>",
+       .handler = &CmdEnumerate},
+      {.verb = "advise", .admission = kAdvise, .retry_safe = true,
+       .usage = "advise [--from-log] [--compress] [--decompose|--exact]"
+                " [--budget-ms <N>] <budget_kb> [greedy|heuristic|topdown]",
+       .handler = &CmdAdvise},
+      {.verb = "whatif", .retry_safe = true,
+       .usage = "whatif start|add <coll> <pattern> <double|varchar>"
+                "|drop <name>|eval",
+       .handler = &CmdWhatIf},
+      {.verb = "ddl", .retry_safe = true, .usage = "ddl", .handler = &CmdDdl},
+      {.verb = "materialize", .lock = kExclusive, .usage = "materialize",
+       .handler = &CmdMaterialize},
+      {.verb = "run", .retry_safe = true, .usage = "run <query...>",
+       .handler = &CmdRun},
+      {.verb = "capture", .lock = kExclusive,
+       .usage = "capture on [capacity]|off", .handler = &CmdCapture},
+      {.verb = "log", .sub = "stats", .retry_safe = true, .handler = &CmdLog},
+      {.verb = "log", .usage = "log stats | save <path> | load <path> | clear",
+       .handler = &CmdLog},
+      {.verb = "drift", .sub = "check", .lock = kExclusive, .retry_safe = true,
+       .handler = &CmdDrift},
+      {.verb = "drift", .sub = "threshold", .lock = kExclusive,
+       .retry_safe = true, .handler = &CmdDrift},
+      {.verb = "drift", .sub = "readvise", .lock = kExclusive,
+       .admission = kAdvise, .handler = &CmdDrift},
+      {.verb = "drift", .lock = kExclusive,
+       .usage = "drift check | readvise | threshold <t>", .handler = &CmdDrift},
+      {.verb = "failpoint", .sub = "", .retry_safe = true,
+       .handler = &CmdFailpoint},
+      {.verb = "failpoint", .sub = "list", .retry_safe = true,
+       .handler = &CmdFailpoint},
+      {.verb = "failpoint",
+       .usage = "failpoint <name=mode[,mode...]>|<name=off>|list",
+       .handler = &CmdFailpoint},
+      {.verb = "db", .sub = "status", .lock = kExclusive, .retry_safe = true,
+       .handler = &CmdDb},
+      {.verb = "db", .lock = kExclusive,
+       .usage = "db status | db checkpoint   (persistent storage, --data-dir)",
+       .handler = &CmdDb},
+      {.verb = "stats", .retry_safe = true, .while_draining = true,
+       .usage = "stats", .handler = &CmdStats},
+      {.verb = "health", .lock = kNone, .retry_safe = true,
+       .while_draining = true,
+       .usage = "health | ready | drain   (serving state; docs/PROTOCOL.md)",
+       .handler = &CmdHealth},
+      {.verb = "ready", .lock = kNone, .retry_safe = true,
+       .while_draining = true, .handler = &CmdReady},
+      {.verb = "drain", .lock = kNone, .retry_safe = true,
+       .while_draining = true, .handler = &CmdDrain},
+      {.verb = "ping", .lock = kNone, .retry_safe = true, .usage = "ping",
+       .handler = &CmdPing},
+      {.verb = "help", .lock = kNone, .retry_safe = true, .usage = "help",
+       .handler = &CmdHelp},
+      {.verb = "quit", .lock = kNone, .retry_safe = true,
+       .while_draining = true, .usage = "quit | exit", .handler = &CmdQuit},
+      {.verb = "exit", .lock = kNone, .retry_safe = true,
+       .while_draining = true, .handler = &CmdQuit},
+  };
+  return table;
+}
+
+const VerbSpec& CommandDispatcher::Lookup(const std::string& line) {
+  static const VerbSpec kUnknown = {.verb = "unknown",
+                                    .handler = &CmdUnknown};
+  std::istringstream input(line);
+  std::string verb;
+  std::string sub;
+  input >> verb >> sub;
+  verb = ToLower(verb);
+  sub = ToLower(sub);
+  const VerbSpec* match = &kUnknown;
+  for (const VerbSpec& spec : Verbs()) {
+    if (verb != spec.verb) continue;
+    if (sub == spec.sub) return spec;
+    if (std::string_view(spec.sub) == "*") match = &spec;
+  }
+  return *match;
+}
+
+CommandOutcome CommandDispatcher::Execute(const std::string& line,
+                                          ClientSession* session,
+                                          std::ostream& out) {
+  std::istringstream input(line);
+  std::string verb;
+  input >> verb;
+  if (verb.empty()) return CommandOutcome::kHandled;
+  std::string rest;
+  std::getline(input, rest);
+  VerbCall call{*shared_, host_, session, ToLower(verb),
+                std::string(Trim(rest)), {}, out};
+  call.args.str(call.rest);
+  const VerbSpec& spec = Lookup(line);
+  std::shared_lock<std::shared_mutex> read_lock(shared_->mu,
+                                                std::defer_lock);
+  std::unique_lock<std::shared_mutex> write_lock(shared_->mu,
+                                                 std::defer_lock);
+  if (spec.lock == VerbLock::kExclusive) {
+    write_lock.lock();
+  } else if (spec.lock == VerbLock::kShared) {
+    read_lock.lock();
+  }
+  spec.handler(call);
+  return call.outcome;
 }
 
 }  // namespace server

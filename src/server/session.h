@@ -7,6 +7,7 @@
 #include <ostream>
 #include <shared_mutex>
 #include <string>
+#include <vector>
 
 #include "advisor/advisor.h"
 #include "advisor/whatif.h"
@@ -33,9 +34,10 @@ namespace server {
 /// the caches that make repeated advising cheap, and the workload-
 /// management machinery. One instance per process (server) or per REPL.
 ///
-/// Concurrency contract: CommandDispatcher::Execute takes `mu` shared
-/// for read-only verbs and exclusive for verbs that mutate the database,
-/// catalog, or the capture/drift machinery, so any number of sessions
+/// Concurrency contract: CommandDispatcher::Execute takes `mu` as the
+/// verb's row says (VerbSpec::lock) — shared for read-only verbs and
+/// exclusive for verbs that mutate the database, catalog, storage engine,
+/// or the capture/drift machinery, so any number of sessions
 /// may run/advise/explain concurrently while `gen`/`load`/`analyze`/
 /// `materialize`/`capture`/`drift` serialize against them. The caches
 /// (`containment`, `what_if_cache`, `buffer_pool`) are internally
@@ -62,13 +64,15 @@ struct SharedState {
   /// `advise --from-log` survive `capture off`.
   std::unique_ptr<wlm::QueryLog> capture_log;
   std::unique_ptr<wlm::DriftMonitor> drift;
-  /// Persistence engine over db/catalog (storage/storage_engine.h).
-  /// Null when the process runs memory-only (no --data-dir). When set,
-  /// the mutating verbs route through it: load/analyze create WAL
-  /// records, bulk verbs (gen/loadcoll/materialize) checkpoint, and
-  /// startup recovers the previous run's state instead of regenerating.
-  /// Guarded by `mu` like the db/catalog it persists.
-  std::unique_ptr<storage::StorageEngine> engine;
+  /// Storage engine over db/catalog (storage/storage_engine.h), never
+  /// null: every mutating verb is one call on it. Memory-only unless the
+  /// process opens one on --data-dir; then load/insert/delete/update/
+  /// analyze append WAL records, bulk verbs (gen/loadcoll/materialize)
+  /// checkpoint, and startup recovers the previous run's state. Guarded
+  /// by `mu` like the db/catalog it persists.
+  std::unique_ptr<storage::StorageEngine> engine =
+      storage::StorageEngine::MemoryOnly(&db, &catalog,
+                                         default_options.cost_model.storage);
 
   /// Reader/writer lock over db/catalog/capture_log/drift (see above).
   std::shared_mutex mu;
@@ -96,83 +100,85 @@ struct ClientSession {
 /// What Execute() decided about a command line.
 enum class CommandOutcome {
   kHandled,  // Executed (successfully or not); reply text written.
+  kRefused,  // A serving verb declined (`ready` while not ready); the
+             // reply text is the reason.
   kQuit,     // `quit` / `exit`: close the session.
 };
 
-/// Verb classification the server's admission control needs before
-/// dispatch: `kAdvise` verbs run the (expensive) advisor pipeline and
-/// count against the max-in-flight-advises bound.
-enum class VerbClass { kLight, kAdvise };
+/// How a verb holds SharedState::mu.
+enum class VerbLock {
+  kNone,       // Touches no shared state: answers even while recovery
+               // holds the state exclusively.
+  kShared,     // Reader lock: any number run concurrently.
+  kExclusive,  // Writer lock: mutates the database, catalog, capture or
+               // drift machinery, or the storage engine.
+};
+
+/// Admission class: kAdvise verbs run the advisor pipeline and count
+/// against the server's max-in-flight-advises bound.
+enum class VerbAdmission { kLight, kAdvise };
+
+struct VerbCall;
+
+/// One row of the verb table (CommandDispatcher::Verbs): everything the
+/// dispatcher, the server, the retrying client and `help` know about a
+/// (verb, sub-verb). docs/PROTOCOL.md lists the same rows.
+struct VerbSpec {
+  const char* verb = "";
+  /// The second token this row is for. "*" covers every second token
+  /// (none included) that no other row of the verb names.
+  const char* sub = "*";
+  VerbLock lock = VerbLock::kShared;
+  VerbAdmission admission = VerbAdmission::kLight;
+  /// Safe to re-send after an ambiguous transport failure: the verb only
+  /// reads, or only touches session state a reconnect loses anyway.
+  bool retry_safe = false;
+  /// Still answered while the server drains; others get GOAWAY.
+  bool while_draining = false;
+  /// The `help` line; empty when another row of the verb carries it.
+  const char* usage = "";
+  void (*handler)(VerbCall& call) = nullptr;
+};
+
+/// What the serving verbs `ready` and `drain` ask of the process hosting
+/// the dispatcher. Without a host (the REPL) the dispatcher is ready by
+/// construction and has nothing to drain.
+class ServingHost {
+ public:
+  /// Why the host cannot take real work now; empty when it can.
+  virtual std::string NotReadyReason() const = 0;
+  /// Enters lame-duck mode. Idempotent.
+  virtual void Drain() = 0;
+
+ protected:
+  ~ServingHost() = default;
+};
 
 class CommandDispatcher {
  public:
-  /// `shared` must outlive the dispatcher.
-  explicit CommandDispatcher(SharedState* shared) : shared_(shared) {}
+  /// `shared` (and `host`, when given) must outlive the dispatcher.
+  explicit CommandDispatcher(SharedState* shared,
+                             ServingHost* host = nullptr)
+      : shared_(shared), host_(host) {}
 
   /// Executes one command line for `session`, writing the reply to
-  /// `out`. Takes SharedState::mu internally (shared or exclusive per
-  /// verb). Unknown verbs report an error message but are kHandled.
+  /// `out`, under the lock its verb row names. Unknown verbs report an
+  /// error message but are kHandled.
   CommandOutcome Execute(const std::string& line, ClientSession* session,
                          std::ostream& out);
 
-  /// Admission classification of `line` (by its first tokens) without
-  /// executing anything: `advise` and `drift readvise` are kAdvise.
-  static VerbClass Classify(const std::string& line);
+  /// The verb table, in `help` order.
+  static const std::vector<VerbSpec>& Verbs();
 
-  /// True when `verb` (lowercased first token) must hold SharedState::mu
-  /// exclusively. Exposed for tests.
-  static bool IsExclusiveVerb(const std::string& verb);
-
-  /// Sub-token-aware overload: `update` is a session-workload edit
-  /// (shared lock) when `sub` is insert|delete, and a DML document
-  /// update (exclusive) otherwise. All other verbs ignore `sub`.
-  static bool IsExclusiveVerb(const std::string& verb,
-                              const std::string& sub);
+  /// The row for `line`'s first two tokens (case-insensitive): an exact
+  /// sub-verb row, else the verb's "*" row, else the unknown-verb row
+  /// (verb "unknown", which no command line spells).
+  static const VerbSpec& Lookup(const std::string& line);
 
  private:
-  void CmdGen(std::istream& args, std::ostream& out);
-  void CmdLoad(std::istream& args, std::ostream& out);
-  void CmdSaveLoadColl(const std::string& verb, std::istream& args,
-                       std::ostream& out);
-  void CmdAnalyze(std::istream& args, std::ostream& out);
-  void CmdWorkload(ClientSession* session, std::istream& args,
-                   std::ostream& out);
-  void CmdQuery(ClientSession* session, const std::string& rest,
-                std::ostream& out);
-  void CmdUpdate(ClientSession* session, const std::string& rest,
-                 std::ostream& out);
-  // DML verbs (src/dml): insert <coll> <xml...>, delete <coll> <doc>,
-  // update <coll> <doc> <xml...>. All exclusive; WAL-logged when a
-  // persistence engine is attached.
-  void CmdInsert(const std::string& rest, std::ostream& out);
-  void CmdDelete(std::istream& args, std::ostream& out);
-  void CmdDmlUpdate(const std::string& rest, std::ostream& out);
-  void CmdShow(ClientSession* session, std::istream& args, std::ostream& out);
-  void CmdEnumerate(const std::string& rest, std::ostream& out);
-  void CmdAdvise(ClientSession* session, std::istream& args,
-                 std::ostream& out);
-  void CmdWhatIf(ClientSession* session, std::istream& args,
-                 std::ostream& out);
-  void CmdDdl(ClientSession* session, std::ostream& out);
-  void CmdMaterialize(ClientSession* session, std::ostream& out);
-  void CmdRun(const std::string& rest, std::ostream& out);
-  void CmdCapture(std::istream& args, std::ostream& out);
-  void CmdLog(std::istream& args, std::ostream& out);
-  void CmdDrift(ClientSession* session, std::istream& args,
-                std::ostream& out);
-  void CmdFailpoint(const std::string& rest, std::ostream& out);
-  void CmdDb(std::istream& args, std::ostream& out);
-  void CmdStats(std::ostream& out);
-
-  /// Checkpoints after a successful bulk (unlogged) mutation when a
-  /// persistence engine is attached; appends the outcome to `out`.
-  void CheckpointAfterBulk(std::ostream& out);
-
   SharedState* shared_;
+  ServingHost* host_;
 };
-
-/// The `help` text (shared by REPL banner and the server's `help` verb).
-const char* HelpText();
 
 }  // namespace server
 }  // namespace xia

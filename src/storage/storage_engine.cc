@@ -164,6 +164,12 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
   return engine;
 }
 
+std::unique_ptr<StorageEngine> StorageEngine::MemoryOnly(
+    Database* db, Catalog* catalog, const StorageConstants& constants) {
+  return std::unique_ptr<StorageEngine>(
+      new StorageEngine("", db, catalog, nullptr, constants, {}));
+}
+
 StorageEngine::~StorageEngine() = default;
 
 std::string StorageEngine::PagesPath(uint64_t epoch) const {
@@ -503,6 +509,7 @@ Status StorageEngine::LoadCheckpoint(const std::string& path) {
 // ------------------------------------------------------------ WAL path.
 
 Status StorageEngine::AppendWal(WalRecordType type, std::string payload) {
+  if (!persistent()) return Status::Ok();
   if (closed_ || !wal_.has_value()) {
     return Status::Internal("storage engine is closed");
   }
@@ -523,9 +530,12 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
       return ApplyCreateCollection(name);
     }
     case WalRecordType::kAddDocument: {
+      // Replay-only: no live mutation writes this record, but a log from
+      // an older build may hold it. It means a plain append, without
+      // index or synopsis upkeep.
       XIA_ASSIGN_OR_RETURN(std::string collection, r.Str());
       XIA_ASSIGN_OR_RETURN(std::string xml, r.Str());
-      return ApplyAddDocument(collection, xml);
+      return db_->LoadXml(collection, xml);
     }
     case WalRecordType::kAnalyze: {
       XIA_ASSIGN_OR_RETURN(std::string collection, r.Str());
@@ -578,28 +588,6 @@ Status StorageEngine::CreateCollection(const std::string& name) {
   return ApplyCreateCollection(name);
 }
 
-Status StorageEngine::LoadXml(const std::string& collection,
-                              const std::string& xml) {
-  if (db_->GetCollection(collection) == nullptr) {
-    return Status::NotFound("collection " + collection +
-                            " does not exist");
-  }
-  {
-    // Pre-validate the XML against a throwaway name table so malformed
-    // input is rejected before it is logged (a record that cannot
-    // replay would poison every future recovery).
-    NameTable scratch;
-    XmlParser parser(&scratch);
-    Result<Document> parsed = parser.Parse(xml);
-    if (!parsed.ok()) return parsed.status();
-  }
-  BinWriter w;
-  w.Str(collection);
-  w.Str(xml);
-  XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kAddDocument, w.Take()));
-  return ApplyAddDocument(collection, xml);
-}
-
 Status StorageEngine::Analyze(const std::string& collection) {
   if (db_->GetCollection(collection) == nullptr) {
     return Status::NotFound("collection " + collection +
@@ -646,8 +634,8 @@ Result<dml::DmlResult> StorageEngine::InsertDocument(
                             " does not exist");
   }
   {
-    // Same pre-validation as LoadXml: a record that cannot replay must
-    // never be logged.
+    // Pre-validate against a throwaway name table: a record that cannot
+    // replay would poison every future recovery, so it is never logged.
     NameTable scratch;
     XmlParser parser(&scratch);
     Result<Document> parsed = parser.Parse(xml);
@@ -709,11 +697,6 @@ Status StorageEngine::ApplyCreateCollection(const std::string& name) {
   Result<Collection*> coll = db_->CreateCollection(name);
   if (!coll.ok()) return coll.status();
   return Status::Ok();
-}
-
-Status StorageEngine::ApplyAddDocument(const std::string& collection,
-                                       const std::string& xml) {
-  return db_->LoadXml(collection, xml);
 }
 
 Status StorageEngine::ApplyAnalyze(const std::string& collection) {
@@ -803,6 +786,7 @@ void StorageEngine::RemoveEpochFiles(uint64_t epoch) {
 }
 
 Status StorageEngine::Checkpoint() {
+  if (!persistent()) return Status::Ok();
   if (closed_) return Status::Internal("storage engine is closed");
   XIA_SPAN("storage.checkpoint");
 
@@ -836,7 +820,7 @@ Status StorageEngine::Checkpoint() {
 }
 
 Status StorageEngine::Close() {
-  if (closed_) return Status::Ok();
+  if (closed_ || !persistent()) return Status::Ok();
   XIA_RETURN_IF_ERROR(Checkpoint());
   wal_.reset();
   closed_ = true;

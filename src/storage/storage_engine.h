@@ -51,6 +51,11 @@ struct RecoveryStats {
 /// empty WAL, and atomically swaps MANIFEST — a crash at any point
 /// leaves the previous epoch fully intact.
 ///
+/// A memory-only engine (MemoryOnly) has no directory and no WAL: its
+/// mutations validate and apply exactly as above, and Checkpoint() and
+/// Close() do nothing. Callers therefore mutate through one engine
+/// whether or not the database persists.
+///
 /// Failpoints (tests/persistence_test.cc drives all three):
 ///   storage.wal.append        (arg = lsn)   crash mid-WAL-append
 ///   storage.checkpoint.flush                crash mid-page-flush
@@ -75,6 +80,10 @@ class StorageEngine {
       BufferPool* pool, const StorageConstants& constants,
       const StorageOptions& options = {});
 
+  /// An engine over `db`/`catalog` that persists nothing (see above).
+  static std::unique_ptr<StorageEngine> MemoryOnly(
+      Database* db, Catalog* catalog, const StorageConstants& constants);
+
   ~StorageEngine();
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
@@ -83,7 +92,6 @@ class StorageEngine {
   // Each validates, appends the WAL record, then applies in memory.
 
   Status CreateCollection(const std::string& name);
-  Status LoadXml(const std::string& collection, const std::string& xml);
   Status Analyze(const std::string& collection);
   /// Parses DB2-style DDL, builds and registers the index. Returns the
   /// index name.
@@ -114,10 +122,13 @@ class StorageEngine {
 
   // -------------------------------------------------------- Introspection.
 
+  /// False for a memory-only engine.
+  bool persistent() const { return !dir_.empty(); }
+
   const RecoveryStats& recovery() const { return recovery_; }
   uint64_t epoch() const { return epoch_; }
   uint64_t next_lsn() const { return next_lsn_; }
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return dir_; }  // Empty memory-only.
 
   /// Order-independent fingerprint of the logical database + catalog
   /// state (collections, node arrays, synopses presence, index entries,
@@ -146,8 +157,6 @@ class StorageEngine {
 
   // Shared apply path: live mutations and WAL replay both land here.
   Status ApplyCreateCollection(const std::string& name);
-  Status ApplyAddDocument(const std::string& collection,
-                          const std::string& xml);
   Status ApplyAnalyze(const std::string& collection);
   Result<std::string> ApplyCreateIndex(const std::string& ddl);
   Status ApplyDropIndex(const std::string& name);

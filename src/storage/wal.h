@@ -30,6 +30,8 @@ namespace storage {
 /// the next open so later appends never interleave with garbage.
 enum class WalRecordType : uint8_t {
   kCreateCollection = 1,  // payload: Str collection
+  // Replay-only: no live path writes it (`load` logs kInsertDocument);
+  // a log from an older build replays it as a plain append.
   kAddDocument = 2,       // payload: Str collection, Str xml text
   kAnalyze = 3,           // payload: Str collection
   kCreateIndex = 4,       // payload: Str DDL statement

@@ -444,7 +444,8 @@ TEST(FuzzTest, CheckpointLoaderSurvivesMutatedPageFiles) {
     ASSERT_TRUE((*engine)->CreateCollection("docs").ok());
     ASSERT_TRUE(
         (*engine)
-            ->LoadXml("docs", "<site><item><price>9</price></item></site>")
+            ->InsertDocument("docs",
+                             "<site><item><price>9</price></item></site>")
             .ok());
     ASSERT_TRUE((*engine)->Analyze("docs").ok());
     ASSERT_TRUE((*engine)->Close().ok());

@@ -17,10 +17,13 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "exec/executor.h"
+#include "index/ddl.h"
+#include "index/index_builder.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
 #include "random_document.h"
 #include "storage/page.h"
+#include "storage/wal.h"
 #include "storage/storage_engine.h"
 #include "xml/parser.h"
 #include "xmldata/xmark_gen.h"
@@ -78,8 +81,8 @@ constexpr const char* kDdl =
 /// Applies the canonical mutation sequence used across the matrix.
 void ApplyBaseline(Instance* inst) {
   ASSERT_TRUE(inst->engine->CreateCollection("docs").ok());
-  ASSERT_TRUE(inst->engine->LoadXml("docs", kDocA).ok());
-  ASSERT_TRUE(inst->engine->LoadXml("docs", kDocB).ok());
+  ASSERT_TRUE(inst->engine->InsertDocument("docs", kDocA).ok());
+  ASSERT_TRUE(inst->engine->InsertDocument("docs", kDocB).ok());
   ASSERT_TRUE(inst->engine->Analyze("docs").ok());
   Result<std::string> idx = inst->engine->CreateIndex(kDdl);
   ASSERT_TRUE(idx.ok());
@@ -120,6 +123,61 @@ TEST(PersistenceTest, WalReplayReproducesUncheckpointedMutations) {
   EXPECT_FALSE(entry->is_virtual);
   EXPECT_EQ(entry->physical->num_entries(), 2u);
   EXPECT_NE(reopened.db.synopsis("docs"), nullptr);
+}
+
+// No live mutation writes kAddDocument (`load` logs an insert), so only
+// a log from an older build carries it, and only this test replays one.
+// Each must apply exactly as Database::LoadXml appends a document — in
+// particular without index upkeep, so the document added after CREATE
+// INDEX has no entry (an insert would give it one).
+TEST(PersistenceTest, LegacyAddDocumentRecordsReplayAsPlainLoads) {
+  ScratchDir dir("xia_persist_legacy_add");
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    inst.engine.reset();  // Kill: epoch 1 with an empty WAL.
+  }
+  auto record = [](uint64_t lsn, storage::WalRecordType type,
+                   std::initializer_list<const char*> fields) {
+    storage::BinWriter w;
+    for (const char* field : fields) w.Str(field);
+    storage::WalRecord r;
+    r.lsn = lsn;
+    r.type = type;
+    r.payload = w.Take();
+    return storage::EncodeWalRecord(r);
+  };
+  {
+    using storage::WalRecordType;
+    std::ofstream wal(fs::path(dir.db_dir()) / "wal.1.log",
+                      std::ios::binary | std::ios::app);
+    wal << record(1, WalRecordType::kCreateCollection, {"docs"})
+        << record(2, WalRecordType::kAddDocument, {"docs", kDocA})
+        << record(3, WalRecordType::kCreateIndex, {kDdl})
+        << record(4, WalRecordType::kAddDocument, {"docs", kDocB});
+  }
+  Database db;
+  Catalog catalog;
+  ASSERT_TRUE(db.CreateCollection("docs").ok());
+  ASSERT_TRUE(db.LoadXml("docs", kDocA).ok());
+  Result<IndexDefinition> def = ParseIndexDdl(kDdl);
+  ASSERT_TRUE(def.ok());
+  Result<PathIndex> index = BuildIndex(db, *def);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(catalog
+                  .AddPhysical(std::make_shared<PathIndex>(std::move(*index)),
+                               CostModel().storage)
+                  .ok());
+  ASSERT_TRUE(db.LoadXml("docs", kDocB).ok());
+
+  Instance reopened;
+  ASSERT_TRUE(reopened.OpenIn(dir.db_dir()).ok());
+  EXPECT_EQ(reopened.engine->recovery().wal_records_replayed, 4u);
+  EXPECT_TRUE(reopened.engine->recovery().wal_was_clean);
+  EXPECT_EQ(reopened.Fingerprint(),
+            StorageEngine::StateFingerprint(db, catalog));
+  EXPECT_EQ(reopened.db.GetCollection("docs")->num_docs(), 2u);
+  EXPECT_EQ(reopened.catalog.Find("price_idx")->physical->num_entries(), 1u);
 }
 
 TEST(PersistenceTest, CleanCloseCheckpointsAndReopensWithEmptyWal) {
@@ -169,14 +227,14 @@ TEST(PersistenceTest, KillMidWalAppendRecoversCommittedPrefix) {
     Instance inst;
     ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
     ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
-    ASSERT_TRUE(inst.engine->LoadXml("docs", kDocA).ok());
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocA).ok());
     committed_fingerprint = inst.Fingerprint();
 
     // The next append (lsn 3) dies halfway through its record write.
     fp::FailSpec spec;
     spec.match_arg = 3;
     fp::ScopedFailpoint crash("storage.wal.append", spec);
-    EXPECT_FALSE(inst.engine->LoadXml("docs", kDocB).ok());
+    EXPECT_FALSE(inst.engine->InsertDocument("docs", kDocB).ok());
     // The writer is poisoned, as a crashed process would be gone.
     EXPECT_FALSE(inst.engine->CreateCollection("more").ok());
     // Kill without Close(), leaving the torn record on disk.
@@ -194,7 +252,7 @@ TEST(PersistenceTest, KillMidWalAppendRecoversCommittedPrefix) {
       obs::Registry().TakeSnapshot().counter("storage.wal.truncated_tails"),
       truncations_before + 1);
   // The truncated WAL accepts new appends and they survive another trip.
-  ASSERT_TRUE(reopened.engine->LoadXml("docs", kDocB).ok());
+  ASSERT_TRUE(reopened.engine->InsertDocument("docs", kDocB).ok());
   std::string extended = reopened.Fingerprint();
   reopened.engine.reset();
   Instance again;
@@ -295,7 +353,7 @@ TEST(PersistenceTest, BrokenRegionEncodingFailsLoadNamingCollection) {
     Instance inst;
     ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
     ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
-    ASSERT_TRUE(inst.engine->LoadXml("docs", "<a><b/></a>").ok());
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", "<a><b/></a>").ok());
     ASSERT_TRUE(inst.engine->Close().ok());
   }
   const std::string pages = (fs::path(dir.db_dir()) / "pages.2.xdb").string();
@@ -541,10 +599,11 @@ TEST(PersistenceTest, MalformedXmlIsRejectedBeforeLogging) {
   ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
   ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
   uint64_t lsn = inst.engine->next_lsn();
-  EXPECT_FALSE(inst.engine->LoadXml("docs", "<open><unclosed>").ok());
+  EXPECT_FALSE(inst.engine->InsertDocument("docs", "<open><unclosed>").ok());
   // Nothing was logged: a record that cannot replay must never hit disk.
   EXPECT_EQ(inst.engine->next_lsn(), lsn);
-  ASSERT_TRUE(inst.engine->LoadXml("docs", kDocA).ok());  // Still healthy.
+  // Still healthy.
+  ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocA).ok());
 }
 
 TEST(PersistenceTest, TruncatedManifestFailsCleanly) {
@@ -665,7 +724,7 @@ TEST(PersistenceTest, KillMidDmlAppendRecoversCommittedPrefix) {
       Instance inst;
       ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
       ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
-      ASSERT_TRUE(inst.engine->LoadXml("docs", kDocA).ok());
+      ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocA).ok());
       committed_fingerprint = inst.Fingerprint();
 
       fp::FailSpec spec;
@@ -691,7 +750,7 @@ TEST(PersistenceTest, DmlAgainstMissingTargetsIsRejectedBeforeLogging) {
   Instance inst;
   ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
   ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
-  ASSERT_TRUE(inst.engine->LoadXml("docs", kDocA).ok());
+  ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocA).ok());
   uint64_t lsn = inst.engine->next_lsn();
   // Unknown collection, dead/missing DocId, malformed XML: each must be
   // refused before a WAL record exists (an unreplayable record would

@@ -170,14 +170,14 @@ TEST(IdempotencyTest, DmlVerbsAreNotRetryableButWorkloadUpdateIs) {
   for (const char* line :
        {"insert docs <site><item/></site>", "delete docs 3",
         "update docs 3 <site><item/></site>", "INSERT docs <a/>",
-        "Update docs 0 <a/>"}) {
+        "Update docs 0 <a/>", "update insert 0 <a/>"}) {
     EXPECT_FALSE(RetryingClient::IsIdempotentCommand(line)) << line;
   }
-  // The legacy session-workload editor shares the `update` verb but only
-  // touches per-connection state that is lost on reconnect anyway.
+  // The session-workload editor only touches per-connection state that
+  // is lost on reconnect anyway.
   for (const char* line :
-       {"update insert 2.0 /site/item", "update delete 3",
-        "UPDATE INSERT 1.0 /a/b"}) {
+       {"updateop insert 2.0 /site/item", "updateop delete 3",
+        "UPDATEOP INSERT 1.0 /a/b"}) {
     EXPECT_TRUE(RetryingClient::IsIdempotentCommand(line)) << line;
   }
 }

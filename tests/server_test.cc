@@ -21,6 +21,7 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -221,6 +222,34 @@ TEST_F(ServerTest, UnknownVerbStillHandled) {
   Result<std::string> pong = client.Call("ping");
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(*pong, OkResponse("pong\n"));
+}
+
+// Junk verbs are timed under the one `server.verb.unknown` histogram: a
+// histogram per distinct junk token would grow the never-freed registry
+// (and every later `stats` reply) without bound.
+TEST_F(ServerTest, UnknownVerbsShareOneHistogram) {
+  StartServer();
+  BlockingClient client = Connect();
+  auto verb_lines = [&client]() {
+    Result<std::string> stats = client.Call("stats");
+    EXPECT_TRUE(stats.ok());
+    size_t lines = 0;
+    for (size_t at = stats->find("span.server.verb.");
+         at != std::string::npos;
+         at = stats->find("span.server.verb.", at + 1)) {
+      ++lines;
+    }
+    return lines;
+  };
+  const size_t before = verb_lines();
+  for (int i = 0; i < 100; ++i) {
+    Result<std::string> reply = client.Call("junk" + std::to_string(i));
+    ASSERT_TRUE(reply.ok());
+    EXPECT_NE(reply->find("unknown command"), std::string::npos);
+  }
+  EXPECT_LE(verb_lines(), before + 1);
+  EXPECT_GE(obs::Registry().TakeSnapshot().spans["server.verb.unknown"].count,
+            100u);
 }
 
 TEST_F(ServerTest, ConcurrentSessionsShareCostCacheBitIdentically) {
@@ -677,10 +706,11 @@ TEST(DispatcherBudgetTest, BudgetMsRequiresNonNegativeInteger) {
             std::string::npos);
 }
 
-// Every verb row of the table in docs/PROTOCOL.md against the
-// dispatcher's lock choice: a row whose class names "exclusive" must hold
-// the state lock exclusively for each spelled sub-command, every other
-// row (light, advise, serving) must not.
+// Every verb row of the table in docs/PROTOCOL.md against the code's
+// verb table: for each spelled sub-command, the documented lock,
+// admission, draining and retry columns must equal the row
+// CommandDispatcher::Lookup finds — and every verb of the code table must
+// have a documented row.
 TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
   std::ifstream doc(XIA_PROTOCOL_DOC);
   ASSERT_TRUE(doc.is_open()) << XIA_PROTOCOL_DOC;
@@ -689,7 +719,8 @@ TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
   bool in_table = false;
   std::string line;
   while (std::getline(doc, line)) {
-    if (line.rfind("| verb | class |", 0) == 0) {
+    if (line.rfind("| verb | lock | admission | draining | retry |", 0) ==
+        0) {
       in_table = true;
       continue;
     }
@@ -706,15 +737,14 @@ TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
         cell.push_back('|');
         ++i;
       } else if (line[i] == '|') {
-        cells.push_back(cell);
+        cells.push_back(std::string(Trim(cell)));
         cell.clear();
       } else {
         cell.push_back(line[i]);
       }
     }
-    ASSERT_GE(cells.size(), 2u) << line;
+    ASSERT_GE(cells.size(), 5u) << line;
     ++rows;
-    const bool exclusive = cells[1].find("exclusive") != std::string::npos;
     // Each `...` spelling in the first cell is "verb [sub|sub ...] ...".
     for (size_t open = cells[0].find('`'); open != std::string::npos;
          open = cells[0].find('`', open + 1)) {
@@ -734,9 +764,19 @@ TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
       do {
         sub.clear();
         std::getline(alternatives, sub, '|');
-        EXPECT_EQ(CommandDispatcher::IsExclusiveVerb(verb, sub), exclusive)
-            << "`" << verb << " " << sub << "` is documented as "
-            << cells[1];
+        SCOPED_TRACE(testing::Message() << "`" << verb << " " << sub
+                                        << "` documented as: " << line);
+        const VerbSpec& spec = CommandDispatcher::Lookup(verb + " " + sub);
+        EXPECT_EQ(spec.verb, verb);
+        const char* lock = spec.lock == VerbLock::kNone     ? "none"
+                           : spec.lock == VerbLock::kShared ? "shared"
+                                                            : "exclusive";
+        EXPECT_EQ(cells[1], lock);
+        EXPECT_EQ(cells[2], spec.admission == VerbAdmission::kAdvise
+                                ? "**advise**"
+                                : "light");
+        EXPECT_EQ(cells[3], spec.while_draining ? "answers" : "GOAWAY");
+        EXPECT_EQ(cells[4], spec.retry_safe ? "yes" : "no");
       } while (alternatives.good());
       verbs.insert(verb);
     }
@@ -745,12 +785,16 @@ TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
   for (const char* verb : {"savecoll", "loadcoll", "log", "update", "drift"}) {
     EXPECT_EQ(verbs.count(verb), 1u) << verb;
   }
+  for (const VerbSpec& spec : CommandDispatcher::Verbs()) {
+    EXPECT_EQ(verbs.count(spec.verb), 1u)
+        << "verb `" << spec.verb << "` has no row in " << XIA_PROTOCOL_DOC;
+  }
 }
 
 TEST(DispatcherDbTest, DbVerbWithoutEngineReportsMemoryOnly) {
   SharedState shared;
   ClientSession session(shared);
-  EXPECT_TRUE(CommandDispatcher::IsExclusiveVerb("db"));
+  EXPECT_EQ(CommandDispatcher::Lookup("db").lock, VerbLock::kExclusive);
   EXPECT_NE(Dispatch(&shared, &session, "db status").find("persistence: off"),
             std::string::npos);
   EXPECT_NE(
@@ -826,6 +870,184 @@ TEST(DispatcherDbTest, LoadAnalyzeAreWalLoggedAndSurviveKill) {
     EXPECT_EQ(
         storage::StorageEngine::StateFingerprint(shared.db, shared.catalog),
         fingerprint);
+  }
+  fs::remove_all(scratch);
+}
+
+// The result-node count of a `run` reply ("-> N result nodes ..."), or -1.
+int ResultNodes(const std::string& reply) {
+  size_t at = reply.find("-> ");
+  return at == std::string::npos ? -1 : std::atoi(reply.c_str() + at + 3);
+}
+
+constexpr char kAfricaQuery[] =
+    "for $i in doc(\"xmark\")/site/regions/africa/item "
+    "where $i/quantity > 5 return $i/name";
+
+// `load` is an insert: a document loaded after `materialize` gets its
+// index entries, so the index plan returns what a scan returns.
+TEST(DispatcherDbTest, LoadAfterMaterializeIsVisibleToIndexPlans) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_load_test";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  fs::path xml = scratch / "africa.xml";
+  {
+    std::ofstream file(xml);
+    file << "<site><regions><africa>"
+            "<item id=\"load1\"><quantity>7</quantity><name>a</name></item>"
+            "<item id=\"load2\"><quantity>9</quantity><name>b</name></item>"
+            "</africa></regions></site>";
+  }
+  const std::string run = std::string("run ") + kAfricaQuery;
+  auto session_run = [&](bool materialize) {
+    SharedState shared;
+    ClientSession session(shared);
+    Dispatch(&shared, &session, "gen xmark 6");
+    if (materialize) {
+      Dispatch(&shared, &session, "workload xmark");
+      Dispatch(&shared, &session, "advise 512 heuristic");
+      EXPECT_NE(Dispatch(&shared, &session, "materialize").find("materialized"),
+                std::string::npos);
+    }
+    EXPECT_EQ(Dispatch(&shared, &session, "load xmark " + xml.string())
+                  .find("loaded 1 document"),
+              0u);
+    return Dispatch(&shared, &session, run);
+  };
+  const std::string scan = session_run(false);
+  const std::string indexed = session_run(true);
+  EXPECT_NE(scan.find("Access: COLLECTION SCAN"), std::string::npos) << scan;
+  EXPECT_NE(indexed.find("Access: INDEX"), std::string::npos) << indexed;
+  EXPECT_EQ(ResultNodes(scan), 38);
+  EXPECT_EQ(ResultNodes(indexed), ResultNodes(scan));
+  fs::remove_all(scratch);
+}
+
+// `update` is only the DML replace: a collection named `insert` (or
+// `delete`) is updatable; the workload edit is spelled `updateop`.
+TEST(DispatcherDbTest, UpdateOfCollectionNamedInsertIsDml) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_update_test";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  fs::path xml = scratch / "f.xml";
+  std::ofstream(xml) << "<a><b>1</b></a>";
+  SharedState shared;
+  ClientSession session(shared);
+  EXPECT_EQ(Dispatch(&shared, &session, "load insert " + xml.string())
+                .find("loaded 1 document as doc 0 of insert"),
+            0u);
+  EXPECT_EQ(Dispatch(&shared, &session, "update insert 0 <a><b>2</b></a>")
+                .find("updated doc 1 of insert"),
+            0u);
+  EXPECT_EQ(Dispatch(&shared, &session, "updateop insert insert 1 /a/b"),
+            "added\n");
+  EXPECT_EQ(session.workload.updates().size(), 1u);
+  fs::remove_all(scratch);
+}
+
+// One mutation path: the same scripted session over a memory-only
+// SharedState and over one opened on a data directory gives the same
+// replies — apart from the checkpoint lines only a persistent engine
+// prints, `run`'s measured microseconds, and the process-wide registry
+// snapshot EXPLAIN appends (the first session's counters feed the
+// second's) — and the same state fingerprint, which a kill and reopen of
+// the data directory reproduces.
+TEST(DispatcherDbTest, MemoryOnlyAndDataDirSessionsMatch) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_parity_test";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  fs::path xml = scratch / "doc.xml";
+  std::ofstream(xml) << "<site><item><price>7</price></item></site>";
+  const std::string db_dir = (scratch / "db").string();
+  storage::StorageOptions no_sync;
+  no_sync.sync = false;
+  const std::vector<std::string> script = {
+      "gen xmark 4",
+      "load docs " + xml.string(),
+      "insert docs <site><item><price>9</price></item></site>",
+      "update docs 0 <site><item><price>12</price></item></site>",
+      "delete docs 1",
+      "analyze docs",
+      "workload xmark",
+      "advise 512 heuristic",
+      "materialize",
+      std::string("run ") + kAfricaQuery,
+  };
+  // Drops checkpoint lines and EXPLAIN's STATS block; masks the timing.
+  auto normalize = [](const std::string& reply) {
+    std::istringstream lines(reply);
+    std::string line;
+    std::string kept;
+    bool in_stats = false;
+    while (std::getline(lines, line)) {
+      if (line == "  STATS:") {
+        in_stats = true;
+        continue;
+      }
+      if (in_stats && line.rfind("    ", 0) == 0) continue;
+      in_stats = false;
+      if (line.rfind("checkpointed (epoch ", 0) == 0) continue;
+      size_t in = line.find(" docs in ");
+      size_t us = line.find("us (", in);
+      if (line.rfind("-> ", 0) == 0 && in != std::string::npos &&
+          us != std::string::npos) {
+        line.replace(in + 9, us - in - 9, "<t>");
+      }
+      kept += line + "\n";
+    }
+    return kept;
+  };
+  auto run_script = [&](SharedState* shared, std::vector<std::string>* out) {
+    ClientSession session(*shared);
+    for (const std::string& line : script) {
+      out->push_back(normalize(Dispatch(shared, &session, line)));
+    }
+  };
+
+  std::vector<std::string> memory_replies;
+  std::string memory_fingerprint;
+  {
+    SharedState shared;
+    EXPECT_FALSE(shared.engine->persistent());
+    run_script(&shared, &memory_replies);
+    memory_fingerprint =
+        storage::StorageEngine::StateFingerprint(shared.db, shared.catalog);
+  }
+  std::vector<std::string> disk_replies;
+  {
+    SharedState shared;
+    Result<std::unique_ptr<storage::StorageEngine>> opened =
+        storage::StorageEngine::Open(
+            db_dir, &shared.db, &shared.catalog, &shared.buffer_pool,
+            shared.default_options.cost_model.storage, no_sync);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    shared.engine = std::move(*opened);
+    run_script(&shared, &disk_replies);
+    EXPECT_EQ(
+        storage::StorageEngine::StateFingerprint(shared.db, shared.catalog),
+        memory_fingerprint);
+    // Kill: no Close(); the checkpoints and the WAL are all that's left.
+  }
+  ASSERT_EQ(disk_replies.size(), memory_replies.size());
+  for (size_t i = 0; i < script.size(); ++i) {
+    EXPECT_EQ(disk_replies[i], memory_replies[i]) << script[i];
+  }
+  EXPECT_EQ(memory_replies[1].find("loaded 1 document"), 0u);
+  EXPECT_NE(memory_replies[8].find("materialized"), std::string::npos);
+  EXPECT_GT(ResultNodes(memory_replies[9]), 0);
+  {
+    SharedState shared;
+    Result<std::unique_ptr<storage::StorageEngine>> opened =
+        storage::StorageEngine::Open(
+            db_dir, &shared.db, &shared.catalog, &shared.buffer_pool,
+            shared.default_options.cost_model.storage, no_sync);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(
+        storage::StorageEngine::StateFingerprint(shared.db, shared.catalog),
+        memory_fingerprint);
   }
   fs::remove_all(scratch);
 }
