@@ -33,8 +33,10 @@
 //                               the previous run's state on startup
 //                               (skipping --preload regeneration when
 //                               state exists), WAL-log load/insert/
-//                               delete/update/analyze, checkpoint bulk
-//                               loads, and checkpoint on clean shutdown
+//                               delete/update/analyze/materialize,
+//                               checkpoint once per gen/loadcoll and
+//                               for all preloads, and checkpoint on
+//                               clean shutdown
 //   --capture [capacity]        arm workload capture from startup
 //   --failpoint SPEC            arm fault injection (repeatable; the
 //                               XIA_FAILPOINTS env var is also honored)
@@ -56,8 +58,6 @@
 #include "server/server.h"
 #include "storage/storage_engine.h"
 #include "wlm/capture.h"
-#include "xmldata/tpox_gen.h"
-#include "xmldata/xmark_gen.h"
 
 using namespace xia;
 
@@ -96,23 +96,6 @@ int RunClient(const std::string& socket_path, int port) {
     return 1;
   }
   return 0;
-}
-
-Status Preload(server::SharedState* shared, const std::string& spec) {
-  if (spec.rfind("xmark", 0) == 0) {
-    int docs = 10;
-    size_t colon = spec.find(':');
-    if (colon != std::string::npos) {
-      docs = std::atoi(spec.c_str() + colon + 1);
-      if (docs <= 0) return Status::InvalidArgument("bad --preload " + spec);
-    }
-    return PopulateXMark(&shared->db, "xmark", docs, XMarkParams(), 42);
-  }
-  if (spec == "tpox") {
-    return PopulateTpox(&shared->db, 50, 100, 20, TpoxParams(), 11);
-  }
-  return Status::InvalidArgument("unknown --preload " + spec +
-                                 " (xmark[:docs] or tpox)");
 }
 
 }  // namespace
@@ -274,22 +257,14 @@ int main(int argc, char** argv) {
         std::cerr << "created database at " << data_dir << "\n";
       }
     }
-    for (const std::string& preload : preloads) {
-      Status status = Preload(&shared, preload);
+    if (!preloads.empty()) {
+      Status status = server::Preload(&shared, preloads);
       if (!status.ok()) {
         std::cerr << status.ToString() << "\n";
         return 1;
       }
-      std::cerr << "preloaded " << preload << "\n";
-    }
-    if (!preloads.empty()) {
-      // Preload bulk-mutates the database without WAL records; checkpoint
-      // so the generated state is durable from the first client on.
-      Status status = shared.engine->Checkpoint();
-      if (!status.ok()) {
-        std::cerr << "checkpoint after preload: " << status.ToString()
-                  << "\n";
-        return 1;
+      for (const std::string& preload : preloads) {
+        std::cerr << "preloaded " << preload << "\n";
       }
     }
   }

@@ -1,7 +1,9 @@
 #include "server/session.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "advisor/analysis.h"
@@ -34,7 +36,51 @@ namespace {
 /// per command with --decompose / --exact.
 constexpr size_t kDecomposeAutoTemplates = 256;
 
+// The built-in data sets `gen` and `--preload` create: XMark documents in
+// collection `xmark` from seed 42, and the three TPoX collections from
+// seed 11, at these default sizes.
+constexpr int kXMarkDocs = 10;
+constexpr int kTpoxCustomers = 50;
+constexpr int kTpoxOrders = 100;
+constexpr int kTpoxSecurities = 20;
+
+Status GenerateXMark(Database* db, int docs) {
+  return PopulateXMark(db, "xmark", docs, XMarkParams(), /*seed=*/42);
+}
+
+Status GenerateTpox(Database* db, int customers, int orders,
+                    int securities) {
+  return PopulateTpox(db, customers, orders, securities, TpoxParams(),
+                      /*seed=*/11);
+}
+
 }  // namespace
+
+Status Preload(SharedState* shared, const std::vector<std::string>& specs) {
+  std::vector<std::function<Status(Database*)>> loads;
+  for (const std::string& spec : specs) {
+    if (spec.rfind("xmark", 0) == 0) {
+      int docs = kXMarkDocs;
+      size_t colon = spec.find(':');
+      if (colon != std::string::npos) {
+        docs = std::atoi(spec.c_str() + colon + 1);
+        if (docs <= 0) return Status::InvalidArgument("bad --preload " + spec);
+      }
+      loads.push_back([docs](Database* db) { return GenerateXMark(db, docs); });
+    } else if (spec == "tpox") {
+      loads.push_back([](Database* db) {
+        return GenerateTpox(db, kTpoxCustomers, kTpoxOrders, kTpoxSecurities);
+      });
+    } else {
+      return Status::InvalidArgument("unknown --preload " + spec +
+                                     " (xmark[:docs] or tpox)");
+    }
+  }
+  return shared->engine->BulkLoad([&loads](Database* db) {
+    for (const auto& load : loads) XIA_RETURN_IF_ERROR(load(db));
+    return Status::Ok();
+  });
+}
 
 wlm::DriftMonitor* SharedState::DriftWatcher() {
   if (!drift) {
@@ -58,15 +104,11 @@ struct VerbCall {
 
 namespace {
 
-/// Checkpoints after a successful bulk (unlogged) mutation and, when the
-/// engine persists, reports it.
-void CheckpointAfterBulk(VerbCall& call) {
-  // Bulk generation/materialization bypasses the WAL (the engine logs
-  // only logical mutations it executed itself); the checkpoint here is
-  // what makes the bulk result durable. Memory-only it does nothing.
-  Status status = call.shared.engine->Checkpoint();
+/// Ends a bulk verb's reply: the bulk load's error, or the checkpoint a
+/// persistent engine took.
+void ReportBulkLoad(VerbCall& call, const Status& status) {
   if (!status.ok()) {
-    call.out << "checkpoint failed: " << status.ToString() << "\n";
+    call.out << status.ToString() << "\n";
   } else if (call.shared.engine->persistent()) {
     call.out << "checkpointed (epoch " << call.shared.engine->epoch() << ")\n";
   }
@@ -118,28 +160,26 @@ void CmdGen(VerbCall& call) {
   std::string kind;
   call.args >> kind;
   if (kind == "xmark") {
-    int docs = 10;
+    int docs = kXMarkDocs;
     call.args >> docs;
-    Status status =
-        PopulateXMark(&call.shared.db, "xmark", docs, XMarkParams(), 42);
-    call.out << (status.ok()
-                     ? "generated xmark: " +
-                           std::to_string(
-                               call.shared.db.GetCollection("xmark")
-                                   ->num_nodes()) +
-                           " nodes\n"
-                     : status.ToString() + "\n");
-    if (status.ok()) CheckpointAfterBulk(call);
+    Status status = call.shared.engine->BulkLoad(
+        [docs](Database* db) { return GenerateXMark(db, docs); });
+    if (status.ok()) {
+      call.out << "generated xmark: "
+               << call.shared.db.GetCollection("xmark")->num_nodes()
+               << " nodes\n";
+    }
+    ReportBulkLoad(call, status);
   } else if (kind == "tpox") {
-    int customers = 50;
-    int orders = 100;
-    int securities = 20;
+    int customers = kTpoxCustomers;
+    int orders = kTpoxOrders;
+    int securities = kTpoxSecurities;
     call.args >> customers >> orders >> securities;
-    Status status = PopulateTpox(&call.shared.db, customers, orders, securities,
-                                 TpoxParams(), 11);
-    call.out << (status.ok() ? "generated tpox collections\n"
-                             : status.ToString() + "\n");
-    if (status.ok()) CheckpointAfterBulk(call);
+    Status status = call.shared.engine->BulkLoad([=](Database* db) {
+      return GenerateTpox(db, customers, orders, securities);
+    });
+    if (status.ok()) call.out << "generated tpox collections\n";
+    ReportBulkLoad(call, status);
   } else {
     call.out << "usage: gen xmark <docs> | gen tpox <c> <o> <s>\n";
   }
@@ -209,12 +249,14 @@ void CmdLoadColl(VerbCall& call) {
   std::string collection;
   std::string dir;
   call.args >> collection >> dir;
-  Result<size_t> loaded =
-      LoadCollectionFromDirectory(&call.shared.db, collection, dir);
-  call.out << (loaded.ok() ? "loaded " + std::to_string(*loaded) +
-                                 " documents (analyzed)\n"
-                           : loaded.status().ToString() + "\n");
-  if (loaded.ok()) CheckpointAfterBulk(call);
+  size_t loaded = 0;
+  Status status = call.shared.engine->BulkLoad([&](Database* db) -> Status {
+    XIA_ASSIGN_OR_RETURN(loaded,
+                         LoadCollectionFromDirectory(db, collection, dir));
+    return Status::Ok();
+  });
+  if (status.ok()) call.out << "loaded " << loaded << " documents (analyzed)\n";
+  ReportBulkLoad(call, status);
 }
 
 void CmdAnalyze(VerbCall& call) {
@@ -576,14 +618,25 @@ void CmdMaterialize(VerbCall& call) {
     call.out << "run 'advise' first\n";
     return;
   }
-  Result<double> built = MaterializeConfiguration(
-      call.shared.db, call.session->recommendation->indexes,
-      &call.shared.catalog, call.session->options.cost_model.storage);
-  const size_t built_count = call.session->recommendation->indexes.size();
-  call.out << (built.ok() ? "materialized " + std::to_string(built_count) +
-                                " indexes (" + FormatBytes(*built) + ")\n"
-                          : built.status().ToString() + "\n");
-  if (built.ok()) CheckpointAfterBulk(call);
+  // One logged CREATE INDEX per recommended index. A name already taken
+  // (e.g. by an earlier materialize) is renamed, not refused.
+  const std::vector<IndexDefinition>& config =
+      call.session->recommendation->indexes;
+  double built_bytes = 0;
+  for (IndexDefinition def : config) {
+    if (def.name.empty() || call.shared.catalog.Find(def.name) != nullptr) {
+      def.name = call.shared.catalog.UniqueName(def.pattern);
+    }
+    Result<std::string> name = call.shared.engine->CreateIndex(def.DdlString());
+    if (!name.ok()) {
+      call.out << name.status().ToString() << "\n";
+      return;
+    }
+    built_bytes += call.shared.catalog.Find(*name)->physical->ByteSize(
+        call.session->options.cost_model.storage);
+  }
+  call.out << "materialized " << config.size() << " indexes ("
+           << FormatBytes(built_bytes) << ")\n";
 }
 
 void CmdRun(VerbCall& call) {

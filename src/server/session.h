@@ -65,11 +65,12 @@ struct SharedState {
   std::unique_ptr<wlm::QueryLog> capture_log;
   std::unique_ptr<wlm::DriftMonitor> drift;
   /// Storage engine over db/catalog (storage/storage_engine.h), never
-  /// null: every mutating verb is one call on it. Memory-only unless the
-  /// process opens one on --data-dir; then load/insert/delete/update/
-  /// analyze append WAL records, bulk verbs (gen/loadcoll/materialize)
-  /// checkpoint, and startup recovers the previous run's state. Guarded
-  /// by `mu` like the db/catalog it persists.
+  /// null: every mutating verb reaches db/catalog only through it.
+  /// Memory-only unless the process opens one on --data-dir; then
+  /// load/insert/delete/update/analyze and each index `materialize`
+  /// builds append WAL records, gen/loadcoll/--preload are bulk loads
+  /// that checkpoint once, and startup recovers the previous run's state.
+  /// Guarded by `mu` like the db/catalog it persists.
   std::unique_ptr<storage::StorageEngine> engine =
       storage::StorageEngine::MemoryOnly(&db, &catalog,
                                          default_options.cost_model.storage);
@@ -83,6 +84,12 @@ struct SharedState {
   /// The lazily-created drift monitor. Callers must hold `drift_mu`.
   wlm::DriftMonitor* DriftWatcher();
 };
+
+/// Generates xia_server's `--preload` specs (`xmark[:docs]` or `tpox`,
+/// the data `gen xmark <docs>` and `gen tpox` create) as one bulk load of
+/// `shared->engine`, so a persistent engine checkpoints once. A bad spec
+/// is InvalidArgument, before anything is generated.
+Status Preload(SharedState* shared, const std::vector<std::string>& specs);
 
 /// Per-session state: the hand-built workload, the last recommendation,
 /// and the interactive what-if overlay. Sessions are single-threaded

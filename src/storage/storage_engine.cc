@@ -123,6 +123,10 @@ std::vector<StreamBlob> BuildStreams(const Database& db,
   return streams;
 }
 
+constexpr const char* kRefusedUntilCheckpoint =
+    "logged mutations are refused until a checkpoint succeeds "
+    "(`db checkpoint`)";
+
 uint64_t PagesFor(size_t bytes) {
   return (bytes + kPagePayloadSize - 1) / kPagePayloadSize;
 }
@@ -157,7 +161,10 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
   if (manifest.ok()) {
     XIA_RETURN_IF_ERROR(engine->OpenExisting(*manifest));
   } else if (manifest.status().code() == StatusCode::kNotFound) {
-    XIA_RETURN_IF_ERROR(engine->OpenFresh());
+    // A fresh directory: Checkpoint() writes the current contents
+    // (normally empty) as checkpoint 1.
+    XIA_RETURN_IF_ERROR(engine->Checkpoint());
+    engine->recovery_.epoch = engine->epoch_;
   } else {
     return manifest.status();
   }
@@ -184,32 +191,6 @@ std::string StorageEngine::WalPath(uint64_t epoch) const {
 
 std::string StorageEngine::ManifestPath() const {
   return (fs::path(dir_) / "MANIFEST").string();
-}
-
-Status StorageEngine::OpenFresh() {
-  // The current in-memory contents (normally empty) become checkpoint 1.
-  const uint64_t first_epoch = 1;
-  std::string image = SerializeCheckpoint();
-  AtomicWriteOptions page_options;
-  page_options.failpoint = "storage.checkpoint.flush";
-  page_options.sync = options_.sync;
-  XIA_RETURN_IF_ERROR(
-      AtomicWriteFile(PagesPath(first_epoch), image, page_options));
-  obs::Registry().GetCounter("storage.pages.written").Add(PageCount(image));
-  AtomicWriteOptions wal_options;
-  wal_options.sync = options_.sync;
-  XIA_RETURN_IF_ERROR(
-      AtomicWriteFile(WalPath(first_epoch), "", wal_options));
-  XIA_FAILPOINT("storage.checkpoint.rename");
-  XIA_RETURN_IF_ERROR(WriteManifest(first_epoch));
-  epoch_ = first_epoch;
-  recovery_ = RecoveryStats{};
-  recovery_.epoch = epoch_;
-  XIA_ASSIGN_OR_RETURN(
-      WalWriter writer,
-      WalWriter::Open(WalPath(first_epoch), 0, options_.sync));
-  wal_.emplace(std::move(writer));
-  return Status::Ok();
 }
 
 Status StorageEngine::OpenExisting(const std::string& manifest_text) {
@@ -510,9 +491,10 @@ Status StorageEngine::LoadCheckpoint(const std::string& path) {
 
 Status StorageEngine::AppendWal(WalRecordType type, std::string payload) {
   if (!persistent()) return Status::Ok();
-  if (closed_ || !wal_.has_value()) {
-    return Status::Internal("storage engine is closed");
-  }
+  if (closed_) return Status::Internal("storage engine is closed");
+  // A bulk load's checkpoint failed, or a checkpoint could not open its
+  // new WAL.
+  if (!wal_.has_value()) return Status::Internal(kRefusedUntilCheckpoint);
   WalRecord record;
   record.lsn = next_lsn_;
   record.type = type;
@@ -527,7 +509,7 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
   switch (record.type) {
     case WalRecordType::kCreateCollection: {
       XIA_ASSIGN_OR_RETURN(std::string name, r.Str());
-      return ApplyCreateCollection(name);
+      return db_->CreateCollection(name).status();
     }
     case WalRecordType::kAddDocument: {
       // Replay-only: no live mutation writes this record, but a log from
@@ -539,33 +521,31 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
     }
     case WalRecordType::kAnalyze: {
       XIA_ASSIGN_OR_RETURN(std::string collection, r.Str());
-      return ApplyAnalyze(collection);
+      return db_->Analyze(collection);
     }
     case WalRecordType::kCreateIndex: {
       XIA_ASSIGN_OR_RETURN(std::string ddl, r.Str());
-      Result<std::string> name = ApplyCreateIndex(ddl);
-      if (!name.ok()) return name.status();
-      return Status::Ok();
+      return ApplyCreateIndex(ddl).status();
     }
     case WalRecordType::kDropIndex: {
       XIA_ASSIGN_OR_RETURN(std::string name, r.Str());
-      return ApplyDropIndex(name);
+      return catalog_->Drop(name);
     }
     case WalRecordType::kInsertDocument: {
       XIA_ASSIGN_OR_RETURN(std::string collection, r.Str());
       XIA_ASSIGN_OR_RETURN(std::string xml, r.Str());
-      return ApplyInsertDocument(collection, xml).status();
+      return dml::ApplyInsert(db_, catalog_, collection, xml).status();
     }
     case WalRecordType::kDeleteDocument: {
       XIA_ASSIGN_OR_RETURN(std::string collection, r.Str());
       XIA_ASSIGN_OR_RETURN(int32_t doc, r.I32());
-      return ApplyDeleteDocument(collection, doc).status();
+      return dml::ApplyDelete(db_, catalog_, collection, doc).status();
     }
     case WalRecordType::kUpdateDocument: {
       XIA_ASSIGN_OR_RETURN(std::string collection, r.Str());
       XIA_ASSIGN_OR_RETURN(int32_t doc, r.I32());
       XIA_ASSIGN_OR_RETURN(std::string xml, r.Str());
-      return ApplyUpdateDocument(collection, doc, xml).status();
+      return dml::ApplyUpdate(db_, catalog_, collection, doc, xml).status();
     }
   }
   return Status::Internal("unknown WAL record type");
@@ -573,7 +553,8 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
 
 // ---------------------------------------------------- Logged mutations.
 // Validate first (a record that cannot replay must never be logged),
-// then append the WAL record, then apply — replay runs the same Apply*.
+// then append the WAL record, then apply — through the same Database,
+// Catalog and dml:: calls ReplayRecord makes.
 
 Status StorageEngine::CreateCollection(const std::string& name) {
   if (name.empty()) {
@@ -585,7 +566,7 @@ Status StorageEngine::CreateCollection(const std::string& name) {
   BinWriter w;
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kCreateCollection, w.Take()));
-  return ApplyCreateCollection(name);
+  return db_->CreateCollection(name).status();
 }
 
 Status StorageEngine::Analyze(const std::string& collection) {
@@ -596,7 +577,7 @@ Status StorageEngine::Analyze(const std::string& collection) {
   BinWriter w;
   w.Str(collection);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kAnalyze, w.Take()));
-  return ApplyAnalyze(collection);
+  return db_->Analyze(collection);
 }
 
 Result<std::string> StorageEngine::CreateIndex(const std::string& ddl) {
@@ -624,7 +605,7 @@ Status StorageEngine::DropIndex(const std::string& name) {
   BinWriter w;
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kDropIndex, w.Take()));
-  return ApplyDropIndex(name);
+  return catalog_->Drop(name);
 }
 
 Result<dml::DmlResult> StorageEngine::InsertDocument(
@@ -645,7 +626,7 @@ Result<dml::DmlResult> StorageEngine::InsertDocument(
   w.Str(collection);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kInsertDocument, w.Take()));
-  return ApplyInsertDocument(collection, xml);
+  return dml::ApplyInsert(db_, catalog_, collection, xml);
 }
 
 Result<dml::DmlResult> StorageEngine::DeleteDocument(
@@ -664,7 +645,7 @@ Result<dml::DmlResult> StorageEngine::DeleteDocument(
   w.Str(collection);
   w.I32(doc);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kDeleteDocument, w.Take()));
-  return ApplyDeleteDocument(collection, doc);
+  return dml::ApplyDelete(db_, catalog_, collection, doc);
 }
 
 Result<dml::DmlResult> StorageEngine::UpdateDocument(
@@ -690,17 +671,7 @@ Result<dml::DmlResult> StorageEngine::UpdateDocument(
   w.I32(doc);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kUpdateDocument, w.Take()));
-  return ApplyUpdateDocument(collection, doc, xml);
-}
-
-Status StorageEngine::ApplyCreateCollection(const std::string& name) {
-  Result<Collection*> coll = db_->CreateCollection(name);
-  if (!coll.ok()) return coll.status();
-  return Status::Ok();
-}
-
-Status StorageEngine::ApplyAnalyze(const std::string& collection) {
-  return db_->Analyze(collection);
+  return dml::ApplyUpdate(db_, catalog_, collection, doc, xml);
 }
 
 Result<std::string> StorageEngine::ApplyCreateIndex(const std::string& ddl) {
@@ -710,25 +681,6 @@ Result<std::string> StorageEngine::ApplyCreateIndex(const std::string& ddl) {
   XIA_RETURN_IF_ERROR(catalog_->AddPhysical(
       std::make_shared<PathIndex>(std::move(index)), constants_));
   return name;
-}
-
-Status StorageEngine::ApplyDropIndex(const std::string& name) {
-  return catalog_->Drop(name);
-}
-
-Result<dml::DmlResult> StorageEngine::ApplyInsertDocument(
-    const std::string& collection, const std::string& xml) {
-  return dml::ApplyInsert(db_, catalog_, collection, xml);
-}
-
-Result<dml::DmlResult> StorageEngine::ApplyDeleteDocument(
-    const std::string& collection, DocId doc) {
-  return dml::ApplyDelete(db_, catalog_, collection, doc);
-}
-
-Result<dml::DmlResult> StorageEngine::ApplyUpdateDocument(
-    const std::string& collection, DocId doc, const std::string& xml) {
-  return dml::ApplyUpdate(db_, catalog_, collection, doc, xml);
 }
 
 // ------------------------------------------------------------ Checkpoint.
@@ -779,12 +731,6 @@ Status StorageEngine::WriteManifest(uint64_t epoch) {
   return AtomicWriteFile(ManifestPath(), text, options);
 }
 
-void StorageEngine::RemoveEpochFiles(uint64_t epoch) {
-  std::error_code ec;
-  fs::remove(PagesPath(epoch), ec);
-  fs::remove(WalPath(epoch), ec);
-}
-
 Status StorageEngine::Checkpoint() {
   if (!persistent()) return Status::Ok();
   if (closed_) return Status::Internal("storage engine is closed");
@@ -814,9 +760,25 @@ Status StorageEngine::Checkpoint() {
       WalWriter writer,
       WalWriter::Open(WalPath(new_epoch), 0, options_.sync));
   wal_.emplace(std::move(writer));
-  RemoveEpochFiles(old_epoch);
+  std::error_code ec;
+  fs::remove(PagesPath(old_epoch), ec);
+  fs::remove(WalPath(old_epoch), ec);
   obs::Registry().GetCounter("storage.checkpoints").Increment();
   return Status::Ok();
+}
+
+Status StorageEngine::BulkLoad(
+    const std::function<Status(Database*)>& load) {
+  Status loaded = load(db_);
+  Status checkpointed = Checkpoint();
+  if (!checkpointed.ok()) {
+    wal_.reset();  // AppendWal refuses until a checkpoint succeeds.
+    checkpointed = Status(checkpointed.code(),
+                          "bulk load not checkpointed (" +
+                              checkpointed.message() + "); " +
+                              kRefusedUntilCheckpoint);
+  }
+  return loaded.ok() ? checkpointed : loaded;
 }
 
 Status StorageEngine::Close() {

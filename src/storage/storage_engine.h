@@ -2,6 +2,7 @@
 #define XIA_STORAGE_STORAGE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,18 +44,19 @@ struct RecoveryStats {
 ///   pages.<N>.xdb    checkpoint N: page file (storage/page.h format)
 ///   wal.<N>.log      mutations since checkpoint N (storage/wal.h)
 ///
-/// Every mutating verb goes through the engine: the WAL record is
-/// appended (and fsynced) BEFORE the in-memory mutation is applied, and
-/// the apply path is the same code recovery replays, so a reopened
-/// database is bit-identical to one that never crashed. Checkpoint()
-/// serializes the full state into the next epoch's page file, creates an
-/// empty WAL, and atomically swaps MANIFEST — a crash at any point
-/// leaves the previous epoch fully intact.
+/// Every mutation goes through the engine. A logged one appends (and
+/// fsyncs) its WAL record BEFORE it applies in memory, through the code
+/// recovery replays, so a reopened database is bit-identical to one that
+/// never crashed; a BulkLoad logs nothing and is made durable by one
+/// checkpoint. Checkpoint(), the only writer of page files, serializes
+/// the full state into the next epoch's page file, creates an empty WAL,
+/// and atomically swaps MANIFEST — a crash at any point leaves the
+/// previous epoch fully intact.
 ///
 /// A memory-only engine (MemoryOnly) has no directory and no WAL: its
-/// mutations validate and apply exactly as above, and Checkpoint() and
-/// Close() do nothing. Callers therefore mutate through one engine
-/// whether or not the database persists.
+/// mutations validate and apply exactly as above, BulkLoad only runs the
+/// loader, and Checkpoint() and Close() do nothing. Callers therefore
+/// mutate through one engine whether or not the database persists.
 ///
 /// Failpoints (tests/persistence_test.cc drives all three):
 ///   storage.wal.append        (arg = lsn)   crash mid-WAL-append
@@ -69,9 +71,9 @@ class StorageEngine {
   ///
   /// When `dir` holds an existing database, `db` and `catalog` must be
   /// empty: the checkpoint is loaded into them and the WAL replayed on
-  /// top. When `dir` is fresh, the *current* contents of `db`/`catalog`
-  /// (usually empty, but e.g. pre-generated XMark data) become
-  /// checkpoint 1 — the adopt-then-persist path bulk loaders use.
+  /// top. When `dir` is fresh, Checkpoint() writes the *current* contents
+  /// of `db`/`catalog` (usually empty, but e.g. pre-generated XMark data
+  /// with built indexes) as checkpoint 1 — adopt-then-persist.
   ///
   /// Checkpoint page reads are accounted in `pool` (may be null) under
   /// the StoragePageId partition, so cold-vs-warm opens are measurable.
@@ -108,12 +110,22 @@ class StorageEngine {
   Result<dml::DmlResult> UpdateDocument(const std::string& collection,
                                         DocId doc, const std::string& xml);
 
+  // ------------------------------------------------ Unlogged bulk load.
+
+  /// Runs `load`, which may only create, fill and analyze new
+  /// collections, then Checkpoint()s even if `load` failed, so a logged
+  /// mutation never builds on state the disk lacks. If that checkpoint
+  /// fails, the WAL writer is dropped and logged mutations are refused
+  /// until a Checkpoint() (or Close()) succeeds. Returns `load`'s error,
+  /// else the checkpoint's.
+  Status BulkLoad(const std::function<Status(Database*)>& load);
+
   // ------------------------------------------------------ Checkpoint.
 
   /// Writes the next epoch's page file, swaps MANIFEST, truncates the
-  /// WAL (by starting a fresh one), and garbage-collects the previous
-  /// epoch. Also the way unlogged bulk loads (generate/loadcoll) become
-  /// durable: mutate the Database directly, then Checkpoint().
+  /// WAL (by starting a fresh one, which also heals a poisoned or dropped
+  /// writer), and removes the previous epoch. A fresh Open() is this
+  /// call from epoch 0.
   Status Checkpoint();
 
   /// Checkpoints and releases the WAL. Idempotent. A Close()d database
@@ -151,31 +163,19 @@ class StorageEngine {
 
   // Recovery (called from Open).
   Status OpenExisting(const std::string& manifest_text);
-  Status OpenFresh();
   Status LoadCheckpoint(const std::string& path);
+  /// Applies one record through the Database, Catalog and dml:: calls
+  /// the live mutations make.
   Status ReplayRecord(const WalRecord& record);
 
-  // Shared apply path: live mutations and WAL replay both land here.
-  Status ApplyCreateCollection(const std::string& name);
-  Status ApplyAnalyze(const std::string& collection);
+  /// Builds and registers the index `ddl` defines (live and replay).
   Result<std::string> ApplyCreateIndex(const std::string& ddl);
-  Status ApplyDropIndex(const std::string& name);
-  // DML applies delegate to dml::Apply* — the shared single mutation
-  // path live verbs and replay both run.
-  Result<dml::DmlResult> ApplyInsertDocument(const std::string& collection,
-                                             const std::string& xml);
-  Result<dml::DmlResult> ApplyDeleteDocument(const std::string& collection,
-                                             DocId doc);
-  Result<dml::DmlResult> ApplyUpdateDocument(const std::string& collection,
-                                             DocId doc,
-                                             const std::string& xml);
 
   Status AppendWal(WalRecordType type, std::string payload);
 
   /// Serializes db_/catalog_ into one page-file image.
   std::string SerializeCheckpoint() const;
   Status WriteManifest(uint64_t epoch);
-  void RemoveEpochFiles(uint64_t epoch);
 
   std::string PagesPath(uint64_t epoch) const;
   std::string WalPath(uint64_t epoch) const;

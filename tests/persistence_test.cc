@@ -498,8 +498,9 @@ TEST(PersistenceTest, BulkLoadCheckpointThenQueriesAreBitIdentical) {
   {
     Instance inst;
     ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
-    // Bulk generation bypasses the WAL (like loadcoll/gen verbs); the
-    // explicit Checkpoint() is what makes it durable.
+    // Generating straight into the Database writes no WAL record, so the
+    // explicit Checkpoint() is what makes it durable (the gen and loadcoll
+    // verbs get that checkpoint from StorageEngine::BulkLoad).
     XMarkParams params;
     ASSERT_TRUE(PopulateXMark(&inst.db, "xmark", 10, params, 42).ok());
     ASSERT_TRUE(inst.engine->Analyze("xmark").ok());

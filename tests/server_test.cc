@@ -1052,6 +1052,200 @@ TEST(DispatcherDbTest, MemoryOnlyAndDataDirSessionsMatch) {
   fs::remove_all(scratch);
 }
 
+// Opens a storage engine without fsync on `dir` into `shared`.
+Status OpenDataDir(SharedState* shared, const std::string& dir) {
+  storage::StorageOptions no_sync;
+  no_sync.sync = false;
+  Result<std::unique_ptr<storage::StorageEngine>> opened =
+      storage::StorageEngine::Open(dir, &shared->db, &shared->catalog,
+                                   &shared->buffer_pool,
+                                   shared->default_options.cost_model.storage,
+                                   no_sync);
+  if (!opened.ok()) return opened.status();
+  shared->engine = std::move(*opened);
+  return Status::Ok();
+}
+
+std::string Fingerprint(const SharedState& shared) {
+  return storage::StorageEngine::StateFingerprint(shared.db, shared.catalog);
+}
+
+// The value of a `db status` line such as "  next_lsn: 17", or -1.
+int64_t StatusField(const std::string& reply, const std::string& field) {
+  size_t at = reply.find("  " + field + ": ");
+  return at == std::string::npos
+             ? -1
+             : std::atoll(reply.c_str() + at + field.size() + 4);
+}
+
+// A `run` reply up to EXPLAIN's process-wide STATS block.
+std::string PlanText(const std::string& reply) {
+  return reply.substr(0, reply.find("  STATS:"));
+}
+
+// A loadcoll that fails part-way still leaves its collection in a
+// checkpoint, so an insert logged on top of it replays after a kill.
+TEST(DispatcherDbTest, FailedLoadCollLeavesARecoverableCollection) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_loadcoll_test";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch / "coll");
+  std::ofstream(scratch / "coll" / "a.xml") << "<a><b>1</b></a>";
+  std::ofstream(scratch / "coll" / "b.xml") << "<a><b>2</b>";
+  const std::string db_dir = (scratch / "db").string();
+  std::string fingerprint;
+  {
+    SharedState shared;
+    ASSERT_TRUE(OpenDataDir(&shared, db_dir).ok());
+    ClientSession session(shared);
+    const std::string loaded = Dispatch(
+        &shared, &session, "loadcoll docs " + (scratch / "coll").string());
+    EXPECT_EQ(loaded.find("ParseError: "), 0u) << loaded;
+    EXPECT_EQ(loaded.find('\n'), loaded.size() - 1) << loaded;
+    EXPECT_EQ(Dispatch(&shared, &session, "insert docs <a><b>3</b></a>")
+                  .find("inserted doc 1 of docs"),
+              0u);
+    fingerprint = Fingerprint(shared);
+    // Kill: no Close().
+  }
+  SharedState reopened;
+  Status status = OpenDataDir(&reopened, db_dir);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(Fingerprint(reopened), fingerprint);
+  fs::remove_all(scratch);
+}
+
+// When the checkpoint of a bulk load fails, its collections are on no
+// disk: logged verbs are refused until `db checkpoint` puts them there.
+TEST(DispatcherDbTest, FailedBulkCheckpointRefusesLoggedVerbsUntilCheckpoint) {
+  namespace fs = std::filesystem;
+  fp::DisarmAll();
+  fs::path scratch = fs::temp_directory_path() / "xia_server_bulk_fail_test";
+  fs::remove_all(scratch);
+  const std::string db_dir = (scratch / "db").string();
+  const std::string insert = "insert xmark <site><regions/></site>";
+  std::string fingerprint;
+  {
+    SharedState shared;
+    ASSERT_TRUE(OpenDataDir(&shared, db_dir).ok());
+    ClientSession session(shared);
+    Dispatch(&shared, &session,
+             "failpoint storage.checkpoint.flush=error,trips:1");
+    const std::string generated = Dispatch(&shared, &session, "gen xmark 2");
+    EXPECT_NE(generated.find("storage.checkpoint.flush"), std::string::npos)
+        << generated;
+    EXPECT_EQ(generated.find("checkpointed (epoch"), std::string::npos)
+        << generated;
+    const std::string refused = Dispatch(&shared, &session, insert);
+    EXPECT_NE(refused.find("`db checkpoint`"), std::string::npos) << refused;
+    EXPECT_EQ(refused.find("inserted"), std::string::npos) << refused;
+    EXPECT_EQ(Dispatch(&shared, &session, "db checkpoint")
+                  .find("checkpointed (epoch"),
+              0u);
+    EXPECT_EQ(Dispatch(&shared, &session, insert).find("inserted doc 2 of xmark"),
+              0u);
+    fingerprint = Fingerprint(shared);
+    // Kill: no Close().
+  }
+  fp::DisarmAll();
+  SharedState reopened;
+  Status status = OpenDataDir(&reopened, db_dir);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(reopened.engine->recovery().wal_records_replayed, 1u);
+  EXPECT_EQ(Fingerprint(reopened), fingerprint);
+  fs::remove_all(scratch);
+}
+
+// `materialize` is one logged CREATE INDEX per recommended index: no
+// checkpoint, exactly the `ddl` statements in the catalog, and a kill
+// replays them into the same plans.
+TEST(DispatcherDbTest, MaterializeIsLoggedAndBuildsTheRecommendation) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_materialize_test";
+  fs::remove_all(scratch);
+  const std::string db_dir = (scratch / "db").string();
+  const std::string run = std::string("run ") + kAfricaQuery;
+  std::string materialized;
+  std::string fingerprint;
+  std::string plan;
+  std::optional<Recommendation> advised;
+  {
+    SharedState shared;
+    ASSERT_TRUE(OpenDataDir(&shared, db_dir).ok());
+    ClientSession session(shared);
+    Dispatch(&shared, &session, "gen xmark 4");
+    Dispatch(&shared, &session, "workload xmark");
+    Dispatch(&shared, &session, "advise 512 heuristic");
+    const std::string before = Dispatch(&shared, &session, "db status");
+    materialized = Dispatch(&shared, &session, "materialize");
+    EXPECT_EQ(materialized.find("materialized 15 indexes ("), 0u)
+        << materialized;
+    const std::string after = Dispatch(&shared, &session, "db status");
+    EXPECT_GT(StatusField(before, "epoch"), 0);
+    EXPECT_EQ(StatusField(after, "epoch"), StatusField(before, "epoch"));
+    EXPECT_EQ(StatusField(after, "next_lsn"),
+              StatusField(before, "next_lsn") + 15);
+
+    std::set<std::string> ddl;
+    std::istringstream script(Dispatch(&shared, &session, "ddl"));
+    for (std::string line; std::getline(script, line);) {
+      if (line.rfind("--", 0) != 0) ddl.insert(line.substr(0, line.size() - 1));
+    }
+    std::set<std::string> catalog;
+    std::istringstream listed(Dispatch(&shared, &session, "show catalog"));
+    for (std::string line; std::getline(listed, line);) {
+      catalog.insert(line.substr(2));
+    }
+    EXPECT_EQ(ddl.size(), 15u);
+    EXPECT_EQ(catalog, ddl);
+    EXPECT_EQ(shared.catalog.size(), 15u);
+
+    const std::string ran = Dispatch(&shared, &session, run);
+    EXPECT_NE(ran.find("Access: INDEX"), std::string::npos) << ran;
+    EXPECT_EQ(ResultNodes(ran), 24);
+    plan = PlanText(ran);
+    fingerprint = Fingerprint(shared);
+    advised = session.recommendation;
+    // Kill: no Close().
+  }
+  SharedState reopened;
+  Status status = OpenDataDir(&reopened, db_dir);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(reopened.engine->recovery().wal_records_replayed, 15u);
+  EXPECT_EQ(Fingerprint(reopened), fingerprint);
+  ClientSession session(reopened);
+  const std::string ran = Dispatch(&reopened, &session, run);
+  EXPECT_EQ(PlanText(ran), plan);
+  EXPECT_EQ(ResultNodes(ran), 24);
+  // Materializing the same recommendation again renames the taken names
+  // and builds every index a second time.
+  session.recommendation = advised;
+  EXPECT_EQ(Dispatch(&reopened, &session, "materialize"), materialized);
+  EXPECT_EQ(reopened.catalog.size(), 30u);
+  fs::remove_all(scratch);
+}
+
+// `--preload` and `gen` generate through one recipe.
+TEST(DispatcherDbTest, PreloadAndGenGenerateTheSameData) {
+  SharedState preloaded;
+  ASSERT_TRUE(Preload(&preloaded, {"xmark:4", "tpox"}).ok());
+  SharedState generated;
+  ClientSession session(generated);
+  EXPECT_EQ(Dispatch(&generated, &session, "gen xmark 4").find("generated"),
+            0u);
+  EXPECT_EQ(Dispatch(&generated, &session, "gen tpox").find("generated"), 0u);
+  EXPECT_EQ(Fingerprint(preloaded), Fingerprint(generated));
+  EXPECT_EQ(preloaded.db.CollectionNames().size(), 4u);
+
+  SharedState bad;
+  for (const char* spec : {"xmark:0", "tpcc"}) {
+    EXPECT_EQ(Preload(&bad, {"xmark:2", spec}).code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
+  EXPECT_TRUE(bad.db.CollectionNames().empty());
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace xia
