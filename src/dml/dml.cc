@@ -41,6 +41,29 @@ std::string RootPattern(const Database& db, const Document& doc) {
                                 : std::string(db.names().NameOf(name)));
 }
 
+/// The named collection, or NotFound.
+Result<Collection*> FindCollection(Database* db,
+                                   const std::string& collection) {
+  Collection* coll = db->GetCollection(collection);
+  if (coll == nullptr) {
+    return Status::NotFound("collection " + collection + " does not exist");
+  }
+  return coll;
+}
+
+/// The collection holding `doc`, or NotFound when either is missing or
+/// the document was deleted.
+Result<Collection*> FindLiveDocument(Database* db,
+                                     const std::string& collection, DocId doc) {
+  XIA_ASSIGN_OR_RETURN(Collection * coll, FindCollection(db, collection));
+  if (!coll->IsLive(doc)) {
+    return Status::NotFound("document " + std::to_string(doc) +
+                            " of collection " + collection +
+                            " does not exist (or was deleted)");
+  }
+  return coll;
+}
+
 /// The RUNSTATS fallback: a full rebuild once incremental deletes have
 /// made the sample-backed statistics stale past the bound. Deterministic
 /// in the collection's live contents, so live mutation and WAL replay
@@ -61,14 +84,10 @@ Status MaybeRebuildSynopsis(Database* db, const std::string& collection,
 }  // namespace
 
 Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
-                              const std::string& collection,
-                              const std::string& xml) {
-  Collection* coll = db->GetCollection(collection);
-  if (coll == nullptr) {
-    return Status::NotFound("collection " + collection + " does not exist");
-  }
-  XmlParser parser(db->mutable_names());
-  XIA_ASSIGN_OR_RETURN(Document doc, parser.Parse(xml));
+                              const std::string& collection, Document doc,
+                              const NameTable& names) {
+  XIA_ASSIGN_OR_RETURN(Collection * coll, FindCollection(db, collection));
+  doc.RemapNames(db->mutable_names()->Adopt(names));
   DmlResult out;
   out.doc = coll->Add(std::move(doc));
   out.root_pattern = RootPattern(*db, coll->doc(out.doc));
@@ -84,17 +103,21 @@ Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
   return out;
 }
 
+Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
+                              const std::string& collection,
+                              const std::string& xml) {
+  // Checked before parsing: a missing target reports NotFound, whatever
+  // the text.
+  XIA_RETURN_IF_ERROR(FindCollection(db, collection).status());
+  NameTable names;
+  XIA_ASSIGN_OR_RETURN(Document doc, XmlParser(&names).Parse(xml));
+  return ApplyInsert(db, catalog, collection, std::move(doc), names);
+}
+
 Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc) {
-  Collection* coll = db->GetCollection(collection);
-  if (coll == nullptr) {
-    return Status::NotFound("collection " + collection + " does not exist");
-  }
-  if (!coll->IsLive(doc)) {
-    return Status::NotFound("document " + std::to_string(doc) +
-                            " of collection " + collection +
-                            " does not exist (or was deleted)");
-  }
+  XIA_ASSIGN_OR_RETURN(Collection * coll,
+                       FindLiveDocument(db, collection, doc));
   DmlResult out;
   out.doc = doc;
   out.root_pattern = RootPattern(*db, coll->doc(doc));
@@ -116,28 +139,12 @@ Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
 
 Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc,
-                              const std::string& xml) {
-  Collection* coll = db->GetCollection(collection);
-  if (coll == nullptr) {
-    return Status::NotFound("collection " + collection + " does not exist");
-  }
-  if (!coll->IsLive(doc)) {
-    return Status::NotFound("document " + std::to_string(doc) +
-                            " of collection " + collection +
-                            " does not exist (or was deleted)");
-  }
-  {
-    // Pre-validate the replacement content so the delete half can never
-    // succeed and leave the insert half unapplyable.
-    NameTable scratch;
-    XmlParser parser(&scratch);
-    Result<Document> parsed = parser.Parse(xml);
-    if (!parsed.ok()) return parsed.status();
-  }
+                              Document replacement, const NameTable& names) {
   XIA_ASSIGN_OR_RETURN(DmlResult removed,
                        ApplyDelete(db, catalog, collection, doc));
-  XIA_ASSIGN_OR_RETURN(DmlResult inserted,
-                       ApplyInsert(db, catalog, collection, xml));
+  XIA_ASSIGN_OR_RETURN(
+      DmlResult inserted,
+      ApplyInsert(db, catalog, collection, std::move(replacement), names));
   DmlResult out = std::move(inserted);
   out.maintenance.indexes_touched = std::max(
       removed.maintenance.indexes_touched, out.maintenance.indexes_touched);
@@ -146,6 +153,17 @@ Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
   out.synopsis_rebuilt = out.synopsis_rebuilt || removed.synopsis_rebuilt;
   UpdateCounter().Increment();
   return out;
+}
+
+Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
+                              const std::string& collection, DocId doc,
+                              const std::string& xml) {
+  // Checked before parsing, as in the string ApplyInsert.
+  XIA_RETURN_IF_ERROR(FindLiveDocument(db, collection, doc).status());
+  NameTable names;
+  XIA_ASSIGN_OR_RETURN(Document replacement, XmlParser(&names).Parse(xml));
+  return ApplyUpdate(db, catalog, collection, doc, std::move(replacement),
+                     names);
 }
 
 }  // namespace dml

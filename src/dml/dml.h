@@ -7,6 +7,8 @@
 #include "index/catalog.h"
 #include "index/maintenance.h"
 #include "storage/database.h"
+#include "xml/document.h"
+#include "xml/name_table.h"
 
 namespace xia {
 namespace dml {
@@ -15,10 +17,13 @@ namespace dml {
 ///
 /// Every insert/delete/update of a document funnels through ApplyInsert /
 /// ApplyDelete / ApplyUpdate, whether it originates from a live server
-/// verb, the REPL, or WAL replay (StorageEngine calls the same functions
-/// from both its logged-mutation and its ReplayRecord paths, which is
-/// what makes a recovered database bit-identical to one that never
-/// crashed). Each apply performs, in a fixed order:
+/// verb, the REPL, or WAL replay. StorageEngine's logged mutations pass
+/// the Document their validation parse built; its ReplayRecord path
+/// passes the logged XML to the string overloads, which parse it once
+/// against a private name table and make the same Document call. Both
+/// intern the document's names in the order it first uses them, which
+/// is what makes a recovered database bit-identical to one that never
+/// crashed. Each apply performs, in a fixed order:
 ///
 ///   1. the Collection mutation (Add, or synopsis-decrement-then-Delete
 ///      for tombstones — the synopsis and the indexes must consume the
@@ -64,8 +69,20 @@ struct DmlResult {
   bool synopsis_rebuilt = false;
 };
 
-/// Parses `xml` and appends it to `collection` as a new document,
-/// maintaining indexes and synopsis incrementally.
+/// Appends `doc`, built against `names` (a private table, e.g. the one
+/// the caller's validation parse filled), to `collection` as a new
+/// document, maintaining indexes and synopsis incrementally. First
+/// interns `names` into the database's table in id order — the order a
+/// parse straight into that table would have interned them, so name ids
+/// match a direct parse — and remaps the nodes onto those ids. Fails
+/// without touching the database when `collection` does not exist.
+Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
+                              const std::string& collection, Document doc,
+                              const NameTable& names);
+
+/// Parses `xml` against a private name table, then applies the insert
+/// above (WAL replay, tests, benches): one parse, and a document that
+/// fails to parse changes nothing.
 Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
                               const std::string& collection,
                               const std::string& xml);
@@ -76,9 +93,18 @@ Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
 Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc);
 
-/// Replaces document `doc` with `xml`: ApplyDelete(doc) then
-/// ApplyInsert(xml). The result's `doc` is the NEW document's id; the
-/// maintenance stats aggregate both halves.
+/// Replaces document `doc` with `replacement` (built against `names`, as
+/// for ApplyInsert): ApplyDelete(doc) then ApplyInsert(replacement). The
+/// result's `doc` is the NEW document's id; the maintenance stats
+/// aggregate both halves. The replacement is already a document, so the
+/// delete half never runs ahead of an insert half that cannot apply.
+Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
+                              const std::string& collection, DocId doc,
+                              Document replacement, const NameTable& names);
+
+/// Checks that `doc` is live, parses `xml` against a private name table,
+/// then applies the update above: one parse, and a replacement that
+/// fails to parse leaves the target live and the database unchanged.
 Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc,
                               const std::string& xml);

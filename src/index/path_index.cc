@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 namespace xia {
 
@@ -18,12 +17,39 @@ double KeyBytes(const TypedValue& v) {
                                       : static_cast<double>(v.str.size());
 }
 
+size_t KeyChange(const PathIndex::Entry& a, const PathIndex::Entry& b) {
+  return a.key == b.key ? 0 : 1;
+}
+
+/// Key changes along the chain `before`, run[0, n), `after`, where a null
+/// neighbour is absent (the run is at that end of the index).
+size_t KeyChangesAlong(const PathIndex::Entry* before,
+                       const PathIndex::Entry* run, size_t n,
+                       const PathIndex::Entry* after) {
+  size_t changes = 0;
+  if (before != nullptr) changes += KeyChange(*before, run[0]);
+  for (size_t i = 1; i < n; ++i) changes += KeyChange(run[i - 1], run[i]);
+  if (after != nullptr) changes += KeyChange(run[n - 1], *after);
+  return changes;
+}
+
+/// The key change between the run's two neighbours, which are adjacent
+/// exactly when the run is absent.
+size_t KeyChangeAcross(const PathIndex::Entry* before,
+                       const PathIndex::Entry* after) {
+  if (before == nullptr || after == nullptr) return 0;
+  return KeyChange(*before, *after);
+}
+
 }  // namespace
 
 PathIndex::PathIndex(IndexDefinition def, std::vector<Entry> sorted_entries)
     : def_(std::move(def)), entries_(std::move(sorted_entries)) {
   std::sort(entries_.begin(), entries_.end(), EntryLess);
-  for (const Entry& e : entries_) key_bytes_total_ += KeyBytes(e.key);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    key_bytes_total_ += KeyBytes(entries_[i].key);
+    if (i > 0) key_changes_ += KeyChange(entries_[i - 1], entries_[i]);
+  }
 }
 
 double PathIndex::ByteSize(const StorageConstants& constants) const {
@@ -87,26 +113,53 @@ std::vector<NodeRef> PathIndex::LookupRange(
 
 size_t PathIndex::InsertEntries(std::vector<Entry> entries) {
   for (const Entry& e : entries) key_bytes_total_ += KeyBytes(e.key);
-  size_t added = entries.size();
   std::sort(entries.begin(), entries.end(), EntryLess);
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + entries.size());
-  std::merge(entries_.begin(), entries_.end(), entries.begin(),
-             entries.end(), std::back_inserter(merged), EntryLess);
-  entries_ = std::move(merged);
-  return added;
+  const size_t old_size = entries_.size();
+  entries_.resize(old_size + entries.size());
+  // Back to front: [begin, hi) are old entries still in place and
+  // [out, end) the merged tail. Each new entry, largest first, lands
+  // after its upper bound among the old entries (so ties keep old
+  // entries first, as std::merge does) and before the tail.
+  auto hi = entries_.begin() + old_size;
+  auto out = entries_.end();
+  for (auto e = entries.rbegin(); e != entries.rend(); ++e) {
+    auto slot = std::upper_bound(entries_.begin(), hi, *e, EntryLess);
+    out = std::move_backward(slot, hi, out);
+    *--out = std::move(*e);
+    hi = slot;
+    // The new entry separates two entries that were adjacent.
+    const Entry* before = slot != entries_.begin() ? &*(slot - 1) : nullptr;
+    const Entry* after = out + 1 != entries_.end() ? &*(out + 1) : nullptr;
+    key_changes_ += KeyChangesAlong(before, &*out, 1, after);
+    key_changes_ -= KeyChangeAcross(before, after);
+  }
+  return entries.size();
 }
 
 size_t PathIndex::RemoveDocument(DocId doc) {
-  size_t before = entries_.size();
-  auto it = std::remove_if(entries_.begin(), entries_.end(),
-                           [&](const Entry& e) {
-                             if (e.node.doc != doc) return false;
-                             key_bytes_total_ -= KeyBytes(e.key);
-                             return true;
-                           });
-  entries_.erase(it, entries_.end());
-  return before - entries_.size();
+  const size_t before_size = entries_.size();
+  size_t kept = 0;
+  for (size_t i = 0; i < before_size;) {
+    if (entries_[i].node.doc != doc) {
+      if (kept != i) entries_[kept] = std::move(entries_[i]);
+      ++kept;
+      ++i;
+      continue;
+    }
+    // A run [i, end) of the document's entries leaves; its neighbours
+    // become adjacent.
+    size_t end = i;
+    for (; end < before_size && entries_[end].node.doc == doc; ++end) {
+      key_bytes_total_ -= KeyBytes(entries_[end].key);
+    }
+    const Entry* before = kept > 0 ? &entries_[kept - 1] : nullptr;
+    const Entry* after = end < before_size ? &entries_[end] : nullptr;
+    key_changes_ += KeyChangeAcross(before, after);
+    key_changes_ -= KeyChangesAlong(before, &entries_[i], end - i, after);
+    i = end;
+  }
+  entries_.erase(entries_.begin() + kept, entries_.end());
+  return before_size - kept;
 }
 
 std::vector<NodeRef> PathIndex::AllNodes() const {

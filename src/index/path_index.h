@@ -57,20 +57,38 @@ class PathIndex {
   /// Every indexed node (structural use).
   std::vector<NodeRef> AllNodes() const;
 
-  /// Index maintenance: inserts `entries` keeping sorted order. Returns
-  /// the number of entries added.
+  /// Index maintenance: inserts `entries` keeping sorted order, with the
+  /// result std::merge would give. Merges in place from the back: the
+  /// vector grows into spare capacity, each new entry's slot is found by
+  /// binary search, and the old entries behind it move up as one block.
+  /// distinct_keys() is kept by comparing each new entry's key with its
+  /// two neighbours' (and theirs with each other). Returns the number of
+  /// entries added.
   size_t InsertEntries(std::vector<Entry> entries);
 
-  /// Index maintenance: drops every entry referring to `doc`. Returns the
-  /// number of entries removed.
+  /// Index maintenance: drops every entry referring to `doc` in one
+  /// compacting scan. Within one key a document's entries are adjacent,
+  /// so they leave in runs, and distinct_keys() is kept by comparing
+  /// only each run's keys and its two neighbours. Returns the number of
+  /// entries removed.
   size_t RemoveDocument(DocId doc);
 
   const std::vector<Entry>& entries() const { return entries_; }
+
+  /// Number of distinct keys: the positions where the sorted entries'
+  /// key differs from the previous entry's (the first entry counts).
+  /// Kept by the constructor, InsertEntries and RemoveDocument, so
+  /// reading it is O(1).
+  size_t distinct_keys() const {
+    return entries_.empty() ? 0 : key_changes_ + 1;
+  }
 
  private:
   IndexDefinition def_;
   std::vector<Entry> entries_;  // Sorted by key.
   double key_bytes_total_ = 0;
+  /// Adjacent entry pairs whose keys differ.
+  size_t key_changes_ = 0;
 };
 
 }  // namespace xia

@@ -54,13 +54,7 @@ VirtualIndexStats StatsFromPhysical(const PathIndex& index,
   stats.size_bytes = index.ByteSize(constants);
   stats.leaf_pages = index.LeafPages(constants);
   stats.height = index.Height(constants);
-  // Distinct keys: count runs in the sorted entry list.
-  double distinct = 0;
-  const auto& entries = index.entries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i == 0 || !(entries[i].key == entries[i - 1].key)) distinct += 1;
-  }
-  stats.distinct = std::max(1.0, distinct);
+  stats.distinct = std::max(1.0, static_cast<double>(index.distinct_keys()));
   stats.avg_key_bytes =
       stats.entries == 0
           ? 8.0

@@ -28,8 +28,12 @@ VirtualIndexStats EstimateVirtualIndex(const PathSynopsis& synopsis,
                                        const IndexDefinition& def,
                                        const StorageConstants& constants);
 
-/// Same estimate computed for a physical index's definition — used to
-/// validate the estimator against actual sizes (see the sizing bench).
+/// The same shape read off a built index — what the catalog keeps for a
+/// physical entry (Catalog::AddPhysical, refreshed by RefreshStats after
+/// each maintenance step) and what the sizing bench validates the
+/// estimator against. O(1): every field comes from a figure PathIndex
+/// keeps (entry count, key bytes, distinct_keys()), so no entry is
+/// visited.
 VirtualIndexStats StatsFromPhysical(const PathIndex& index,
                                     const StorageConstants& constants);
 

@@ -554,7 +554,9 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
 // ---------------------------------------------------- Logged mutations.
 // Validate first (a record that cannot replay must never be logged),
 // then append the WAL record, then apply — through the same Database,
-// Catalog and dml:: calls ReplayRecord makes.
+// Catalog and dml:: calls ReplayRecord makes. An insert or update
+// applies the document its validation parse built; replay parses the
+// logged XML once and makes the same dml:: call.
 
 Status StorageEngine::CreateCollection(const std::string& name) {
   if (name.empty()) {
@@ -614,19 +616,17 @@ Result<dml::DmlResult> StorageEngine::InsertDocument(
     return Status::NotFound("collection " + collection +
                             " does not exist");
   }
-  {
-    // Pre-validate against a throwaway name table: a record that cannot
-    // replay would poison every future recovery, so it is never logged.
-    NameTable scratch;
-    XmlParser parser(&scratch);
-    Result<Document> parsed = parser.Parse(xml);
-    if (!parsed.ok()) return parsed.status();
-  }
+  // Parse against a private name table before logging: a record that
+  // cannot replay would poison every future recovery, so it is never
+  // logged, and a failed parse leaves the database's names untouched.
+  // The parsed document is the one applied.
+  NameTable names;
+  XIA_ASSIGN_OR_RETURN(Document parsed, XmlParser(&names).Parse(xml));
   BinWriter w;
   w.Str(collection);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kInsertDocument, w.Take()));
-  return dml::ApplyInsert(db_, catalog_, collection, xml);
+  return dml::ApplyInsert(db_, catalog_, collection, std::move(parsed), names);
 }
 
 Result<dml::DmlResult> StorageEngine::DeleteDocument(
@@ -660,18 +660,15 @@ Result<dml::DmlResult> StorageEngine::UpdateDocument(
                             " of collection " + collection +
                             " does not exist (or was deleted)");
   }
-  {
-    NameTable scratch;
-    XmlParser parser(&scratch);
-    Result<Document> parsed = parser.Parse(xml);
-    if (!parsed.ok()) return parsed.status();
-  }
+  NameTable names;  // As in InsertDocument.
+  XIA_ASSIGN_OR_RETURN(Document parsed, XmlParser(&names).Parse(xml));
   BinWriter w;
   w.Str(collection);
   w.I32(doc);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kUpdateDocument, w.Take()));
-  return dml::ApplyUpdate(db_, catalog_, collection, doc, xml);
+  return dml::ApplyUpdate(db_, catalog_, collection, doc, std::move(parsed),
+                          names);
 }
 
 Result<std::string> StorageEngine::ApplyCreateIndex(const std::string& ddl) {

@@ -102,7 +102,13 @@ class StorageEngine {
 
   // DML (src/dml): WAL-logged document mutations with incremental index
   // and synopsis maintenance. Insert returns the new DocId; update
-  // returns the replacement's DocId (the old id is tombstoned).
+  // returns the replacement's DocId (the old id is tombstoned). Insert
+  // and update parse `xml` once, against a private name table: a
+  // document that fails to parse is refused before logging and leaves
+  // the database unchanged; otherwise the parsed Document is applied
+  // (dml::ApplyInsert/ApplyUpdate's Document overloads), its names
+  // joining the database's table in the order the document first uses
+  // them, as a replay's parse interns them.
   Result<dml::DmlResult> InsertDocument(const std::string& collection,
                                         const std::string& xml);
   Result<dml::DmlResult> DeleteDocument(const std::string& collection,

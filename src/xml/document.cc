@@ -50,6 +50,12 @@ Result<Document> Document::FromNodes(std::vector<XmlNode> nodes) {
   return doc;
 }
 
+void Document::RemapNames(const std::vector<NameId>& ids) {
+  for (XmlNode& n : nodes_) {
+    if (n.name != kNoName) n.name = ids[static_cast<size_t>(n.name)];
+  }
+}
+
 void Document::SealByteSize() {
   byte_size_ = 0;
   for (const XmlNode& n : nodes_) {

@@ -39,6 +39,12 @@ class Document {
   /// first_child / next_sibling are -1 or point forward within the array.
   static Result<Document> FromNodes(std::vector<XmlNode> nodes);
 
+  /// Moves the document onto another name table: each node's name id `n`
+  /// becomes `ids[n]` (text nodes keep kNoName), in one pass. `ids` is
+  /// what NameTable::Adopt returned for the table the document was built
+  /// against. The byte size does not depend on names and is kept.
+  void RemapNames(const std::vector<NameId>& ids);
+
   /// Document id within its collection; set when added to a Collection.
   DocId id() const { return id_; }
   void set_id(DocId id) { id_ = id; }

@@ -19,6 +19,13 @@ NameId NameTable::Lookup(std::string_view name) const {
   return it->second;
 }
 
+std::vector<NameId> NameTable::Adopt(const NameTable& other) {
+  std::vector<NameId> ids;
+  ids.reserve(other.size());
+  for (const std::string& name : other.names_) ids.push_back(Intern(name));
+  return ids;
+}
+
 const std::string& NameTable::NameOf(NameId id) const {
   XIA_CHECK(id >= 0 && static_cast<size_t>(id) < names_.size());
   return names_[static_cast<size_t>(id)];

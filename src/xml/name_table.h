@@ -34,6 +34,13 @@ class NameTable {
   /// Returns the spelling of an interned id. Requires a valid id.
   const std::string& NameOf(NameId id) const;
 
+  /// Interns every name of `other` in `other`'s id order and returns the
+  /// id each one has here, indexed by its id in `other`. For a fresh
+  /// table that one parse filled, that order is the order the document
+  /// first names them, so adopting it interns exactly what parsing the
+  /// same text straight into this table would have.
+  std::vector<NameId> Adopt(const NameTable& other);
+
   size_t size() const { return names_.size(); }
 
  private:

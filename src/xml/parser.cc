@@ -3,12 +3,19 @@
 #include <cctype>
 #include <string>
 
+#include "common/metrics.h"
 #include "common/string_util.h"
 #include "xml/builder.h"
 
 namespace xia {
 
 namespace {
+
+obs::Counter& ParseCounter() {
+  static obs::Counter& counter =
+      obs::Registry().GetCounter("xml.parse.documents");
+  return counter;
+}
 
 /// Internal cursor-based scanner; reports errors with byte offsets.
 class Scanner {
@@ -276,6 +283,7 @@ class Scanner {
 }  // namespace
 
 Result<Document> XmlParser::Parse(std::string_view input) {
+  ParseCounter().Increment();
   Scanner scanner(input, names_);
   return scanner.Run();
 }

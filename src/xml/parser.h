@@ -19,7 +19,11 @@ class XmlParser {
   explicit XmlParser(NameTable* names) : names_(names) {}
 
   /// Parses one document from `input`. Trailing whitespace is allowed;
-  /// any other trailing content is an error.
+  /// any other trailing content is an error. Names are interned into the
+  /// parser's table as they are read, so a parse that fails part-way
+  /// leaves the names it reached interned: parse against a private
+  /// table when that table must not change on failure. Every call counts
+  /// one `xml.parse.documents`.
   Result<Document> Parse(std::string_view input);
 
  private:

@@ -22,6 +22,7 @@
 #include "index/index_builder.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
+#include "storage/storage_engine.h"
 #include "wlm/capture.h"
 #include "wlm/compress.h"
 #include "wlm/drift.h"
@@ -241,6 +242,59 @@ TEST_F(DmlTest, UpdateReplacesUnderFreshDocId) {
   EXPECT_FALSE(
       dml::ApplyUpdate(&db_, &catalog_, "xmark", 3, "<broken").ok());
   EXPECT_TRUE(coll->IsLive(3));
+}
+
+// A document that fails to parse changes nothing. The string overloads
+// parse against a private name table, so the names a failed parse
+// reached never join the database's table (they used to, and were then
+// checkpointed), and an update whose replacement fails keeps its target.
+TEST_F(DmlTest, FailedInsertOrUpdateLeavesDatabaseUnchanged) {
+  Database db;
+  Catalog catalog;
+  ASSERT_TRUE(PopulateXMark(&db, "xmark", 2, params_, 42).ok());
+  const size_t names_before = db.names().size();
+  const std::string fingerprint =
+      storage::StorageEngine::StateFingerprint(db, catalog);
+
+  Result<dml::DmlResult> inserted = dml::ApplyInsert(
+      &db, &catalog, "xmark", "<brand_new_root><brand_new_child>");
+  EXPECT_EQ(inserted.status().code(), StatusCode::kParseError);
+  Result<dml::DmlResult> updated = dml::ApplyUpdate(
+      &db, &catalog, "xmark", 1, "<other_new_root><other_new_child>");
+  EXPECT_EQ(updated.status().code(), StatusCode::kParseError);
+
+  EXPECT_EQ(db.names().size(), names_before);
+  EXPECT_EQ(db.names().Lookup("brand_new_root"), kNoName);
+  EXPECT_EQ(storage::StorageEngine::StateFingerprint(db, catalog), fingerprint);
+  EXPECT_TRUE(db.GetCollection("xmark")->IsLive(1));
+}
+
+// An applied document takes the name ids a parse straight into the
+// database's table would have given it: new names are interned in the
+// order the document first uses them, known names keep their ids.
+TEST_F(DmlTest, InsertInternsNamesAsADirectParseWould) {
+  const std::string xml =
+      "<site><zz_first a_new=\"1\"><people/><zz_second>x</zz_second>"
+      "</zz_first><item/></site>";
+  Database direct;
+  ASSERT_TRUE(PopulateXMark(&direct, "xmark", 2, params_, 42).ok());
+  ASSERT_TRUE(direct.LoadXml("xmark", xml).ok());
+  Database applied;
+  Catalog catalog;
+  ASSERT_TRUE(PopulateXMark(&applied, "xmark", 2, params_, 42).ok());
+  ASSERT_TRUE(dml::ApplyInsert(&applied, &catalog, "xmark", xml).ok());
+
+  ASSERT_EQ(applied.names().size(), direct.names().size());
+  for (NameId id = 0; id < static_cast<NameId>(direct.names().size()); ++id) {
+    EXPECT_EQ(applied.names().NameOf(id), direct.names().NameOf(id));
+  }
+  const Document& want = direct.GetCollection("xmark")->doc(2);
+  const Document& got = applied.GetCollection("xmark")->doc(2);
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (NodeIndex n = 0; n < static_cast<NodeIndex>(want.num_nodes()); ++n) {
+    EXPECT_EQ(got.node(n).name, want.node(n).name) << "node " << n;
+  }
+  EXPECT_EQ(got.ByteSize(), want.ByteSize());
 }
 
 // The RUNSTATS fallback: once incremental deletes stale out more than

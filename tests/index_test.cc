@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
+#include "common/random.h"
 #include "index/catalog.h"
 #include "index/index_builder.h"
 #include "index/virtual_index.h"
@@ -163,6 +168,76 @@ TEST_F(IndexTest, StatsFromPhysicalCountsDistinct) {
   VirtualIndexStats stats = StatsFromPhysical(*index, StorageConstants());
   EXPECT_EQ(stats.entries, 3.0);
   EXPECT_EQ(stats.distinct, 2.0);  // 10 and 30.
+}
+
+// Seeded inserts and removals over few keys (so runs of equal keys sit
+// at both ends and between every document) against a reference that
+// merges with std::merge, removes with std::erase_if and recounts the
+// distinct keys.
+TEST_F(IndexTest, InPlaceUpkeepMatchesMergeAndRecount) {
+  auto less = [](const PathIndex::Entry& a, const PathIndex::Entry& b) {
+    return a.key == b.key ? a.node < b.node : a.key < b.key;
+  };
+  auto same = [](const std::vector<PathIndex::Entry>& a,
+                 const std::vector<PathIndex::Entry>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!(a[i].key == b[i].key && a[i].node == b[i].node)) return false;
+    }
+    return true;
+  };
+  auto recount = [](const std::vector<PathIndex::Entry>& entries) {
+    size_t distinct = 0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (i == 0 || !(entries[i].key == entries[i - 1].key)) ++distinct;
+    }
+    return distinct;
+  };
+  Random rng(7);
+  auto document = [&](DocId doc) {
+    std::vector<PathIndex::Entry> entries;
+    const int64_t count = rng.Uniform(0, 6);
+    for (int64_t n = 0; n < count; ++n) {
+      TypedValue key;
+      key.type = ValueType::kDouble;
+      key.num = static_cast<double>(rng.Uniform(0, 4));
+      entries.push_back({key, NodeRef{doc, static_cast<NodeIndex>(n)}});
+    }
+    return entries;
+  };
+
+  std::vector<PathIndex::Entry> reference;
+  for (DocId doc = 0; doc < 3; ++doc) {
+    std::vector<PathIndex::Entry> entries = document(doc);
+    reference.insert(reference.end(), entries.begin(), entries.end());
+  }
+  PathIndex index(Def("i", "/a", ValueType::kDouble), reference);
+  std::sort(reference.begin(), reference.end(), less);
+  ASSERT_EQ(index.distinct_keys(), recount(reference));
+
+  DocId next_doc = 3;
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (rng.Bernoulli(0.55)) {
+      std::vector<PathIndex::Entry> entries = document(next_doc++);
+      std::vector<PathIndex::Entry> sorted = entries;
+      std::sort(sorted.begin(), sorted.end(), less);
+      std::vector<PathIndex::Entry> merged;
+      std::merge(reference.begin(), reference.end(), sorted.begin(),
+                 sorted.end(), std::back_inserter(merged), less);
+      reference = std::move(merged);
+      EXPECT_EQ(index.InsertEntries(std::move(entries)), sorted.size());
+    } else {
+      const DocId doc = static_cast<DocId>(rng.Uniform(0, next_doc - 1));
+      auto of_doc = [&](const PathIndex::Entry& e) {
+        return e.node.doc == doc;
+      };
+      const size_t removed = std::erase_if(reference, of_doc);
+      EXPECT_EQ(index.RemoveDocument(doc), removed);
+    }
+    ASSERT_TRUE(same(index.entries(), reference));
+    ASSERT_EQ(index.distinct_keys(), recount(reference));
+  }
 }
 
 // --------------------------------------------------------------- Catalog.

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <vector>
 
+#include "dml/dml.h"
 #include "exec/executor.h"
 #include "index/index_builder.h"
 #include "index/maintenance.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
+#include "xml/serializer.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/parser.h"
 
@@ -17,6 +22,12 @@ PathPattern P(const std::string& text) {
   Result<PathPattern> p = ParsePathPattern(text);
   EXPECT_TRUE(p.ok()) << text;
   return std::move(*p);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
 class MaintenanceTest : public ::testing::Test {
@@ -175,6 +186,88 @@ TEST_F(MaintenanceTest, InsertedEntriesStaySorted) {
   for (size_t i = 1; i < entries.size(); ++i) {
     EXPECT_FALSE(entries[i].key < entries[i - 1].key);
   }
+}
+
+// Incremental upkeep equals a rebuild: after every step of a seeded run
+// of dml inserts, deletes and updates, each physical index holds exactly
+// the entries, in exactly the order, a BuildIndex of the live collection
+// holds, and its catalog statistics (the distinct-key count kept by
+// InsertEntries/RemoveDocument included) equal the rebuild's bit for bit.
+// `//date` keys repeat across documents, so runs of equal keys grow,
+// split and vanish along the way.
+TEST_F(MaintenanceTest, IncrementalUpkeepEqualsRebuild) {
+  Materialize("dates", "//date", ValueType::kVarchar);
+  const std::vector<std::string> checked = {"dates", "items", "quantity"};
+  XMarkParams params;
+  params.items_per_region = 3;
+  Random rng(2024);
+  auto fresh_xml = [&]() {
+    Document doc = GenerateXMarkDocument(db_.mutable_names(), params, &rng);
+    return SerializeDocument(doc, db_.names());
+  };
+  auto live_doc = [&]() {
+    const Collection* coll = db_.GetCollection("xmark");
+    std::vector<DocId> live;
+    for (DocId id = 0; id < static_cast<DocId>(coll->num_docs()); ++id) {
+      if (coll->IsLive(id)) live.push_back(id);
+    }
+    return rng.Choice(live);
+  };
+
+  auto same_entry = [](const PathIndex::Entry& a, const PathIndex::Entry& b) {
+    return a.key == b.key && a.node == b.node;
+  };
+
+  int steps_of_kind[3] = {0, 0, 0};  // Inserts, deletes, updates.
+  auto apply_step = [&]() -> Result<dml::DmlResult> {
+    int64_t kind = rng.Uniform(0, 2);
+    if (db_.GetCollection("xmark")->num_live_docs() <= 2) kind = 0;
+    ++steps_of_kind[kind];
+    if (kind == 0) {
+      return dml::ApplyInsert(&db_, &catalog_, "xmark", fresh_xml());
+    }
+    const DocId target = live_doc();
+    if (kind == 1) return dml::ApplyDelete(&db_, &catalog_, "xmark", target);
+    return dml::ApplyUpdate(&db_, &catalog_, "xmark", target, fresh_xml());
+  };
+
+  for (int step = 0; step < 60; ++step) {
+    Result<dml::DmlResult> applied = apply_step();
+    ASSERT_TRUE(applied.ok()) << "step " << step << ": "
+                              << applied.status().ToString();
+
+    for (const std::string& name : checked) {
+      SCOPED_TRACE("step " + std::to_string(step) + ", index " + name);
+      const CatalogEntry* entry = catalog_.Find(name);
+      Result<PathIndex> rebuilt = BuildIndex(db_, entry->def);
+      ASSERT_TRUE(rebuilt.ok());
+      const auto& kept = entry->physical->entries();
+      const auto& built = rebuilt->entries();
+      ASSERT_EQ(kept.size(), built.size());
+      for (size_t i = 0; i < kept.size(); ++i) {
+        ASSERT_TRUE(same_entry(kept[i], built[i])) << "entry " << i;
+      }
+      size_t distinct = 0;
+      for (size_t i = 0; i < kept.size(); ++i) {
+        if (i == 0 || !(kept[i].key == kept[i - 1].key)) ++distinct;
+      }
+      ASSERT_EQ(entry->physical->distinct_keys(), distinct);
+      const VirtualIndexStats want = StatsFromPhysical(*rebuilt, constants_);
+      const VirtualIndexStats& got = entry->stats;
+      EXPECT_EQ(Bits(got.entries), Bits(want.entries));
+      EXPECT_EQ(Bits(got.size_bytes), Bits(want.size_bytes));
+      EXPECT_EQ(Bits(got.leaf_pages), Bits(want.leaf_pages));
+      EXPECT_EQ(got.height, want.height);
+      EXPECT_EQ(Bits(got.distinct), Bits(want.distinct));
+      EXPECT_EQ(Bits(got.avg_key_bytes), Bits(want.avg_key_bytes));
+    }
+  }
+  // The run exercised every kind of step and the duplicate-heavy index.
+  EXPECT_GT(steps_of_kind[0], 0);
+  EXPECT_GT(steps_of_kind[1], 0);
+  EXPECT_GT(steps_of_kind[2], 0);
+  const CatalogEntry* dates = catalog_.Find("dates");
+  EXPECT_LT(dates->physical->distinct_keys(), dates->physical->num_entries());
 }
 
 }  // namespace

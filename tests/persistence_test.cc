@@ -746,6 +746,53 @@ TEST(PersistenceTest, KillMidDmlAppendRecoversCommittedPrefix) {
   }
 }
 
+// Each written document is parsed once: the engine applies the document
+// its validation parse built, and replay parses each logged document
+// once. Deletes parse nothing; a malformed insert is parsed (and
+// refused) once, before anything is logged.
+TEST(PersistenceTest, EachWrittenDocumentIsParsedOnce) {
+  auto parses = [] {
+    return obs::Registry().TakeSnapshot().counter("xml.parse.documents");
+  };
+  ScratchDir dir("xia_persist_parse_once");
+  std::string fingerprint;
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocA).ok());
+    ASSERT_TRUE(inst.engine->Checkpoint().ok());  // The WAL starts empty.
+
+    uint64_t before = parses();
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocB).ok());
+    EXPECT_EQ(parses() - before, 1u);
+
+    before = parses();
+    ASSERT_TRUE(inst.engine->UpdateDocument("docs", 0, kDocB).ok());
+    EXPECT_EQ(parses() - before, 1u);
+
+    before = parses();
+    ASSERT_TRUE(inst.engine->DeleteDocument("docs", 1).ok());
+    EXPECT_EQ(parses() - before, 0u);
+
+    before = parses();
+    const uint64_t lsn = inst.engine->next_lsn();
+    EXPECT_FALSE(inst.engine->InsertDocument("docs", "<open><unclosed>").ok());
+    EXPECT_EQ(parses() - before, 1u);
+    EXPECT_EQ(inst.engine->next_lsn(), lsn);
+
+    fingerprint = inst.Fingerprint();
+    // Killed without Close(): the insert, update and delete live only in
+    // the WAL.
+  }
+  const uint64_t before = parses();
+  Instance reopened;
+  ASSERT_TRUE(reopened.OpenIn(dir.db_dir()).ok());
+  EXPECT_EQ(reopened.engine->recovery().wal_records_replayed, 3u);
+  EXPECT_EQ(parses() - before, 2u);  // The insert and the update record.
+  EXPECT_EQ(reopened.Fingerprint(), fingerprint);
+}
+
 TEST(PersistenceTest, DmlAgainstMissingTargetsIsRejectedBeforeLogging) {
   ScratchDir dir("xia_persist_dml_reject");
   Instance inst;
