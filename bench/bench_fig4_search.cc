@@ -99,7 +99,9 @@ void RunSearch(benchmark::State& state, SearchAlgorithm algorithm) {
                                      /*account_update_cost=*/true, threads);
     Result<SearchResult> result = RunOne(f, &evaluator, algorithm, options);
     XIA_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->benefit);
+    // The const overload: with GCC, the mutable one's "+m,r" asm
+    // constraint clobbers a double member it is handed.
+    benchmark::DoNotOptimize(std::as_const(result->benefit));
     last = std::move(*result);
   }
   state.counters["evaluations"] = static_cast<double>(last.evaluations);
@@ -184,13 +186,13 @@ void BM_AdviseFromLog(benchmark::State& state) {
   AdvisorOptions options;
   options.space_budget_bytes = 128.0 * 1024;
   options.threads = static_cast<int>(state.range(1));
-  options.decompose.enabled = decompose;
+  options.decompose = decompose;
   Recommendation last;
   for (auto _ : state) {
     Advisor advisor(&f.db, &f.catalog, options);
     Result<Recommendation> rec = advisor.Recommend(advised);
     XIA_CHECK(rec.ok());
-    benchmark::DoNotOptimize(rec->benefit);
+    benchmark::DoNotOptimize(std::as_const(rec->benefit));
     last = std::move(*rec);
   }
   state.counters["advised_queries"] = static_cast<double>(advised.size());
@@ -278,13 +280,13 @@ void BM_AdviseTemplates(benchmark::State& state) {
   AdvisorOptions options;
   options.space_budget_bytes = 128.0 * 1024;
   options.threads = 1;
-  options.decompose.enabled = decompose;
+  options.decompose = decompose;
   Recommendation last;
   for (auto _ : state) {
     Advisor advisor(&f.db, &f.catalog, options);
     Result<Recommendation> rec = advisor.Recommend(compressed->workload);
     XIA_CHECK(rec.ok());
-    benchmark::DoNotOptimize(rec->benefit);
+    benchmark::DoNotOptimize(std::as_const(rec->benefit));
     last = std::move(*rec);
   }
   const AdvisorCacheCounters& c = last.search.counters;

@@ -112,10 +112,8 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload) {
   // mid-pricing leaves a usable best-so-far table and the search then
   // stops at its first interrupt poll, still yielding a valid flagged
   // recommendation.
-  if (options_.decompose.enabled) {
-    XIA_ASSIGN_OR_RETURN(
-        rec.pricing,
-        evaluator.PriceBenefitTable(options_.decompose, &rec.dag, deadline));
+  if (options_.decompose) {
+    XIA_ASSIGN_OR_RETURN(rec.pricing, evaluator.PriceBenefitTable(deadline));
     rec.decomposed = true;
   }
 

@@ -45,12 +45,12 @@ struct AdvisorOptions {
   /// results are unchanged, only cache hit counts move.
   WhatIfCostCache* shared_cost_cache = nullptr;
   /// CoPhy-style atomic-benefit decomposition (advisor/benefit_table.h):
-  /// when enabled, Recommend() prices the benefit table before the
-  /// search and scores configurations from it, cutting optimizer calls
-  /// from O(configurations × queries) to O(queries + candidates). The
-  /// promised benefit is asserted to stay within decompose.epsilon of
-  /// the exact search's (tests/benefit_table_test.cc).
-  DecomposeOptions decompose;
+  /// when set, Recommend() prices the benefit table before the search
+  /// and scores configurations from it, cutting optimizer calls from
+  /// O(configurations × queries) to O(queries + candidates). The promised
+  /// benefit is asserted to stay within 5% of the exact search's
+  /// (tests/benefit_table_test.cc).
+  bool decompose = false;
   /// Wall-clock budget for Recommend() in milliseconds; <= 0 means
   /// unlimited. The clock starts when Recommend() is entered and is
   /// polled at search iteration boundaries, so an expired budget yields

@@ -290,10 +290,10 @@ ConfigurationEvaluator::EvaluateMany(
   }
 
   // Serial collect, one slot per (miss, query): the benefit table's exact
-  // cell, then its composed bound (decomposed scoring only), else a
-  // what-if request for the query under its relevant candidates. Table
-  // outcomes are counted here, so the benefit.* counters are
-  // thread-count deterministic.
+  // cell, then its composed bound (decomposed scoring only), else — for a
+  // class a truncated table never reached — a what-if request for the
+  // query under its relevant candidates. Table outcomes are counted here,
+  // so the benefit.* counters are thread-count deterministic.
   const std::vector<Query>& queries = workload_->queries();
   std::vector<WhatIfKernel::Request> requests;
   std::vector<BenefitEntry> cells;
@@ -312,8 +312,7 @@ ConfigurationEvaluator::EvaluateMany(
         bool hit = benefit_table_->Lookup(cls, request.overlay, &cell);
         if (hit) {
           benefit_table_->CountHit();
-        } else if (decompose_.compose_above_degree &&
-                   benefit_table_->Compose(cls, request.overlay, &cell)) {
+        } else if (benefit_table_->Compose(cls, request.overlay, &cell)) {
           benefit_table_->CountComposed();
           hit = true;
         }
@@ -377,11 +376,9 @@ ConfigurationEvaluator::EvaluateMany(
 }
 
 Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
-    const DecomposeOptions& opts, const GeneralizationDag* dag,
     const Deadline& deadline) {
   XIA_SPAN("advisor.price_benefits");
-  decompose_ = opts;
-  auto table = std::make_unique<BenefitTable>(opts.max_degree);
+  auto table = std::make_unique<BenefitTable>();
   BenefitPricingReport report;
 
   // Per-class representative query (the first of its fingerprint class;
@@ -395,11 +392,8 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
   }
   report.classes = representative.size();
 
-  std::vector<Bitmap> ancestors;
-  if (opts.max_degree >= 2 && dag != nullptr) ancestors = DagAncestors(*dag);
-
   // Serial enumeration: every (class, subset) in deterministic
-  // class-major / size-ascending order, as one kernel request each.
+  // class-major order, as one kernel request each.
   std::vector<WhatIfKernel::Request> requests;
   std::vector<int> request_class;
   for (size_t cls = 0; cls < representative.size(); ++cls) {
@@ -411,9 +405,8 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
       }
     }
     bool capped = false;
-    std::vector<std::vector<int>> subsets = EnumerateBenefitSubsets(
-        rel, opts.max_degree, opts.max_subsets_per_query,
-        ancestors.empty() ? nullptr : &ancestors, &capped);
+    std::vector<std::vector<int>> subsets =
+        EnumerateBenefitSubsets(rel, &capped);
     report.subsets_enumerated += subsets.size();
     if (capped) ++report.capped_classes;
     for (std::vector<int>& subset : subsets) {
@@ -451,8 +444,11 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
         kernel_.Run(batch, &cancel_);
     for (size_t i = 0; i < batch.size(); ++i) {
       if (plans[i].ok()) {
-        table->Insert(request_class[next + i], batch[i].overlay,
-                      EntryFromPlan(batch[i].overlay, **plans[i]));
+        const std::vector<int>& subset = batch[i].overlay;
+        std::optional<int> candidate;
+        if (!subset.empty()) candidate = subset.front();
+        table->Insert(request_class[next + i], candidate,
+                      EntryFromPlan(subset, **plans[i]));
         continue;
       }
       if (plans[i].status().IsCancelled()) {
@@ -474,11 +470,7 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
 
 std::string ConfigurationEvaluator::DescribeDecomposition() const {
   if (!decomposed()) return "";
-  std::string out = "decomposed scoring: degree=" +
-                    std::to_string(decompose_.max_degree) + " compose=" +
-                    (decompose_.compose_above_degree ? "on" : "off") + ", " +
-                    pricing_report_.ToString();
-  return out;
+  return "decomposed scoring: " + pricing_report_.ToString();
 }
 
 Result<double> ConfigurationEvaluator::BaselineCost() {

@@ -45,11 +45,12 @@ namespace xia {
 /// and every other (query, configuration) pair is a cache hit.
 ///
 /// Decomposed mode (PriceBenefitTable, benefit_table.h): one step
-/// further — the what-if calls a search WOULD make are priced up front
-/// per (query class, small relevant subset), and configuration scoring
-/// becomes table lookups plus a conservative composed bound, with real
-/// what-if only as fallback. Optimizer-call count then scales with
-/// queries + candidates, not configurations explored.
+/// further — each query class is priced up front under the empty set and
+/// under each relevant candidate alone, and configuration scoring becomes
+/// table lookups plus a conservative composed bound, with real what-if
+/// only where a truncated table has nothing to compose from.
+/// Optimizer-call count then scales with queries + candidates, not
+/// configurations explored.
 class ConfigurationEvaluator {
  public:
   /// One workload XPath expression (driving path or predicate pattern) —
@@ -120,19 +121,17 @@ class ConfigurationEvaluator {
 
   /// Prices the CoPhy-style atomic-benefit table (benefit_table.h) and
   /// switches Evaluate/EvaluateMany to the decomposed mode: per query,
-  /// an exact table hit when its relevant-set overlap is priced, the
-  /// composed conservative bound when `opts.compose_above_degree`, and a
-  /// real what-if call (through the cost cache) only as last resort.
+  /// an exact table hit when its relevant-set overlap is priced, else the
+  /// composed conservative bound, and a real what-if call (through the
+  /// cost cache) only when a truncated table has no cell for its class.
   /// EvaluateUngoverned and BaselineCost deliberately stay on the exact
   /// path so closing evaluations report honest (non-composed) costs.
   ///
   /// Pricing itself runs the (class, subset) what-ifs through the kernel
   /// in deadline-/cancel-governed chunks: an exhausted budget returns a
   /// usable best-so-far table (report.stop_reason != kConverged), never
-  /// an error. `dag` may be null (disables degree-2 pair pruning).
-  Result<BenefitPricingReport> PriceBenefitTable(const DecomposeOptions& opts,
-                                                 const GeneralizationDag* dag,
-                                                 const Deadline& deadline);
+  /// an error.
+  Result<BenefitPricingReport> PriceBenefitTable(const Deadline& deadline);
 
   /// True once PriceBenefitTable installed a table (decomposed mode on).
   bool decomposed() const { return benefit_table_ != nullptr; }
@@ -206,9 +205,8 @@ class ConfigurationEvaluator {
   /// Overlay entry i is candidate i, named CandidateOverlayName(i).
   WhatIfKernel kernel_;
   /// Decomposed mode (PriceBenefitTable): the priced atomic-benefit
-  /// table, read-only after pricing, plus the knobs and report. Null
-  /// table = exact mode.
-  DecomposeOptions decompose_;
+  /// table, read-only after pricing, plus its report. Null table = exact
+  /// mode.
   std::unique_ptr<BenefitTable> benefit_table_;
   BenefitPricingReport pricing_report_;
   /// exprs_[e].pattern interned in cache_.

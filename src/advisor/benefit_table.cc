@@ -40,80 +40,85 @@ std::string AdvisorCacheCounters::TraceLine() const {
          std::to_string(containment.entries) + " entries";
 }
 
-std::string BenefitTable::SubsetKey(const std::vector<int>& subset) {
-  std::string key;
-  for (int c : subset) {
-    key += std::to_string(c);
-    key.push_back(',');
+namespace {
+
+/// Comma-terminated ids ("1,5,"), the DebugString rendering of a subset.
+std::string IdList(const std::vector<int>& ids) {
+  std::string out;
+  for (int id : ids) {
+    out += std::to_string(id);
+    out.push_back(',');
   }
-  return key;
+  return out;
 }
 
-void BenefitTable::Insert(int query_class, const std::vector<int>& subset,
+}  // namespace
+
+void BenefitTable::Insert(int query_class, std::optional<int> candidate,
                           BenefitEntry entry) {
   if (query_class < 0) return;
   size_t cls = static_cast<size_t>(query_class);
   if (cls >= classes_.size()) classes_.resize(cls + 1);
   ClassTable& table = classes_[cls];
-  auto [it, inserted] = table.by_key.emplace(SubsetKey(subset),
-                                             table.subsets.size());
-  (void)it;
-  if (!inserted) return;
-  table.subsets.emplace_back(subset, std::move(entry));
+  if (!candidate.has_value()) {
+    if (!table.cells.empty()) return;  // The empty set comes first, once.
+  } else {
+    // After the empty set, in ascending candidate order.
+    if (table.cells.empty()) return;
+    if (!table.candidates.empty() && table.candidates.back() >= *candidate) {
+      return;
+    }
+    table.candidates.push_back(*candidate);
+  }
+  table.cells.push_back(std::move(entry));
   ++entries_count_;
   priced_.Increment();
 }
 
-bool BenefitTable::Lookup(int query_class, const std::vector<int>& overlap,
-                          BenefitEntry* out) const {
+const BenefitTable::ClassTable* BenefitTable::Class(int query_class) const {
   if (query_class < 0 ||
       static_cast<size_t>(query_class) >= classes_.size()) {
-    return false;
+    return nullptr;
   }
   const ClassTable& table = classes_[static_cast<size_t>(query_class)];
-  auto it = table.by_key.find(SubsetKey(overlap));
-  if (it == table.by_key.end()) return false;
-  *out = table.subsets[it->second].second;
-  return true;
+  return table.cells.empty() ? nullptr : &table;
 }
 
-namespace {
-
-/// subset ⊆ overlap, both sorted ascending.
-bool SortedSubsetOf(const std::vector<int>& subset,
-                    const std::vector<int>& overlap) {
-  size_t oi = 0;
-  for (int c : subset) {
-    while (oi < overlap.size() && overlap[oi] < c) ++oi;
-    if (oi == overlap.size() || overlap[oi] != c) return false;
-    ++oi;
+bool BenefitTable::Lookup(int query_class, const std::vector<int>& overlap,
+                          BenefitEntry* out) const {
+  const ClassTable* table = Class(query_class);
+  if (table == nullptr || overlap.size() > 1) return false;
+  if (overlap.empty()) {
+    *out = table->cells.front();
+    return true;
   }
+  const std::vector<int>& ids = table->candidates;
+  auto it = std::lower_bound(ids.begin(), ids.end(), overlap.front());
+  if (it == ids.end() || *it != overlap.front()) return false;
+  *out = table->cells[1 + static_cast<size_t>(it - ids.begin())];
   return true;
 }
-
-}  // namespace
 
 bool BenefitTable::Compose(int query_class, const std::vector<int>& overlap,
                            BenefitEntry* out) const {
-  if (query_class < 0 ||
-      static_cast<size_t>(query_class) >= classes_.size()) {
-    return false;
-  }
-  const ClassTable& table = classes_[static_cast<size_t>(query_class)];
-  // min over priced S ⊆ overlap of cost(q, S). By cost monotonicity the
-  // optimizer under the full overlap can only do as well or better, so
-  // this never *under*estimates a configuration's cost (never inflates a
-  // promised benefit). Strict `<` + fixed enumeration-order scan makes
+  const ClassTable* table = Class(query_class);
+  if (table == nullptr) return false;
+  // min over the priced subsets of the overlap: the empty set, then each
+  // member alone. By cost monotonicity the optimizer under the full
+  // overlap can only do as well or better, so this never *under*estimates
+  // a configuration's cost (never inflates a promised benefit). Strict `<`
+  // in enumeration order (candidates ascending, as the overlap is) makes
   // both the cost and the reported `used` set deterministic.
-  bool found = false;
-  for (const auto& [subset, entry] : table.subsets) {
-    if (!SortedSubsetOf(subset, overlap)) continue;
-    if (!found || entry.cost < out->cost) {
-      *out = entry;
-      found = true;
-    }
+  const BenefitEntry* best = &table->cells.front();
+  size_t ci = 0;
+  for (int c : overlap) {
+    while (ci < table->candidates.size() && table->candidates[ci] < c) ++ci;
+    if (ci == table->candidates.size()) break;
+    const BenefitEntry& cell = table->cells[ci + 1];
+    if (table->candidates[ci] == c && cell.cost < best->cost) best = &cell;
   }
-  return found;
+  *out = *best;
+  return true;
 }
 
 void BenefitTable::MarkTruncated(StopReason reason) {
@@ -135,10 +140,13 @@ BenefitTableStats BenefitTable::stats() const {
 std::string BenefitTable::DebugString() const {
   std::string out;
   for (size_t cls = 0; cls < classes_.size(); ++cls) {
-    for (const auto& [subset, entry] : classes_[cls].subsets) {
-      out += "class " + std::to_string(cls) + " {" + SubsetKey(subset) +
-             "} cost=" + FormatDouble(entry.cost) + " used={" +
-             SubsetKey(entry.used) + "}\n";
+    const ClassTable& table = classes_[cls];
+    for (size_t i = 0; i < table.cells.size(); ++i) {
+      const BenefitEntry& cell = table.cells[i];
+      const std::string subset =
+          i == 0 ? "" : std::to_string(table.candidates[i - 1]) + ",";
+      out += "class " + std::to_string(cls) + " {" + subset + "} cost=" +
+             FormatDouble(cell.cost) + " used={" + IdList(cell.used) + "}\n";
     }
   }
   if (truncated_) {
@@ -147,81 +155,14 @@ std::string BenefitTable::DebugString() const {
   return out;
 }
 
-std::vector<Bitmap> DagAncestors(const GeneralizationDag& dag) {
-  // nodes()[i].parents lists strictly-more-general candidates with no
-  // third candidate between, so reflexive-transitive closure over parents
-  // yields the strict-ancestor relation. Memoized DFS; the DAG is acyclic
-  // by construction.
-  const std::vector<GeneralizationDag::Node>& nodes = dag.nodes();
-  std::vector<Bitmap> ancestors(nodes.size());
-  std::vector<char> done(nodes.size(), 0);
-  // Iterative post-order so deep generalization chains cannot overflow
-  // the stack.
-  for (size_t start = 0; start < nodes.size(); ++start) {
-    if (done[start]) continue;
-    std::vector<std::pair<size_t, size_t>> stack{{start, 0}};
-    while (!stack.empty()) {
-      auto& [node, next_parent] = stack.back();
-      if (next_parent == 0 && ancestors[node].size() == 0) {
-        ancestors[node] = Bitmap(nodes.size());
-      }
-      const std::vector<int>& parents = nodes[node].parents;
-      if (next_parent < parents.size()) {
-        size_t parent = static_cast<size_t>(parents[next_parent++]);
-        if (!done[parent]) {
-          stack.emplace_back(parent, 0);
-        }
-        continue;
-      }
-      for (int p : parents) {
-        size_t parent = static_cast<size_t>(p);
-        ancestors[node].Set(parent);
-        ancestors[node] |= ancestors[parent];
-      }
-      done[node] = 1;
-      stack.pop_back();
-    }
-  }
-  return ancestors;
-}
-
 std::vector<std::vector<int>> EnumerateBenefitSubsets(
-    const std::vector<int>& relevant, int max_degree, size_t max_subsets,
-    const std::vector<Bitmap>* ancestors, bool* capped) {
-  if (capped != nullptr) *capped = false;
-  std::vector<std::vector<int>> subsets;
-  auto push = [&](std::vector<int> subset) {
-    if (subsets.size() >= max_subsets) {
-      if (capped != nullptr) *capped = true;
-      return false;
-    }
-    subsets.push_back(std::move(subset));
-    return true;
-  };
-  // Size-ascending, lexicographic within each size: the empty set (the
-  // query's baseline under this class), singletons, then incomparable
-  // pairs. The cap therefore always keeps the entries the composed bound
-  // leans on hardest.
-  if (!push({})) return subsets;
-  for (int c : relevant) {
-    if (!push({c})) return subsets;
-  }
-  if (max_degree < 2) return subsets;
-  for (size_t i = 0; i < relevant.size(); ++i) {
-    for (size_t j = i + 1; j < relevant.size(); ++j) {
-      int a = relevant[i];
-      int b = relevant[j];
-      if (ancestors != nullptr) {
-        const Bitmap& a_anc = (*ancestors)[static_cast<size_t>(a)];
-        const Bitmap& b_anc = (*ancestors)[static_cast<size_t>(b)];
-        if (a_anc.Test(static_cast<size_t>(b)) ||
-            b_anc.Test(static_cast<size_t>(a))) {
-          continue;  // Comparable: the specific member's singleton wins.
-        }
-      }
-      if (!push({a, b})) return subsets;
-    }
-  }
+    const std::vector<int>& relevant, bool* capped) {
+  const size_t singletons = std::min(relevant.size(), kMaxSubsetsPerClass - 1);
+  if (capped != nullptr) *capped = singletons < relevant.size();
+  // The empty set (the query's baseline under this class) comes first,
+  // so the cap always keeps the cell every composed bound starts from.
+  std::vector<std::vector<int>> subsets{{}};
+  for (size_t i = 0; i < singletons; ++i) subsets.push_back({relevant[i]});
   return subsets;
 }
 

@@ -3,13 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "advisor/dag.h"
-#include "common/bitmap.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "optimizer/cost_cache.h"
@@ -19,13 +16,12 @@ namespace xia {
 
 /// CoPhy-style atomic-benefit decomposition (arXiv 1104.3214): instead of
 /// re-running the what-if optimizer for every (configuration, query) pair
-/// a search explores, price each distinct query once against every small
-/// *relevant* candidate subset up to a bounded interaction degree, then
-/// score configurations by composing the precomputed atomic costs. The
-/// number of optimizer calls becomes O(distinct queries × relevant
-/// candidates) — independent of how many configurations the search walks —
-/// which is what lets a 10k-template compressed log advise at interactive
-/// latency.
+/// a search explores, price each distinct query once under the empty set
+/// and under each relevant candidate alone, then score configurations by
+/// composing the precomputed atomic costs. The number of optimizer calls
+/// becomes O(distinct queries × relevant candidates) — independent of how
+/// many configurations the search walks — which is what lets a
+/// 10k-template compressed log advise at interactive latency.
 ///
 /// Soundness rests on two properties the cost cache already proved out:
 ///  1. Relevance: a query's plan under configuration C depends only on
@@ -35,34 +31,11 @@ namespace xia {
 ///  2. Cost monotonicity: adding virtual indexes only widens the plan
 ///     space, so cost(q, O) <= min over priced S ⊆ O of cost(q, S). A
 ///     composed score is therefore a conservative (never optimistic)
-///     upper bound on the true cost; the gap is the ε the decomposed
-///     search trades for its call budget.
+///     upper bound on the true cost.
 
-/// Knobs for the decomposed evaluation mode (AdvisorOptions::decompose).
-struct DecomposeOptions {
-  /// Master switch; the exact per-configuration path stays the default.
-  bool enabled = false;
-  /// Largest relevant-subset size priced per query class: 1 prices the
-  /// empty set + every singleton, 2 adds DAG-incomparable pairs. Larger
-  /// degrees price exponentially more subsets for quadratically rarer
-  /// exact hits, so the knob stops at what CoPhy found useful.
-  int max_degree = 1;
-  /// Hard cap on subsets priced per query class (enumeration order:
-  /// size-ascending, then lexicographic — the cap keeps the cheap,
-  /// high-value entries).
-  size_t max_subsets_per_query = 128;
-  /// When a query's relevant-set overlap exceeds the priced degree (or
-  /// pricing was truncated), score it with the composed upper bound
-  /// instead of a real what-if call. Disabling this makes every
-  /// non-priced overlap fall back to the optimizer: bit-identical
-  /// recommendations to the exact search, at a smaller call saving.
-  bool compose_above_degree = true;
-  /// Asserted quality bound, not a runtime knob: on workloads small
-  /// enough to run both paths, the decomposed recommendation's promised
-  /// benefit must be within this fraction of the exact search's
-  /// (tests/benefit_table_test.cc).
-  double epsilon = 0.05;
-};
+/// Most subsets priced per query class: the empty set plus the first
+/// kMaxSubsetsPerClass - 1 relevant candidates in ascending id order.
+constexpr size_t kMaxSubsetsPerClass = 128;
 
 /// One priced (query class, relevant subset) cell: the exact optimizer
 /// cost under that subset and which subset members the best plan used.
@@ -75,9 +48,9 @@ struct BenefitEntry {
 /// traces so a truncated table is never mistaken for a complete one.
 struct BenefitPricingReport {
   size_t classes = 0;             // Distinct query fingerprint classes.
-  size_t subsets_enumerated = 0;  // After degree bound / pruning / caps.
+  size_t subsets_enumerated = 0;  // After the per-class cap.
   size_t subsets_priced = 0;      // Entries actually in the table.
-  size_t capped_classes = 0;      // Classes that hit max_subsets_per_query.
+  size_t capped_classes = 0;      // Classes that hit kMaxSubsetsPerClass.
   /// kConverged when every enumerated subset was priced; kDeadline /
   /// kCancelled when the anytime budget fired mid-pricing and the table
   /// holds the best-so-far prefix.
@@ -115,7 +88,8 @@ struct AdvisorCacheCounters {
   std::string TraceLine() const;
 };
 
-/// The atomic-benefit table: priced (query class, relevant subset) cells.
+/// The atomic-benefit table: per query class, one cell for the empty set
+/// and one for each priced candidate alone.
 ///
 /// Thread-safety contract: Insert only runs in the (serial insert phases
 /// of the) pricing pass; after pricing the table is read-only and safe to
@@ -125,30 +99,32 @@ struct AdvisorCacheCounters {
 /// lookups).
 class BenefitTable {
  public:
-  explicit BenefitTable(int max_degree) : max_degree_(max_degree) {}
+  BenefitTable() = default;
 
   BenefitTable(const BenefitTable&) = delete;
   BenefitTable& operator=(const BenefitTable&) = delete;
 
-  /// Canonical key of a sorted candidate subset ("1,5,").
-  static std::string SubsetKey(const std::vector<int>& subset);
-
-  /// Prices `subset` (sorted) for `query_class`. First insert wins.
-  void Insert(int query_class, const std::vector<int>& subset,
+  /// Prices the next cell of `query_class`: the empty set when
+  /// `candidate` is nullopt, else {candidate}. Cells arrive in
+  /// enumeration order — the empty set, then candidates ascending — and
+  /// one out of that order (a repeat included) is ignored, so the first
+  /// insert wins.
+  void Insert(int query_class, std::optional<int> candidate,
               BenefitEntry entry);
 
-  /// Exact cell lookup: the overlap IS a priced subset. Counts nothing —
-  /// the evaluator attributes hits/composed/fallbacks in its serial
-  /// collect phase, where the outcome is decided.
+  /// Exact cell lookup: the overlap (sorted) is empty or one candidate,
+  /// and that cell is priced. Counts nothing — the evaluator attributes
+  /// hits/composed/fallbacks in its serial collect phase, where the
+  /// outcome is decided.
   bool Lookup(int query_class, const std::vector<int>& overlap,
               BenefitEntry* out) const;
 
-  /// Composed conservative score: min cost over every priced subset
-  /// S ⊆ overlap of this class (cost monotonicity makes that an upper
-  /// bound on the true cost). Scans the class's entries in enumeration
-  /// order with strict-improvement ties, so the result — including which
-  /// entry's `used` set is reported — is deterministic. Returns false
-  /// when no priced subset applies (not even the empty set).
+  /// Composed conservative score: min cost over the class's empty-set
+  /// cell and the cells of the overlap's (sorted) members (cost
+  /// monotonicity makes that an upper bound on the true cost). Scans in
+  /// enumeration order with strict-improvement ties, so the result —
+  /// including which cell's `used` set is reported — is deterministic.
+  /// Returns false when the class has no cell (not even the empty set).
   bool Compose(int query_class, const std::vector<int>& overlap,
                BenefitEntry* out) const;
 
@@ -157,7 +133,6 @@ class BenefitTable {
 
   bool truncated() const { return truncated_; }
   StopReason stop_reason() const { return stop_reason_; }
-  int max_degree() const { return max_degree_; }
   size_t entries() const { return entries_count_; }
 
   /// Serial-phase accounting hooks (see class comment).
@@ -172,14 +147,17 @@ class BenefitTable {
   std::string DebugString() const;
 
  private:
+  /// One query class's cells in enumeration order: cells[0] prices the
+  /// empty set and cells[i + 1] prices {candidates[i]}. A truncated
+  /// pricing pass leaves a prefix.
   struct ClassTable {
-    /// Priced subsets in enumeration order (size-ascending, then
-    /// lexicographic) — the order Compose scans.
-    std::vector<std::pair<std::vector<int>, BenefitEntry>> subsets;
-    std::unordered_map<std::string, size_t> by_key;
+    std::vector<int> candidates;  // Ascending.
+    std::vector<BenefitEntry> cells;
   };
 
-  int max_degree_;
+  /// The class's cells, or null for a class nothing was priced for.
+  const ClassTable* Class(int query_class) const;
+
   bool truncated_ = false;
   StopReason stop_reason_ = StopReason::kConverged;
   size_t entries_count_ = 0;
@@ -192,23 +170,11 @@ class BenefitTable {
   obs::Counter fallback_whatifs_{"benefit.fallback_whatifs"};
 };
 
-/// ancestors[i].Test(j): candidate j is a strict DAG ancestor (more
-/// general) of candidate i. Computed once per pricing pass and used to
-/// prune comparable pairs from degree-2 enumeration: when one pair member
-/// generalizes the other, the optimizer's plan under the pair is the
-/// specific member's singleton plan in all but pathological secondary-
-/// access cases, so pricing the pair buys ~nothing (the composed bound
-/// already covers it within ε).
-std::vector<Bitmap> DagAncestors(const GeneralizationDag& dag);
-
-/// Deterministic bounded subset enumeration for one query class: the
-/// empty set, every singleton of `relevant` (sorted), then — at degree
-/// >= 2 — every DAG-incomparable pair, size-ascending / lexicographic,
-/// truncated at `max_subsets`. `ancestors` may be null (no pruning).
-/// Sets `*capped` when the cap cut enumeration short.
+/// The subsets priced for one query class, in enumeration order: the
+/// empty set, then each of `relevant` (sorted) alone, truncated at
+/// kMaxSubsetsPerClass. Sets `*capped` when the cap cut it short.
 std::vector<std::vector<int>> EnumerateBenefitSubsets(
-    const std::vector<int>& relevant, int max_degree, size_t max_subsets,
-    const std::vector<Bitmap>* ancestors, bool* capped);
+    const std::vector<int>& relevant, bool* capped);
 
 }  // namespace xia
 

@@ -100,20 +100,6 @@ std::vector<CandidateIndex> GeneralizeCandidates(
         }
       }
     }
-    // Optional extension: prefix-to-descendant generalization.
-    if (options.enable_descendant_rule) {
-      for (size_t i = frontier_begin;
-           i < size_before && generated < options.max_generated; ++i) {
-        const PathPattern& p = all[i].def.pattern;
-        if (p.length() < 2 || p.steps()[1].is_attribute) continue;
-        std::vector<Step> steps(p.steps().begin() + 1, p.steps().end());
-        steps.front().axis = Axis::kDescendant;
-        if (AddGenerated(i, i, PathPattern(std::move(steps)), db, &all,
-                         &by_key)) {
-          ++generated;
-        }
-      }
-    }
     if (all.size() == size_before) break;  // Fixpoint.
     frontier_begin = size_before;
   }

@@ -15,10 +15,6 @@ struct GeneralizeOptions {
   size_t max_rounds = 4;
   /// Hard cap on generated (non-basic) candidates.
   size_t max_generated = 500;
-  /// Extension rule (off by default, matching the paper): additionally
-  /// generalize /a/b/... to //b/... by turning the prefix into a
-  /// descendant step.
-  bool enable_descendant_rule = false;
 };
 
 /// Pointwise step unification: if the two patterns have the same length

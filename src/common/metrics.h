@@ -29,9 +29,10 @@ namespace obs {
 ///
 /// Subsystems embed the metric objects directly — per-instance reads
 /// (ContainmentCache::stats() etc.) keep their exact pre-obs semantics —
-/// while the registry provides the single export path: EXPLAIN STATS
-/// trailers, advisor search-trace stats sections, and the benches'
-/// --stats-json dump all render one Snapshot.
+/// while the registry is read two ways, both rendering one Snapshot: the
+/// `stats` verb (ToText) and the --stats-json dump of the server and the
+/// benches (ToJson). Advisor search traces render an evaluator-local
+/// Snapshot of the same shape (ConfigurationEvaluator::DeterministicStats).
 ///
 /// Counter-name schema (dotted, lowercase; keep bench JSON stable):
 ///   <subsystem>.<object>.<event>
@@ -162,9 +163,8 @@ struct Snapshot {
   uint64_t counter(const std::string& name) const;
 
   /// One "name = value" line per metric, each prefixed with
-  /// `line_prefix`, counters then gauges then spans, sorted by name.
-  /// All three export surfaces (EXPLAIN STATS trailer, search-trace
-  /// stats section, --stats-json) render through this struct.
+  /// `line_prefix`, counters then gauges then spans, sorted by name —
+  /// the `stats` verb's rendering.
   std::string ToText(const std::string& line_prefix = "") const;
 
   /// Same content as ToText, one line per element (for search traces).

@@ -38,12 +38,6 @@ bool DocSatisfiesPredicate(const Document& doc, const NameTable& names,
   return false;
 }
 
-std::vector<NodeRef> ProbeIndex(const PathIndex& index,
-                                const QueryPlan& plan) {
-  return ProbeIndexForPredicate(index, plan.query, plan.access.use,
-                                plan.access.served_predicate);
-}
-
 std::vector<NodeRef> ProbeIndexForPredicate(const PathIndex& index,
                                             const NormalizedQuery& query,
                                             MatchUse use,

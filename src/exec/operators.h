@@ -3,8 +3,8 @@
 
 #include <vector>
 
+#include "index/index_matcher.h"
 #include "index/path_index.h"
-#include "optimizer/plan.h"
 #include "query/query.h"
 #include "storage/database.h"
 #include "xpath/nfa.h"
@@ -34,10 +34,6 @@ std::vector<NodeRef> ProbeIndexForPredicate(const PathIndex& index,
                                             const NormalizedQuery& query,
                                             MatchUse use,
                                             int served_predicate);
-
-/// Executes the primary probe described by an index-access plan.
-std::vector<NodeRef> ProbeIndex(const PathIndex& index,
-                                const QueryPlan& plan);
 
 }  // namespace xia
 

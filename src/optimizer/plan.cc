@@ -1,6 +1,5 @@
 #include "optimizer/plan.h"
 
-#include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace xia {
@@ -63,13 +62,6 @@ std::string QueryPlan::Explain() const {
          FormatDouble(residual_cost);
   if (sort_cost > 0) out += ", sort " + FormatDouble(sort_cost);
   out += ")\n";
-  return out;
-}
-
-std::string QueryPlan::ExplainWithStats() const {
-  std::string out = Explain();
-  out += "  STATS:\n";
-  out += obs::Registry().TakeSnapshot().ToText("    ");
   return out;
 }
 

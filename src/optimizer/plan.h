@@ -80,14 +80,6 @@ struct QueryPlan {
 
   /// EXPLAIN-style rendering.
   std::string Explain() const;
-
-  /// Explain() plus a `STATS` trailer rendering the process-wide
-  /// xia::obs registry snapshot at the time of the call — the same
-  /// snapshot the advisor search traces and the benches' --stats-json
-  /// render. Point-in-time and process-global, so two EXPLAINs of the
-  /// same plan may show different counters; use for diagnostics, not
-  /// plan comparison.
-  std::string ExplainWithStats() const;
 };
 
 }  // namespace xia

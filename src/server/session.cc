@@ -500,10 +500,10 @@ void CmdAdvise(VerbCall& call) {
   // threshold the exact path's per-configuration what-ifs dominate
   // advise latency, which is exactly what decomposition removes. Opt out
   // with --exact.
-  call.session->options.decompose.enabled =
+  call.session->options.decompose =
       decompose ||
       (from_log && !exact && advised.size() >= kDecomposeAutoTemplates);
-  if (call.session->options.decompose.enabled && from_log &&
+  if (call.session->options.decompose && from_log &&
       advised.size() >= kDecomposeAutoTemplates && !decompose) {
     call.out << "large log (" << advised.size() << " templates >= "
              << kDecomposeAutoTemplates
@@ -653,7 +653,7 @@ void CmdRun(VerbCall& call) {
     call.out << plan.status().ToString() << "\n";
     return;
   }
-  call.out << plan->ExplainWithStats();
+  call.out << plan->Explain();
   Executor executor(&call.shared.db, &call.shared.catalog,
                     call.shared.default_options.cost_model,
                     &call.shared.buffer_pool);

@@ -71,7 +71,7 @@ class BufferPool {
   /// rewinds the per-instance stats() view to zero. The live obs
   /// counters are NOT reset: registry snapshots of "bufferpool.*" stay
   /// monotonic across Reset() mid-run — a Reset used to erase history
-  /// from every snapshot consumer (EXPLAIN STATS, --stats-json).
+  /// from every snapshot consumer (`stats`, --stats-json).
   void Reset();
 
  private:

@@ -105,17 +105,6 @@ WalReadResult ScanWal(std::string_view data) {
   return result;
 }
 
-Result<WalReadResult> ReadWalFile(const std::string& path) {
-  Result<std::string> data = ReadFileToString(path);
-  if (!data.ok()) {
-    if (data.status().code() == StatusCode::kNotFound) {
-      return WalReadResult{};
-    }
-    return data.status();
-  }
-  return ScanWal(*data);
-}
-
 Result<WalWriter> WalWriter::Open(const std::string& path,
                                   uint64_t valid_bytes, bool sync) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);

@@ -70,9 +70,6 @@ std::string EncodeWalRecord(const WalRecord& record);
 /// just ends the scan with clean=false.
 WalReadResult ScanWal(std::string_view data);
 
-/// Reads and scans a WAL file. A missing file is an empty, clean WAL.
-Result<WalReadResult> ReadWalFile(const std::string& path);
-
 /// Appender over an fd, fsync-per-append (when sync). Failpoint
 /// "storage.wal.append" (arg = lsn) fires between the two halves of the
 /// record write, modeling a crash mid-append: the record is torn at the
@@ -81,7 +78,7 @@ Result<WalReadResult> ReadWalFile(const std::string& path);
 class WalWriter {
  public:
   /// Opens `path` for appending, truncating it to `valid_bytes` first
-  /// (dropping a torn tail found by ReadWalFile).
+  /// (dropping a torn tail found by ScanWal).
   static Result<WalWriter> Open(const std::string& path,
                                 uint64_t valid_bytes, bool sync);
 

@@ -53,9 +53,8 @@ Status AddUpdateOpsFromDml(CaptureKind kind, const std::string& text,
 }  // namespace
 
 std::string TemplateCluster::ToString() const {
-  std::string out = std::string(kept ? "kept" : "dropped") + " x" +
-                    std::to_string(frequency) + " w=" +
-                    FormatDouble(weight) + " ";
+  std::string out = "x";
+  out += std::to_string(frequency) + " w=" + FormatDouble(weight) + " ";
   if (kind != CaptureKind::kQuery) {
     out += "dml-" + std::string(CaptureKindName(kind)) + " ";
   }
@@ -63,11 +62,8 @@ std::string TemplateCluster::ToString() const {
 }
 
 std::string CompressionReport::ToString() const {
-  std::string out = "compressed " + std::to_string(input_records) +
-                    " records into " + std::to_string(templates_kept) +
-                    "/" + std::to_string(templates_total) +
-                    " templates, coverage " + FormatDouble(coverage * 100) +
-                    "%\n";
+  std::string out = "compressed " + std::to_string(input_records) + " records";
+  out += " into " + std::to_string(templates_total) + " templates\n";
   for (const TemplateCluster& c : clusters) {
     out += "  " + c.ToString() + "\n";
   }
@@ -75,12 +71,7 @@ std::string CompressionReport::ToString() const {
 }
 
 Result<CompressedWorkload> CompressLog(
-    const std::vector<CaptureRecord>& records,
-    const CompressionOptions& options) {
-  if (options.min_coverage < 0 || options.min_coverage > 1.0) {
-    return Status::InvalidArgument(
-        "compression min_coverage must be in [0, 1]");
-  }
+    const std::vector<CaptureRecord>& records) {
   // std::map keys the clusters by fingerprint so aggregation order is
   // content-deterministic regardless of record order.
   struct Agg {
@@ -116,7 +107,6 @@ Result<CompressedWorkload> CompressLog(
     cluster.weight = agg.total_cost > 0
                          ? agg.total_cost
                          : static_cast<double>(agg.frequency);
-    report.weight_total += cluster.weight;
     report.clusters.push_back(std::move(cluster));
   }
   std::sort(report.clusters.begin(), report.clusters.end(),
@@ -125,23 +115,9 @@ Result<CompressedWorkload> CompressLog(
               return a.fingerprint < b.fingerprint;
             });
 
-  // Top-k under a coverage floor: take templates in weight order while
-  // under the count cap, and keep going past the cap until the kept
-  // weight reaches min_coverage of the total.
   CompressedWorkload out;
-  size_t kept = 0;
   size_t query_id = 0;
-  for (TemplateCluster& cluster : report.clusters) {
-    bool under_cap =
-        options.max_templates == 0 || kept < options.max_templates;
-    bool coverage_met =
-        report.weight_total <= 0 ||
-        report.weight_kept >=
-            options.min_coverage * report.weight_total - 1e-12;
-    if (!under_cap && coverage_met) break;
-    cluster.kept = true;
-    ++kept;
-    report.weight_kept += cluster.weight;
+  for (const TemplateCluster& cluster : report.clusters) {
     if (cluster.kind == CaptureKind::kQuery) {
       ++query_id;
       Status added = out.workload.AddQueryText(
@@ -166,14 +142,6 @@ Result<CompressedWorkload> CompressLog(
       }
     }
   }
-  report.templates_kept = kept;
-  report.coverage = report.weight_total > 0
-                        ? report.weight_kept / report.weight_total
-                        : 1.0;
-  // Kept-first rendering: stable partition preserves the weight order
-  // inside each group.
-  std::stable_partition(report.clusters.begin(), report.clusters.end(),
-                        [](const TemplateCluster& c) { return c.kept; });
   out.report = std::move(report);
   return out;
 }

@@ -18,7 +18,7 @@ namespace wlm {
 /// Clustering is by template fingerprint — queries differing only in
 /// literals land in one cluster, because the advisor's candidate set and
 /// index matching depend on patterns and operators, never on literal
-/// values. Each kept cluster contributes ONE representative query whose
+/// values. Each cluster contributes ONE representative query whose
 /// weight is frequency × mean estimated cost (= the cluster's total
 /// estimated cost): a cheap query executed a thousand times and an
 /// expensive query executed once both surface with the workload share the
@@ -32,7 +32,7 @@ namespace wlm {
 /// matter how capture threads interleaved.
 ///
 /// DML records (CaptureKind insert/delete/update) cluster by their
-/// "dml:..." fingerprint like queries do, but a kept DML cluster becomes
+/// "dml:..." fingerprint like queries do, but a DML cluster becomes
 /// an UpdateOp (Workload::AddUpdate) rather than a query: the op's
 /// weight is the cluster's FREQUENCY (mutation executions — what the
 /// advisor's maintenance-cost model multiplies per-instance cost by), an
@@ -41,16 +41,6 @@ namespace wlm {
 /// read/write mix implies. A write-heavy capture window therefore
 /// recommends fewer (or different) indexes than a read-heavy one —
 /// wlm::DriftMonitor turns that shift into re-advising.
-
-struct CompressionOptions {
-  /// Keep at most this many templates (0 = unlimited).
-  size_t max_templates = 0;
-  /// Coverage floor in [0, 1]: keep adding templates — past
-  /// max_templates if necessary — until the kept weight fraction reaches
-  /// it. Dropping below the floor would misrepresent the stream; 0 lets
-  /// max_templates alone govern. Defaults keep every template.
-  double min_coverage = 0.0;
-};
 
 /// One template cluster of the compressed workload.
 struct TemplateCluster {
@@ -61,24 +51,16 @@ struct TemplateCluster {
   double weight = 0;                // frequency × mean_cost (see header).
   /// kQuery clusters emit a workload query; DML kinds emit UpdateOps.
   CaptureKind kind = CaptureKind::kQuery;
-  bool kept = false;
 
   std::string ToString() const;
 };
 
-/// What compression did, including exactly what it dropped — a compressed
-/// advising run should never silently pretend it saw the whole stream.
+/// What compression did: every template it folded the log into.
 struct CompressionReport {
   size_t input_records = 0;
   size_t templates_total = 0;
-  size_t templates_kept = 0;
-  double weight_total = 0;
-  double weight_kept = 0;
-  /// weight_kept / weight_total (1.0 when nothing was dropped or the
-  /// total weight is zero).
-  double coverage = 1.0;
-  /// Every cluster, kept first (by descending weight, fingerprint
-  /// tie-break), then dropped in the same order.
+  /// Every cluster, by descending weight with fingerprint tie-break — the
+  /// order of the compressed workload.
   std::vector<TemplateCluster> clusters;
 
   std::string ToString() const;
@@ -90,16 +72,16 @@ struct CompressedWorkload {
   CompressionReport report;
 };
 
-/// Compresses captured records into a weighted workload. Representative
-/// texts are re-parsed through Workload::AddQueryText; a record whose
-/// text no longer parses is a ParseError (capture only accepts parsed
-/// queries, so this indicates a corrupt or hand-edited log). Query ids
-/// are "T1", "T2", ... in output order. When every cost in a cluster is
-/// zero (capture without costing) the cluster's weight falls back to its
-/// frequency so the workload stays advisable.
+/// Compresses captured records into a weighted workload, one entry per
+/// template. Representative texts are re-parsed through
+/// Workload::AddQueryText; a record whose text no longer parses is a
+/// ParseError (capture only accepts parsed queries, so this indicates a
+/// corrupt or hand-edited log). Query ids are "T1", "T2", ... in output
+/// order. When every cost in a cluster is zero (capture without costing)
+/// the cluster's weight falls back to its frequency so the workload stays
+/// advisable.
 Result<CompressedWorkload> CompressLog(
-    const std::vector<CaptureRecord>& records,
-    const CompressionOptions& options = CompressionOptions());
+    const std::vector<CaptureRecord>& records);
 
 /// The uncompressed counterpart: one weight-1 query per record ("R1",
 /// "R2", ... in sequence order) — what `advise --from-log` without

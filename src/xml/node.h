@@ -15,8 +15,6 @@ enum class NodeKind : uint8_t {
   kText = 2,
 };
 
-const char* NodeKindName(NodeKind kind);
-
 /// Index of a node within its document's node array; -1 means "none".
 using NodeIndex = int32_t;
 inline constexpr NodeIndex kNullNode = -1;

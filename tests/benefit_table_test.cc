@@ -1,20 +1,20 @@
 // CoPhy-style atomic-benefit decomposition (advisor/benefit_table.h).
-// Covers the bounded subset enumeration and DAG pair pruning, the table's
-// insert/lookup/compose mechanics, pricing determinism at any thread
-// count, exactness of table hits, the conservative composed bound, the
-// compose-off mode's bit-identity with exact search, fallback accounting,
-// anytime (deadline/cancel) partial tables, and the headline acceptance
-// property: decomposed advising issues several times fewer what-if
-// optimizer calls than exact advising while promising benefit within
-// DecomposeOptions::epsilon of it (the ≥10× floor at 10k templates is
-// enforced by the bench regression gate).
+// Covers the capped singleton enumeration, the table's insert/lookup/
+// compose mechanics against a subset-scan reference, pricing determinism
+// at any thread count, exactness of table hits, the conservative composed
+// bound, fallback accounting, anytime (deadline/cancel) partial tables,
+// and the headline acceptance property: decomposed advising issues
+// several times fewer what-if optimizer calls than exact advising while
+// promising benefit within kEpsilon of it (the ≥10× floor at 10k
+// templates is enforced by the bench regression gate).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "advisor/advisor.h"
@@ -22,8 +22,6 @@
 #include "advisor/enumeration.h"
 #include "advisor/generalize.h"
 #include "advisor/search_greedy.h"
-#include "advisor/search_greedy_heuristic.h"
-#include "advisor/search_topdown.h"
 #include "common/random.h"
 #include "workload/variation.h"
 #include "workload/xmark_queries.h"
@@ -34,11 +32,10 @@ namespace {
 
 // ------------------------------------------------ Subset enumeration.
 
-TEST(EnumerateBenefitSubsetsTest, DegreeOneIsEmptySetPlusSingletons) {
+TEST(EnumerateBenefitSubsetsTest, EmptySetThenEachCandidateAlone) {
   bool capped = true;
   std::vector<std::vector<int>> subsets =
-      EnumerateBenefitSubsets({2, 5, 9}, /*max_degree=*/1,
-                              /*max_subsets=*/128, nullptr, &capped);
+      EnumerateBenefitSubsets({2, 5, 9}, &capped);
   EXPECT_FALSE(capped);
   ASSERT_EQ(subsets.size(), 4u);
   EXPECT_TRUE(subsets[0].empty());
@@ -47,43 +44,27 @@ TEST(EnumerateBenefitSubsetsTest, DegreeOneIsEmptySetPlusSingletons) {
   EXPECT_EQ(subsets[3], std::vector<int>({9}));
 }
 
-TEST(EnumerateBenefitSubsetsTest, DegreeTwoAddsPairsInLexicographicOrder) {
-  bool capped = true;
-  std::vector<std::vector<int>> subsets =
-      EnumerateBenefitSubsets({2, 5, 9}, /*max_degree=*/2,
-                              /*max_subsets=*/128, nullptr, &capped);
-  EXPECT_FALSE(capped);
-  ASSERT_EQ(subsets.size(), 7u);
-  EXPECT_EQ(subsets[4], std::vector<int>({2, 5}));
-  EXPECT_EQ(subsets[5], std::vector<int>({2, 9}));
-  EXPECT_EQ(subsets[6], std::vector<int>({5, 9}));
-}
-
-TEST(EnumerateBenefitSubsetsTest, AncestorPruningDropsComparablePairs) {
-  // Candidate 0 strictly generalizes candidate 1; 2 is incomparable.
-  std::vector<Bitmap> ancestors(3, Bitmap(3));
-  ancestors[1].Set(0);
-  bool capped = true;
-  std::vector<std::vector<int>> subsets = EnumerateBenefitSubsets(
-      {0, 1, 2}, /*max_degree=*/2, /*max_subsets=*/128, &ancestors, &capped);
-  EXPECT_FALSE(capped);
-  // Empty + three singletons + {0,2} + {1,2}; {0,1} is pruned.
-  ASSERT_EQ(subsets.size(), 6u);
-  EXPECT_EQ(subsets[4], std::vector<int>({0, 2}));
-  EXPECT_EQ(subsets[5], std::vector<int>({1, 2}));
-}
-
 TEST(EnumerateBenefitSubsetsTest, CapTruncatesAndReportsDeterministically) {
+  std::vector<int> relevant(200);
+  for (size_t i = 0; i < relevant.size(); ++i) {
+    relevant[i] = static_cast<int>(i);
+  }
   bool capped = false;
   std::vector<std::vector<int>> subsets =
-      EnumerateBenefitSubsets({1, 2, 3, 4}, /*max_degree=*/2,
-                              /*max_subsets=*/3, nullptr, &capped);
+      EnumerateBenefitSubsets(relevant, &capped);
   EXPECT_TRUE(capped);
-  // The cap keeps the size-ascending prefix: empty + first two singletons.
-  ASSERT_EQ(subsets.size(), 3u);
+  // The cap keeps the enumeration-order prefix: the empty set, then the
+  // first kMaxSubsetsPerClass - 1 candidates.
+  ASSERT_EQ(subsets.size(), kMaxSubsetsPerClass);
   EXPECT_TRUE(subsets[0].empty());
-  EXPECT_EQ(subsets[1], std::vector<int>({1}));
-  EXPECT_EQ(subsets[2], std::vector<int>({2}));
+  EXPECT_EQ(subsets[1], std::vector<int>({0}));
+  EXPECT_EQ(subsets.back(),
+            std::vector<int>({static_cast<int>(kMaxSubsetsPerClass) - 2}));
+  // One candidate fewer fits exactly.
+  relevant.resize(kMaxSubsetsPerClass - 1);
+  EXPECT_EQ(EnumerateBenefitSubsets(relevant, &capped).size(),
+            kMaxSubsetsPerClass);
+  EXPECT_FALSE(capped);
 }
 
 // ------------------------------------------------- Table mechanics.
@@ -95,16 +76,30 @@ BenefitEntry Entry(double cost, std::vector<int> used = {}) {
   return e;
 }
 
-TEST(BenefitTableMechanicsTest, SubsetKeyIsCommaTerminatedIds) {
-  EXPECT_EQ(BenefitTable::SubsetKey({}), "");
-  EXPECT_EQ(BenefitTable::SubsetKey({1, 5}), "1,5,");
+TEST(BenefitTableMechanicsTest, DebugStringListsCellsInEnumerationOrder) {
+  BenefitTable table;
+  table.Insert(0, std::nullopt, Entry(10.0));
+  table.Insert(0, 1, Entry(7.5, {1}));
+  table.Insert(2, std::nullopt, Entry(3.0));
+  table.Insert(2, 5, Entry(2.0, {5}));
+  EXPECT_EQ(table.DebugString(),
+            "class 0 {} cost=10 used={}\n"
+            "class 0 {1,} cost=7.5 used={1,}\n"
+            "class 2 {} cost=3 used={}\n"
+            "class 2 {5,} cost=2 used={5,}\n");
+  table.MarkTruncated(StopReason::kDeadline);
+  EXPECT_NE(table.DebugString().find("truncated: deadline\n"),
+            std::string::npos);
 }
 
 TEST(BenefitTableMechanicsTest, LookupIsExactAndFirstInsertWins) {
-  BenefitTable table(/*max_degree=*/1);
-  table.Insert(0, {}, Entry(10.0));
-  table.Insert(0, {1}, Entry(7.0, {1}));
-  table.Insert(0, {1}, Entry(99.0));  // Ignored: first insert wins.
+  BenefitTable table;
+  table.Insert(0, 1, Entry(5.0));  // Ignored: precedes the empty set.
+  table.Insert(0, std::nullopt, Entry(10.0));
+  table.Insert(0, 1, Entry(7.0, {1}));
+  table.Insert(0, 1, Entry(99.0));  // Ignored: first insert wins.
+  table.Insert(0, std::nullopt, Entry(99.0));
+  table.Insert(0, 0, Entry(99.0));  // Ignored: out of ascending order.
   EXPECT_EQ(table.entries(), 2u);
   BenefitEntry out;
   ASSERT_TRUE(table.Lookup(0, {1}, &out));
@@ -115,11 +110,11 @@ TEST(BenefitTableMechanicsTest, LookupIsExactAndFirstInsertWins) {
 }
 
 TEST(BenefitTableMechanicsTest, ComposeTakesMinOverPricedSubsets) {
-  BenefitTable table(/*max_degree=*/1);
-  table.Insert(0, {}, Entry(10.0));
-  table.Insert(0, {1}, Entry(7.0, {1}));
-  table.Insert(0, {2}, Entry(8.0, {2}));
-  table.Insert(0, {3}, Entry(1.0, {3}));  // Not ⊆ the overlap below.
+  BenefitTable table;
+  table.Insert(0, std::nullopt, Entry(10.0));
+  table.Insert(0, 1, Entry(7.0, {1}));
+  table.Insert(0, 2, Entry(8.0, {2}));
+  table.Insert(0, 3, Entry(1.0, {3}));  // Not ⊆ the overlap below.
   BenefitEntry out;
   ASSERT_TRUE(table.Compose(0, {1, 2}, &out));
   EXPECT_EQ(out.cost, 7.0);
@@ -131,8 +126,74 @@ TEST(BenefitTableMechanicsTest, ComposeTakesMinOverPricedSubsets) {
   EXPECT_FALSE(table.Compose(7, {1}, &out));
 }
 
+/// a ⊆ b, both sorted ascending.
+bool SubsetOf(const std::vector<int>& a, const std::vector<int>& b) {
+  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+}
+
+// Lookup and Compose against a reference that keeps (subset, cell) pairs
+// in enumeration order, looks a subset up by equality and composes by a
+// strict-< scan over every priced subset of the overlap. Costs are drawn
+// from a small set so ties exercise the tie-break, and classes are priced
+// to random prefixes as a truncated pass leaves them.
+TEST(BenefitTableMechanicsTest, ReadsMatchSubsetScanReference) {
+  using Cells = std::vector<std::pair<std::vector<int>, BenefitEntry>>;
+  Random rng(11);
+  for (int round = 0; round < 50; ++round) {
+    BenefitTable table;
+    std::vector<Cells> reference(4);
+    for (int cls = 0; cls < 4; ++cls) {
+      std::vector<int> relevant;
+      for (int c = 0; c < 12; ++c) {
+        if (rng.Bernoulli(0.4)) relevant.push_back(c);
+      }
+      std::vector<std::vector<int>> subsets =
+          EnumerateBenefitSubsets(relevant, nullptr);
+      const int64_t kept = rng.Uniform(0, static_cast<int64_t>(subsets.size()));
+      subsets.resize(static_cast<size_t>(kept));
+      for (const std::vector<int>& subset : subsets) {
+        BenefitEntry cell = Entry(static_cast<double>(rng.Uniform(1, 4)));
+        if (!subset.empty() && rng.Bernoulli(0.5)) cell.used = subset;
+        std::optional<int> candidate;
+        if (!subset.empty()) candidate = subset.front();
+        table.Insert(cls, candidate, cell);
+        reference[static_cast<size_t>(cls)].emplace_back(subset, cell);
+      }
+    }
+    for (int probe = 0; probe < 40; ++probe) {
+      const int cls = static_cast<int>(rng.Uniform(0, 4));  // 4: unknown.
+      std::vector<int> overlap;
+      for (int c = 0; c < 12; ++c) {
+        if (rng.Bernoulli(0.15)) overlap.push_back(c);
+      }
+      const Cells none;
+      const Cells& cells = cls < 4 ? reference[static_cast<size_t>(cls)] : none;
+      const BenefitEntry* want_lookup = nullptr;
+      const BenefitEntry* want_compose = nullptr;
+      for (const auto& [subset, cell] : cells) {
+        if (subset == overlap) want_lookup = &cell;
+        if (!SubsetOf(subset, overlap)) continue;
+        if (want_compose == nullptr || cell.cost < want_compose->cost) {
+          want_compose = &cell;
+        }
+      }
+      BenefitEntry got;
+      ASSERT_EQ(table.Lookup(cls, overlap, &got), want_lookup != nullptr);
+      if (want_lookup != nullptr) {
+        EXPECT_EQ(got.cost, want_lookup->cost);
+        EXPECT_EQ(got.used, want_lookup->used);
+      }
+      ASSERT_EQ(table.Compose(cls, overlap, &got), want_compose != nullptr);
+      if (want_compose != nullptr) {
+        EXPECT_EQ(got.cost, want_compose->cost);
+        EXPECT_EQ(got.used, want_compose->used);
+      }
+    }
+  }
+}
+
 TEST(BenefitTableMechanicsTest, TruncationIsSticky) {
-  BenefitTable table(/*max_degree=*/1);
+  BenefitTable table;
   EXPECT_FALSE(table.truncated());
   table.MarkTruncated(StopReason::kDeadline);
   EXPECT_TRUE(table.truncated());
@@ -154,7 +215,6 @@ class BenefitDecompositionTest : public ::testing::Test {
     ASSERT_TRUE(enumerated.ok());
     candidates_ = GeneralizeCandidates(enumerated->candidates, db_,
                                        GeneralizeOptions());
-    dag_ = GeneralizationDag::Build(candidates_, &cache_);
   }
 
   std::unique_ptr<ConfigurationEvaluator> MakeEvaluator(int threads = 1) {
@@ -165,22 +225,13 @@ class BenefitDecompositionTest : public ::testing::Test {
 
   /// Prices a table on a fresh evaluator and returns the evaluator.
   std::unique_ptr<ConfigurationEvaluator> MakeDecomposed(
-      const DecomposeOptions& opts, int threads = 1,
-      Deadline deadline = Deadline::Infinite()) {
+      int threads = 1, Deadline deadline = Deadline::Infinite()) {
     std::unique_ptr<ConfigurationEvaluator> evaluator =
         MakeEvaluator(threads);
     Result<BenefitPricingReport> report =
-        evaluator->PriceBenefitTable(opts, &dag_, deadline);
+        evaluator->PriceBenefitTable(deadline);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return evaluator;
-  }
-
-  static DecomposeOptions Degree(int degree, bool compose = true) {
-    DecomposeOptions opts;
-    opts.enabled = true;
-    opts.max_degree = degree;
-    opts.compose_above_degree = compose;
-    return opts;
   }
 
   Database db_;
@@ -189,34 +240,21 @@ class BenefitDecompositionTest : public ::testing::Test {
   CostModel cost_model_;
   ContainmentCache cache_;
   std::vector<CandidateIndex> candidates_;
-  GeneralizationDag dag_;
   std::unique_ptr<Optimizer> optimizer_;
 };
 
 constexpr double kBudget = 64.0 * 1024;
 
-TEST_F(BenefitDecompositionTest, DagAncestorsMatchesDagStructure) {
-  std::vector<Bitmap> ancestors = DagAncestors(dag_);
-  ASSERT_EQ(ancestors.size(), candidates_.size());
-  // Every DAG edge parent→child makes the parent a strict ancestor of the
-  // child, and ancestry is transitive through grandparents.
-  for (size_t n = 0; n < dag_.nodes().size(); ++n) {
-    for (int parent : dag_.nodes()[n].parents) {
-      EXPECT_TRUE(ancestors[n].Test(static_cast<size_t>(parent)));
-      for (int grand : dag_.nodes()[static_cast<size_t>(parent)].parents) {
-        EXPECT_TRUE(ancestors[n].Test(static_cast<size_t>(grand)));
-      }
-    }
-    // Strict: nothing is its own ancestor.
-    EXPECT_FALSE(ancestors[n].Test(n));
-  }
-}
+/// The asserted quality bound: on workloads small enough to run both
+/// paths, the decomposed recommendation's promised benefit is within this
+/// fraction of the exact search's.
+constexpr double kEpsilon = 0.05;
 
 TEST_F(BenefitDecompositionTest, PricingIsDeterministicAcrossThreadCounts) {
   std::unique_ptr<ConfigurationEvaluator> serial =
-      MakeDecomposed(Degree(2), /*threads=*/1);
+      MakeDecomposed(/*threads=*/1);
   std::unique_ptr<ConfigurationEvaluator> parallel =
-      MakeDecomposed(Degree(2), /*threads=*/4);
+      MakeDecomposed(/*threads=*/4);
   ASSERT_TRUE(serial->decomposed());
   ASSERT_TRUE(parallel->decomposed());
   EXPECT_GT(serial->benefit_table()->entries(), 0u);
@@ -230,8 +268,7 @@ TEST_F(BenefitDecompositionTest, PricingIsDeterministicAcrossThreadCounts) {
 
 TEST_F(BenefitDecompositionTest, TableHitsAreExactNotEstimates) {
   std::unique_ptr<ConfigurationEvaluator> exact = MakeEvaluator();
-  std::unique_ptr<ConfigurationEvaluator> decomposed =
-      MakeDecomposed(Degree(1));
+  std::unique_ptr<ConfigurationEvaluator> decomposed = MakeDecomposed();
   // Singleton configurations: every query's relevant overlap is a priced
   // subset, so the decomposed evaluation must be bit-identical.
   for (int c : {0, 1}) {
@@ -249,8 +286,7 @@ TEST_F(BenefitDecompositionTest, TableHitsAreExactNotEstimates) {
 
 TEST_F(BenefitDecompositionTest, ComposedScoreIsConservativeUpperBound) {
   std::unique_ptr<ConfigurationEvaluator> exact = MakeEvaluator();
-  std::unique_ptr<ConfigurationEvaluator> decomposed =
-      MakeDecomposed(Degree(1));
+  std::unique_ptr<ConfigurationEvaluator> decomposed = MakeDecomposed();
   std::vector<int> all(candidates_.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
   Result<ConfigurationEvaluator::Evaluation> e = exact->Evaluate(all);
@@ -272,64 +308,30 @@ TEST_F(BenefitDecompositionTest, ComposedScoreIsConservativeUpperBound) {
   EXPECT_GT(decomposed->benefit_table()->stats().composed, 0u);
 }
 
-TEST_F(BenefitDecompositionTest, ComposeOffIsBitIdenticalToExactSearch) {
-  // With composition disabled, every overlap beyond the priced degree
-  // falls back to a real what-if call, making the decomposed searches
-  // bit-identical to the exact ones — the determinism anchor of the mode.
-  SearchOptions options;
-  options.space_budget_bytes = kBudget;
-  struct Algorithm {
-    const char* name;
-    std::function<Result<SearchResult>(ConfigurationEvaluator*)> run;
-  };
-  const std::vector<Algorithm> algorithms = {
-      {"greedy",
-       [&](ConfigurationEvaluator* e) { return GreedySearch(e, options); }},
-      {"heuristic",
-       [&](ConfigurationEvaluator* e) {
-         return GreedyHeuristicSearch(e, options);
-       }},
-      {"topdown",
-       [&](ConfigurationEvaluator* e) {
-         return TopDownSearch(dag_, e, options);
-       }},
-  };
-  for (const Algorithm& algorithm : algorithms) {
-    std::unique_ptr<ConfigurationEvaluator> exact = MakeEvaluator();
-    std::unique_ptr<ConfigurationEvaluator> decomposed =
-        MakeDecomposed(Degree(1, /*compose=*/false));
-    Result<SearchResult> e = algorithm.run(exact.get());
-    Result<SearchResult> d = algorithm.run(decomposed.get());
-    ASSERT_TRUE(e.ok()) << algorithm.name;
-    ASSERT_TRUE(d.ok()) << algorithm.name;
-    EXPECT_EQ(e->chosen, d->chosen) << algorithm.name;
-    EXPECT_EQ(e->workload_cost, d->workload_cost) << algorithm.name;
-    EXPECT_EQ(e->update_cost, d->update_cost) << algorithm.name;
-    EXPECT_EQ(e->baseline_cost, d->baseline_cost) << algorithm.name;
-    EXPECT_EQ(e->benefit, d->benefit) << algorithm.name;
-  }
-}
-
 TEST_F(BenefitDecompositionTest, FallbackAndComposedAccounting) {
   // Candidates 0 and 1 are both relevant to the namerica quantity
-  // queries, so the {0,1} overlap exceeds a degree-1 table.
-  std::unique_ptr<ConfigurationEvaluator> no_compose =
-      MakeDecomposed(Degree(1, /*compose=*/false));
-  ASSERT_TRUE(no_compose->Evaluate({0, 1}).ok());
-  BenefitTableStats stats = no_compose->benefit_table()->stats();
-  EXPECT_GT(stats.fallback_whatifs, 0u);
-  EXPECT_EQ(stats.composed, 0u);
-
-  std::unique_ptr<ConfigurationEvaluator> compose = MakeDecomposed(Degree(1));
+  // queries, so the {0,1} overlap is no priced subset: a full table
+  // composes it.
+  std::unique_ptr<ConfigurationEvaluator> compose = MakeDecomposed();
   ASSERT_TRUE(compose->Evaluate({0, 1}).ok());
-  stats = compose->benefit_table()->stats();
+  BenefitTableStats stats = compose->benefit_table()->stats();
   EXPECT_GT(stats.composed, 0u);
   EXPECT_EQ(stats.fallback_whatifs, 0u);
+
+  // A table truncated before it priced anything has no cell to compose
+  // from, so every query falls back to a real what-if call.
+  std::unique_ptr<ConfigurationEvaluator> empty =
+      MakeDecomposed(/*threads=*/1, Deadline::AfterMillis(0));
+  ASSERT_EQ(empty->benefit_table()->entries(), 0u);
+  ASSERT_TRUE(empty->Evaluate({0, 1}).ok());
+  stats = empty->benefit_table()->stats();
+  EXPECT_GT(stats.fallback_whatifs, 0u);
+  EXPECT_EQ(stats.composed, 0u);
+  EXPECT_EQ(stats.table_hits, 0u);
 }
 
 TEST_F(BenefitDecompositionTest, DecomposedTraceCarriesTableStats) {
-  std::unique_ptr<ConfigurationEvaluator> decomposed =
-      MakeDecomposed(Degree(1));
+  std::unique_ptr<ConfigurationEvaluator> decomposed = MakeDecomposed();
   SearchOptions options;
   options.space_budget_bytes = kBudget;
   Result<SearchResult> result = GreedySearch(decomposed.get(), options);
@@ -359,8 +361,8 @@ TEST_F(BenefitDecompositionTest, DecomposedTraceCarriesTableStats) {
 
 TEST_F(BenefitDecompositionTest, ExpiredDeadlineYieldsUsablePartialTable) {
   std::unique_ptr<ConfigurationEvaluator> evaluator = MakeEvaluator();
-  Result<BenefitPricingReport> report = evaluator->PriceBenefitTable(
-      Degree(1), &dag_, Deadline::AfterMillis(0));
+  Result<BenefitPricingReport> report =
+      evaluator->PriceBenefitTable(Deadline::AfterMillis(0));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->stop_reason, StopReason::kDeadline);
   EXPECT_LT(report->subsets_priced, report->subsets_enumerated);
@@ -383,8 +385,8 @@ TEST_F(BenefitDecompositionTest, PreCancelledTokenStopsPricing) {
   CancelToken token = CancelToken::Cancellable();
   token.Cancel();
   evaluator->set_cancel(token);
-  Result<BenefitPricingReport> report = evaluator->PriceBenefitTable(
-      Degree(1), &dag_, Deadline::Infinite());
+  Result<BenefitPricingReport> report =
+      evaluator->PriceBenefitTable(Deadline::Infinite());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->stop_reason, StopReason::kCancelled);
   EXPECT_TRUE(evaluator->benefit_table()->truncated());
@@ -438,8 +440,7 @@ TEST_F(BenefitAdvisorTest, PromisedBenefitWithinEpsilonForAllAlgorithms) {
     ASSERT_TRUE(exact.ok()) << SearchAlgorithmName(algorithm);
 
     AdvisorOptions decomposed_options = Options(algorithm);
-    decomposed_options.decompose.enabled = true;
-    decomposed_options.decompose.max_degree = 2;
+    decomposed_options.decompose = true;
     Result<Recommendation> decomposed =
         Advisor(&db_, &catalog_, decomposed_options).Recommend(workload);
     ASSERT_TRUE(decomposed.ok()) << SearchAlgorithmName(algorithm);
@@ -450,12 +451,11 @@ TEST_F(BenefitAdvisorTest, PromisedBenefitWithinEpsilonForAllAlgorithms) {
     // The acceptance bound: promised benefit within ε of the exact
     // search's (the composed score is conservative, so the decomposed
     // promise can only understate, never overstate).
-    const double epsilon = decomposed_options.decompose.epsilon;
     EXPECT_GE(decomposed->benefit,
-              exact->benefit * (1.0 - epsilon))
+              exact->benefit * (1.0 - kEpsilon))
         << SearchAlgorithmName(algorithm);
     EXPECT_LE(decomposed->benefit,
-              exact->benefit * (1.0 + epsilon))
+              exact->benefit * (1.0 + kEpsilon))
         << SearchAlgorithmName(algorithm);
     // The report surfaces the mode.
     EXPECT_NE(decomposed->Report().find("Decomposed scoring:"),
@@ -488,7 +488,7 @@ TEST_F(BenefitAdvisorTest, DecomposedAdvisingCutsWhatIfCallsTenfold) {
   ASSERT_TRUE(exact.ok());
 
   AdvisorOptions decomposed_options = exact_options;
-  decomposed_options.decompose.enabled = true;
+  decomposed_options.decompose = true;
   Result<Recommendation> decomposed =
       Advisor(&db_, &catalog_, decomposed_options).Recommend(workload);
   ASSERT_TRUE(decomposed.ok());

@@ -204,20 +204,6 @@ TEST_F(GeneralizeTest, FixpointReachedWithinRounds) {
             Patterns(GeneralizeCandidates(basics, db_, few)));
 }
 
-TEST_F(GeneralizeTest, DescendantRuleOptIn) {
-  std::vector<CandidateIndex> basics = {
-      Cand("/site/regions/africa/item/quantity", ValueType::kDouble, 0),
-  };
-  GeneralizeOptions off;
-  EXPECT_EQ(GeneralizeCandidates(basics, db_, off).size(), 1u);
-  GeneralizeOptions on;
-  on.enable_descendant_rule = true;
-  std::vector<CandidateIndex> expanded =
-      GeneralizeCandidates(basics, db_, on);
-  std::set<std::string> patterns = Patterns(expanded);
-  EXPECT_TRUE(patterns.count("//regions/africa/item/quantity|DOUBLE"));
-}
-
 TEST_F(GeneralizeTest, DisabledGeneralizationIsIdentity) {
   std::vector<CandidateIndex> basics = {
       Cand("/site/regions/namerica/item/quantity", ValueType::kDouble, 0),
@@ -282,16 +268,6 @@ std::vector<CandidateIndex> GeneralizeEstimatingEveryPair(
         if (unified.has_value()) add(make(all[i], all[j], *unified));
       }
     }
-    if (options.enable_descendant_rule) {
-      for (size_t i = frontier_begin;
-           i < size_before && generated < options.max_generated; ++i) {
-        const PathPattern& p = all[i].def.pattern;
-        if (p.length() < 2 || p.steps()[1].is_attribute) continue;
-        std::vector<Step> steps(p.steps().begin() + 1, p.steps().end());
-        steps.front().axis = Axis::kDescendant;
-        add(make(all[i], all[i], PathPattern(std::move(steps))));
-      }
-    }
     if (all.size() == size_before) break;
     frontier_begin = size_before;
   }
@@ -308,36 +284,31 @@ TEST_F(GeneralizeTest, EstimatesOnlyNewCandidatesWithIdenticalResult) {
       EnumerateBasicCandidates(db_, MakeXMarkWorkload("xmark"), &cache);
   ASSERT_TRUE(enumeration.ok()) << enumeration.status().ToString();
   const std::vector<CandidateIndex>& basics = enumeration->candidates;
-  for (bool descendant : {false, true}) {
-    for (size_t cap : {size_t{500}, size_t{7}}) {
-      GeneralizeOptions options;
-      options.enable_descendant_rule = descendant;
-      options.max_generated = cap;
-      SCOPED_TRACE("descendant rule " + std::to_string(descendant) +
-                   ", max_generated " + std::to_string(cap));
-      std::vector<CandidateIndex> got =
-          GeneralizeCandidates(basics, db_, options);
-      std::vector<CandidateIndex> want =
-          GeneralizeEstimatingEveryPair(basics, db_, options);
-      ASSERT_EQ(got.size(), want.size());
-      if (cap == 7) {
-        EXPECT_EQ(got.size(), basics.size() + cap);  // Truncated.
-      }
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].Key(), want[i].Key()) << i;
-        EXPECT_EQ(got[i].from_generalization, want[i].from_generalization);
-        EXPECT_EQ(got[i].sargable, want[i].sargable) << got[i].Key();
-        EXPECT_EQ(got[i].source_queries, want[i].source_queries)
-            << got[i].Key();
-        const VirtualIndexStats& g = got[i].stats;
-        const VirtualIndexStats& w = want[i].stats;
-        EXPECT_TRUE(BitEqual(g.entries, w.entries) &&
-                    BitEqual(g.size_bytes, w.size_bytes) &&
-                    BitEqual(g.leaf_pages, w.leaf_pages) &&
-                    g.height == w.height && BitEqual(g.distinct, w.distinct) &&
-                    BitEqual(g.avg_key_bytes, w.avg_key_bytes))
-            << got[i].Key();
-      }
+  for (size_t cap : {size_t{500}, size_t{7}}) {
+    GeneralizeOptions options;
+    options.max_generated = cap;
+    SCOPED_TRACE("max_generated " + std::to_string(cap));
+    std::vector<CandidateIndex> got =
+        GeneralizeCandidates(basics, db_, options);
+    std::vector<CandidateIndex> want =
+        GeneralizeEstimatingEveryPair(basics, db_, options);
+    ASSERT_EQ(got.size(), want.size());
+    if (cap == 7) {
+      EXPECT_EQ(got.size(), basics.size() + cap);  // Truncated.
+    }
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].Key(), want[i].Key()) << i;
+      EXPECT_EQ(got[i].from_generalization, want[i].from_generalization);
+      EXPECT_EQ(got[i].sargable, want[i].sargable) << got[i].Key();
+      EXPECT_EQ(got[i].source_queries, want[i].source_queries) << got[i].Key();
+      const VirtualIndexStats& g = got[i].stats;
+      const VirtualIndexStats& w = want[i].stats;
+      EXPECT_TRUE(BitEqual(g.entries, w.entries) &&
+                  BitEqual(g.size_bytes, w.size_bytes) &&
+                  BitEqual(g.leaf_pages, w.leaf_pages) &&
+                  g.height == w.height && BitEqual(g.distinct, w.distinct) &&
+                  BitEqual(g.avg_key_bytes, w.avg_key_bytes))
+          << got[i].Key();
     }
   }
 }

@@ -976,19 +976,12 @@ TEST(DispatcherDbTest, MemoryOnlyAndDataDirSessionsMatch) {
       "materialize",
       std::string("run ") + kAfricaQuery,
   };
-  // Drops checkpoint lines and EXPLAIN's STATS block; masks the timing.
+  // Drops checkpoint lines; masks the timing.
   auto normalize = [](const std::string& reply) {
     std::istringstream lines(reply);
     std::string line;
     std::string kept;
-    bool in_stats = false;
     while (std::getline(lines, line)) {
-      if (line == "  STATS:") {
-        in_stats = true;
-        continue;
-      }
-      if (in_stats && line.rfind("    ", 0) == 0) continue;
-      in_stats = false;
       if (line.rfind("checkpointed (epoch ", 0) == 0) continue;
       size_t in = line.find(" docs in ");
       size_t us = line.find("us (", in);
@@ -1078,9 +1071,9 @@ int64_t StatusField(const std::string& reply, const std::string& field) {
              : std::atoll(reply.c_str() + at + field.size() + 4);
 }
 
-// A `run` reply up to EXPLAIN's process-wide STATS block.
+// A `run` reply's EXPLAIN lines: everything before its timed result line.
 std::string PlanText(const std::string& reply) {
-  return reply.substr(0, reply.find("  STATS:"));
+  return reply.substr(0, reply.find("\n-> ") + 1);
 }
 
 // A loadcoll that fails part-way still leaves its collection in a

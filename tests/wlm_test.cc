@@ -332,8 +332,6 @@ TEST(CompressTest, ClustersByTemplateAndWeightsByTotalCost) {
   const CompressionReport& report = out->report;
   EXPECT_EQ(report.input_records, 6u);
   EXPECT_EQ(report.templates_total, 3u);
-  EXPECT_EQ(report.templates_kept, 3u);
-  EXPECT_DOUBLE_EQ(report.coverage, 1.0);
   // Weight order: B (10) > A (6) > C (1).
   ASSERT_EQ(report.clusters.size(), 3u);
   EXPECT_DOUBLE_EQ(report.clusters[0].weight, 10.0);
@@ -344,36 +342,11 @@ TEST(CompressTest, ClustersByTemplateAndWeightsByTotalCost) {
   // The representative is the lexicographically smallest member text.
   EXPECT_EQ(report.clusters[1].representative_text,
             "for $i in doc(\"c\")/site/item where $i/price < 10 return $i");
-  // The workload mirrors the kept clusters: ids T1.., cluster weights.
+  // The workload mirrors the clusters: ids T1.., cluster weights.
   ASSERT_EQ(out->workload.size(), 3u);
   EXPECT_EQ(out->workload.queries()[0].id, "T1");
   EXPECT_DOUBLE_EQ(out->workload.queries()[0].weight, 10.0);
   EXPECT_DOUBLE_EQ(out->workload.TotalQueryWeight(), 17.0);
-}
-
-TEST(CompressTest, TopKCapAndCoverageFloorReportDrops) {
-  CompressionOptions options;
-  options.max_templates = 1;
-  Result<CompressedWorkload> out = CompressLog(MixedLog(), options);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->report.templates_kept, 1u);
-  EXPECT_EQ(out->workload.size(), 1u);
-  EXPECT_NEAR(out->report.coverage, 10.0 / 17.0, 1e-12);
-  // Dropped clusters are reported, kept-first.
-  EXPECT_TRUE(out->report.clusters[0].kept);
-  EXPECT_FALSE(out->report.clusters[1].kept);
-  EXPECT_FALSE(out->report.clusters[2].kept);
-  EXPECT_NE(out->report.ToString().find("dropped"), std::string::npos);
-
-  // A coverage floor overrides the cap: 0.9 needs B and A (16/17).
-  options.min_coverage = 0.9;
-  out = CompressLog(MixedLog(), options);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->report.templates_kept, 2u);
-  EXPECT_NEAR(out->report.coverage, 16.0 / 17.0, 1e-12);
-
-  options.min_coverage = 1.5;
-  EXPECT_FALSE(CompressLog(MixedLog(), options).ok());
 }
 
 TEST(CompressTest, ZeroCostClustersFallBackToFrequencyWeight) {
