@@ -158,43 +158,6 @@ void BM_EnumerateIndexesMode(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateIndexesMode);
 
-void BM_CaptureHookDisarmed(benchmark::State& state) {
-  // The workload-capture hook as it sits on the executor hot path, with
-  // no log installed: the entire cost must be the CaptureEnabled() check
-  // — one relaxed atomic load (the XIA_SPAN / failpoint discipline).
-  // Compare against BM_CaptureHookArmed for the armed delta.
-  wlm::SetCaptureLog(nullptr);
-  QueryPlan plan;
-  plan.query_text = "for $i in doc(\"xmark\")/site/regions/africa/item "
-                    "where $i/quantity > 5 return $i/name";
-  plan.total_cost = 12.5;
-  for (auto _ : state) {
-    if (wlm::CaptureEnabled()) wlm::MaybeCapture(plan);
-    benchmark::DoNotOptimize(&plan);
-  }
-}
-BENCHMARK(BM_CaptureHookDisarmed);
-
-void BM_CaptureHookArmed(benchmark::State& state) {
-  // Armed capture: fingerprint + shard append per call (ring overwrites
-  // once warm). This is the per-query price of `capture on`.
-  Query query = *ParseQuery(
-      "for $i in doc(\"xmark\")/site/regions/africa/item "
-      "where $i/quantity > 5 return $i/name");
-  QueryPlan plan;
-  plan.query_text = query.text;
-  plan.query = query.normalized;
-  plan.total_cost = 12.5;
-  wlm::QueryLog log(4096);
-  wlm::SetCaptureLog(&log);
-  for (auto _ : state) {
-    if (wlm::CaptureEnabled()) wlm::MaybeCapture(plan);
-    benchmark::DoNotOptimize(&plan);
-  }
-  wlm::SetCaptureLog(nullptr);
-}
-BENCHMARK(BM_CaptureHookArmed);
-
 void BM_CompressLog(benchmark::State& state) {
   // Template compression over a 1024-record log of 4 templates.
   std::vector<wlm::CaptureRecord> records;

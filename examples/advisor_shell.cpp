@@ -17,21 +17,16 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/failpoint.h"
 #include "server/session.h"
-#include "wlm/capture.h"
 
 using namespace xia;
 
 int main(int argc, char** argv) {
   server::SharedState shared;
-  // RAII capture disarm: declared after `shared` so stack unwinding (or
-  // the normal return) restores the sink before the log it points at is
-  // destroyed with `shared` — the REPL can never leak an armed capture
-  // sink (the bug class ScopedCaptureLog exists for).
-  wlm::ScopedCaptureLog capture_guard;
   // Failpoints from the environment first, then flags (flags win on
   // conflict since ArmFromSpec overwrites by name).
   Status env_status = fp::ArmFromEnv();
@@ -44,12 +39,11 @@ int main(int argc, char** argv) {
     if (arg == "--time-limit-ms" && i + 1 < argc) {
       shared.default_options.time_budget_ms = std::atoll(argv[++i]);
     } else if (arg == "--capture") {
-      size_t capacity = 4096;
-      if (i + 1 < argc && std::atoll(argv[i + 1]) > 0) {
-        capacity = static_cast<size_t>(std::atoll(argv[++i]));
-      }
-      shared.capture_log = std::make_unique<wlm::QueryLog>(capacity);
-      wlm::SetCaptureLog(shared.capture_log.get());
+      std::optional<size_t> capacity =
+          i + 1 < argc ? server::ParseCaptureCapacity(argv[i + 1])
+                       : std::nullopt;
+      if (capacity.has_value()) ++i;
+      shared.ArmCapture(capacity.value_or(server::kDefaultCaptureCapacity));
     } else if (arg == "--failpoint" && i + 1 < argc) {
       Status status = fp::ArmFromSpec(argv[++i]);
       if (!status.ok()) {
@@ -63,7 +57,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (wlm::CaptureEnabled()) {
+  if (shared.capture_armed) {
     std::cout << "workload capture armed ("
               << shared.capture_log->stats().capacity
               << " record ring) — type 'log stats'\n";

@@ -33,11 +33,11 @@ int main(int argc, char** argv) {
 
   // Queries to explore: command line or a built-in pair (one XQuery, one
   // SQL/XML — the modes are language-agnostic).
-  std::vector<std::string> query_texts;
+  std::vector<std::string> texts;
   if (argc > 1) {
-    query_texts.push_back(argv[1]);
+    texts.push_back(argv[1]);
   } else {
-    query_texts = {
+    texts = {
         "for $i in doc(\"xmark\")/site/regions/namerica/item "
         "where $i/quantity > 5 and $i/payment = \"Creditcard\" "
         "return $i/name",
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   Optimizer optimizer(&db, cost_model);
   Catalog empty;
 
-  for (const std::string& text : query_texts) {
+  for (const std::string& text : texts) {
     Result<Query> query = ParseQuery(text);
     if (!query.ok()) {
       std::cerr << query.status().ToString() << "\n";

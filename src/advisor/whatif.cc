@@ -4,7 +4,6 @@
 
 #include "common/failpoint.h"
 #include "common/trace_span.h"
-#include "wlm/capture.h"
 
 namespace xia {
 
@@ -55,11 +54,6 @@ Result<QueryPlan> WhatIfSession::ExplainQuery(const Query& query) {
   XIA_ASSIGN_OR_RETURN(EvaluateIndexesResult result,
                        EvaluateIndexesMode(optimizer_, {query}, {}, catalog_,
                                            &cache_, 1, &cost_cache_));
-  // Captured whether the plan came from the cache or the optimizer, so
-  // cached queries still count toward template frequencies.
-  if (wlm::CaptureEnabled()) {
-    wlm::MaybeCapture(query, result.plans.front().total_cost);
-  }
   return std::move(result.plans.front());
 }
 

@@ -82,9 +82,6 @@ class RetryState {
   /// per-attempt budget (from now) and the overall deadline.
   Deadline AttemptDeadline() const;
 
-  /// The whole-call deadline (infinite when overall_budget_ms == 0).
-  const Deadline& OverallDeadline() const { return overall_; }
-
   /// Attempts started so far (1 after the first attempt begins; callers
   /// increment implicitly via NextAttempt).
   int attempts() const { return attempts_; }

@@ -78,7 +78,6 @@ class Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
-  bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 

@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "common/trace_span.h"
 #include "exec/operators.h"
-#include "wlm/capture.h"
 #include "xml/serializer.h"
 #include "xpath/evaluator.h"
 
@@ -152,10 +151,6 @@ Status Executor::TouchIndexLeaves(const std::string& index_name,
 }
 
 Result<ExecResult> Executor::Execute(const QueryPlan& plan) const {
-  // Workload capture. Disarmed cost: CaptureEnabled() is one relaxed
-  // atomic load (the XIA_SPAN / failpoint discipline); everything else is
-  // behind it.
-  if (wlm::CaptureEnabled()) wlm::MaybeCapture(plan);
   const Collection* coll = db_->GetCollection(plan.query.collection);
   if (coll == nullptr) {
     return Status::NotFound("collection " + plan.query.collection +

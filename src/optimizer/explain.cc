@@ -143,7 +143,6 @@ Result<EvaluateIndexesResult> EvaluateIndexesMode(
     // Cached plans carry the labels of the query that first computed them.
     QueryPlan plan = **plans[qi];
     plan.query_id = queries[qi].id;
-    plan.query_text = queries[qi].text;
     result.total_weighted_cost += queries[qi].weight * plan.total_cost;
     if (plan.access.use_index) {
       result.index_use_counts[plan.access.index_def.name]++;

@@ -256,9 +256,6 @@ Result<QueryPlan> Optimizer::Optimize(const Query& query,
     }
   }
 
-  // Candidate plans never carry the text; label the winner once.
-  best.query_text = query.text;
-
   OptimizerCounters& counters = Counters();
   counters.plans.Add(plans_enumerated);
   if (!best.access.use_index) {

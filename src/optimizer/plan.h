@@ -54,11 +54,6 @@ struct AccessPath {
 /// A complete (single-access-path) query plan with cost breakdown.
 struct QueryPlan {
   std::string query_id;
-  /// Raw surface text of the originating query (empty for hand-built
-  /// plans). Not costed and not printed by Explain(); it exists so the
-  /// executor's workload-capture hook (wlm/capture.h) can log an
-  /// executed plan as a re-parseable, re-advisable query.
-  std::string query_text;
   NormalizedQuery query;
   AccessPath access;
   std::vector<int> residual_predicates;  // Indices into query.predicates.

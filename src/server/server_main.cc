@@ -48,6 +48,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,7 +58,6 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/storage_engine.h"
-#include "wlm/capture.h"
 
 using namespace xia;
 
@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   std::string connect_path;
   int connect_port = 0;
   bool client_mode = false;
-  bool capture = false;
-  size_t capture_capacity = 4096;
+  std::optional<size_t> capture;  // Capacity, when --capture is given.
 
   Status env_status = fp::ArmFromEnv();
   if (!env_status.ok()) {
@@ -150,10 +149,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--data-dir") {
       data_dir = next("--data-dir");
     } else if (arg == "--capture") {
-      capture = true;
-      if (i + 1 < argc && std::atoll(argv[i + 1]) > 0) {
-        capture_capacity = static_cast<size_t>(std::atoll(argv[++i]));
-      }
+      std::optional<size_t> capacity =
+          i + 1 < argc ? server::ParseCaptureCapacity(argv[i + 1])
+                       : std::nullopt;
+      if (capacity.has_value()) ++i;
+      capture = capacity.value_or(server::kDefaultCaptureCapacity);
     } else if (arg == "--failpoint") {
       Status status = fp::ArmFromSpec(next("--failpoint"));
       if (!status.ok()) {
@@ -195,14 +195,7 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
   server::SharedState shared;
-  // RAII capture disarm: declared after `shared` so an exception (or the
-  // normal return) always restores the sink before the log it points at
-  // is destroyed with `shared`.
-  wlm::ScopedCaptureLog capture_guard;
-  if (capture) {
-    shared.capture_log = std::make_unique<wlm::QueryLog>(capture_capacity);
-    wlm::SetCaptureLog(shared.capture_log.get());
-  }
+  if (capture.has_value()) shared.ArmCapture(*capture);
   // Start serving BEFORE recovery/preload, gated not-ready: `health`
   // and `ready` answer immediately (they bypass the dispatcher and its
   // locks) while real verbs block on the exclusive state lock held for

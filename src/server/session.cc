@@ -1,5 +1,6 @@
 #include "server/session.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -88,6 +89,19 @@ wlm::DriftMonitor* SharedState::DriftWatcher() {
         std::make_unique<wlm::DriftMonitor>(&db, default_options.cost_model);
   }
   return drift.get();
+}
+
+void SharedState::ArmCapture(size_t capacity) {
+  if (!capture_log) capture_log = std::make_unique<wlm::QueryLog>(capacity);
+  capture_armed = true;
+}
+
+std::optional<size_t> ParseCaptureCapacity(std::string_view text) {
+  size_t capacity = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, capacity);
+  if (ec != std::errc() || ptr != end || capacity == 0) return std::nullopt;
+  return capacity;
 }
 
 /// One command line as its handler sees it.
@@ -185,23 +199,25 @@ void CmdGen(VerbCall& call) {
   }
 }
 
-/// Shared DML reply/capture tail: feeds the armed capture sink (the DML
-/// half of the workload stream maintenance-aware advising consumes) and
-/// renders the result line the shell and the server both emit, e.g.
-/// "inserted doc 4 of xmark (...)".
-void ReportDml(const char* what, wlm::CaptureKind kind,
+/// Shared DML reply/capture tail: records an applied mutation into the
+/// armed capture log (the DML half of the workload stream
+/// maintenance-aware advising consumes) and renders the result line the
+/// shell and the server both emit, e.g. "inserted doc 4 of xmark (...)".
+void ReportDml(VerbCall& call, const char* what, wlm::CaptureKind kind,
                const std::string& collection,
-               const Result<dml::DmlResult>& result, std::ostream& out) {
+               const Result<dml::DmlResult>& result) {
+  std::ostream& out = call.out;
   if (!result.ok()) {
     out << result.status().ToString() << "\n";
     return;
   }
   const dml::DmlResult& r = *result;
-  if (wlm::CaptureEnabled()) {
-    wlm::MaybeCaptureDml(
+  if (call.shared.capture_armed) {
+    // A lost record (a tripped wlm.capture.append) never fails the verb.
+    (void)call.shared.capture_log->Append(wlm::DmlRecord(
         kind, collection, r.root_pattern,
         static_cast<double>(r.maintenance.entries_inserted +
-                            r.maintenance.entries_removed));
+                            r.maintenance.entries_removed)));
   }
   out << what << " doc " << r.doc << " of " << collection << " ("
       << r.maintenance.indexes_touched << " indexes, +"
@@ -231,9 +247,9 @@ void CmdLoad(VerbCall& call) {
   }
   // A load is an insert of the file's document: indexes and statistics
   // are maintained, and the WAL (if any) logs an insert record.
-  ReportDml("loaded 1 document as", wlm::CaptureKind::kInsert, collection,
-            call.shared.engine->InsertDocument(collection, buffer.str()),
-            call.out);
+  ReportDml(call, "loaded 1 document as", wlm::CaptureKind::kInsert,
+            collection,
+            call.shared.engine->InsertDocument(collection, buffer.str()));
 }
 
 void CmdSaveColl(VerbCall& call) {
@@ -326,8 +342,8 @@ void CmdInsert(VerbCall& call) {
     call.out << "usage: insert <collection> <xml...>\n";
     return;
   }
-  ReportDml("inserted", wlm::CaptureKind::kInsert, collection,
-            call.shared.engine->InsertDocument(collection, body), call.out);
+  ReportDml(call, "inserted", wlm::CaptureKind::kInsert, collection,
+            call.shared.engine->InsertDocument(collection, body));
 }
 
 void CmdDelete(VerbCall& call) {
@@ -338,8 +354,8 @@ void CmdDelete(VerbCall& call) {
     return;
   }
   DocId id = static_cast<DocId>(doc);
-  ReportDml("deleted", wlm::CaptureKind::kDelete, collection,
-            call.shared.engine->DeleteDocument(collection, id), call.out);
+  ReportDml(call, "deleted", wlm::CaptureKind::kDelete, collection,
+            call.shared.engine->DeleteDocument(collection, id));
 }
 
 void CmdUpdate(VerbCall& call) {
@@ -351,10 +367,9 @@ void CmdUpdate(VerbCall& call) {
     call.out << "usage: update <collection> <doc-id> <xml...>\n";
     return;
   }
-  ReportDml("updated", wlm::CaptureKind::kUpdate, collection,
+  ReportDml(call, "updated", wlm::CaptureKind::kUpdate, collection,
             call.shared.engine->UpdateDocument(
-                collection, static_cast<DocId>(doc), std::string(Trim(xml))),
-            call.out);
+                collection, static_cast<DocId>(doc), std::string(Trim(xml))));
 }
 
 void CmdShow(VerbCall& call) {
@@ -662,6 +677,11 @@ void CmdRun(VerbCall& call) {
     call.out << run.status().ToString() << "\n";
     return;
   }
+  if (call.shared.capture_armed) {
+    // A lost record (a tripped wlm.capture.append) never fails the query.
+    (void)call.shared.capture_log->Append(
+        wlm::QueryRecord(*query, plan->total_cost));
+  }
   call.out << "-> " << run->nodes.size() << " result nodes from "
            << run->docs_matched << " docs in " << FormatDouble(run->wall_micros)
            << "us (" << FormatDouble(run->simulated_page_reads) << " pages)\n";
@@ -674,16 +694,19 @@ void CmdCapture(VerbCall& call) {
   std::string sub;
   call.args >> sub;
   if (sub == "on") {
-    size_t capacity = 4096;
-    call.args >> capacity;
-    if (!call.shared.capture_log) {
-      call.shared.capture_log = std::make_unique<wlm::QueryLog>(capacity);
+    std::optional<size_t> capacity = kDefaultCaptureCapacity;
+    std::string token;
+    if (call.args >> token) capacity = ParseCaptureCapacity(token);
+    if (!capacity.has_value()) {
+      call.out << "bad capacity '" << token
+               << "' (a positive number of records)\n";
+      return;
     }
-    wlm::SetCaptureLog(call.shared.capture_log.get());
+    call.shared.ArmCapture(*capacity);
     call.out << "capture armed (" << call.shared.capture_log->stats().capacity
-             << " record ring; 'run' and what-if queries are recorded)\n";
+             << " record ring; 'run' and the DML verbs are recorded)\n";
   } else if (sub == "off") {
-    wlm::SetCaptureLog(nullptr);
+    call.shared.capture_armed = false;
     call.out << "capture disarmed (log retained — see 'log stats')\n";
   } else {
     call.out << "usage: capture on [capacity]|off\n";

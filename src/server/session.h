@@ -7,6 +7,7 @@
 #include <ostream>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "advisor/advisor.h"
@@ -59,10 +60,14 @@ struct SharedState {
   WhatIfCostCache what_if_cache;
   /// Shared page cache for `run` executions (warm across sessions).
   BufferPool buffer_pool{4096};
-  /// Process-wide capture sink target. Created on first `capture on`;
-  /// kept for the SharedState's lifetime so `log stats` and
+  /// This state's workload capture log. Created by the first ArmCapture
+  /// and kept for the SharedState's lifetime, so `log stats` and
   /// `advise --from-log` survive `capture off`.
   std::unique_ptr<wlm::QueryLog> capture_log;
+  /// While set, `run` appends each successful execution and the DML
+  /// verbs each applied mutation to `capture_log` (never null then).
+  /// Set by ArmCapture, cleared by `capture off`.
+  bool capture_armed = false;
   std::unique_ptr<wlm::DriftMonitor> drift;
   /// Storage engine over db/catalog (storage/storage_engine.h), never
   /// null: every mutating verb reaches db/catalog only through it.
@@ -75,7 +80,7 @@ struct SharedState {
       storage::StorageEngine::MemoryOnly(&db, &catalog,
                                          default_options.cost_model.storage);
 
-  /// Reader/writer lock over db/catalog/capture_log/drift (see above).
+  /// Reader/writer lock over db/catalog/capture/drift (see above).
   std::shared_mutex mu;
   /// Serializes lazy drift-monitor creation and prediction recording
   /// from concurrent `advise` verbs (which hold `mu` only shared).
@@ -83,7 +88,20 @@ struct SharedState {
 
   /// The lazily-created drift monitor. Callers must hold `drift_mu`.
   wlm::DriftMonitor* DriftWatcher();
+
+  /// Arms capture (`capture on`, the --capture flags), creating
+  /// `capture_log` with `capacity` records unless an earlier arming did.
+  /// Callers hold `mu` exclusively or own the state alone.
+  void ArmCapture(size_t capacity);
 };
+
+/// The record count `capture on` and the --capture flags arm with when
+/// none is given.
+constexpr size_t kDefaultCaptureCapacity = 4096;
+
+/// A capture capacity as `capture on <capacity>` and `--capture
+/// <capacity>` spell it: a positive decimal integer; nullopt otherwise.
+std::optional<size_t> ParseCaptureCapacity(std::string_view text);
 
 /// Generates xia_server's `--preload` specs (`xmark[:docs]` or `tpox`,
 /// the data `gen xmark <docs>` and `gen tpox` create) as one bulk load of

@@ -30,8 +30,13 @@ Status Database::LoadXml(const std::string& collection,
   if (coll == nullptr) {
     return Status::NotFound("collection " + collection + " does not exist");
   }
-  XmlParser parser(&names_);
+  // Parsed against a private table: a document that fails to parse leaves
+  // no names behind. Adoption interns in first-seen order, so ids equal a
+  // direct parse's.
+  NameTable names;
+  XmlParser parser(&names);
   XIA_ASSIGN_OR_RETURN(Document doc, parser.Parse(xml));
+  doc.RemapNames(names_.Adopt(names));
   coll->Add(std::move(doc));
   return Status::Ok();
 }

@@ -35,6 +35,7 @@ class Database {
   const Collection* GetCollection(const std::string& name) const;
 
   /// Parses `xml` and adds the document to `collection` (which must exist).
+  /// A document that fails to parse adds nothing, not even names.
   Status LoadXml(const std::string& collection, const std::string& xml);
 
   /// (Re)builds the path synopsis for a collection — the RUNSTATS analogue.

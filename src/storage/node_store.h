@@ -1,12 +1,7 @@
 #ifndef XIA_STORAGE_NODE_STORE_H_
 #define XIA_STORAGE_NODE_STORE_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "storage/collection.h"
-#include "xml/name_table.h"
-#include "xpath/path.h"
 
 namespace xia {
 
@@ -23,18 +18,6 @@ struct NodeRef {
     return doc != other.doc ? doc < other.doc : node < other.node;
   }
 };
-
-/// Evaluates a structural pattern over every document of a collection.
-/// This is the "scan" building block used by index builders and by
-/// full-scan execution.
-std::vector<NodeRef> EvaluatePatternOverCollection(const Collection& coll,
-                                                   const NameTable& names,
-                                                   const PathPattern& pattern);
-
-/// Evaluates a path expression with predicates over every document.
-std::vector<NodeRef> EvaluateParsedPathOverCollection(const Collection& coll,
-                                                      const NameTable& names,
-                                                      const ParsedPath& path);
 
 }  // namespace xia
 

@@ -22,12 +22,6 @@ struct AggValueStats {
   double total_value_bytes = 0.0;
   double distinct_estimate = 0.0;
   std::vector<std::string> sample;  // Reservoir sample of raw values.
-
-  double AvgValueBytes() const {
-    return value_count == 0 ? 0.0
-                            : total_value_bytes /
-                                  static_cast<double>(value_count);
-  }
 };
 
 /// Estimated fraction of a pattern's nodes whose value satisfies

@@ -10,19 +10,7 @@
 namespace xia {
 namespace wlm {
 
-namespace detail {
-std::atomic<QueryLog*> g_capture_log{nullptr};
-}  // namespace detail
-
 namespace {
-
-/// Round-robin shard assignment, fixed per thread at first use (the same
-/// scheme as obs::Counter striping): concurrent captors usually land on
-/// different shards, serial capture always lands on one.
-size_t NextShard() {
-  static std::atomic<size_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed) % QueryLog::kShards;
-}
 
 int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -54,28 +42,42 @@ std::optional<CaptureKind> CaptureKindFromName(std::string_view name) {
   return std::nullopt;
 }
 
+CaptureRecord QueryRecord(const Query& query, double est_cost) {
+  CaptureRecord record;
+  record.timestamp_micros = NowMicros();
+  record.est_cost = est_cost;
+  record.text = query.text;
+  record.fingerprint = TemplateFingerprint(query);
+  return record;
+}
+
+CaptureRecord DmlRecord(CaptureKind kind, const std::string& collection,
+                        const std::string& pattern, double work) {
+  CaptureRecord record;
+  record.timestamp_micros = NowMicros();
+  record.est_cost = work;
+  record.kind = kind;
+  record.text = collection + " " + pattern;
+  record.fingerprint = "dml:" + std::string(CaptureKindName(kind)) + ":" +
+                       collection + ":" + pattern;
+  return record;
+}
+
 std::string QueryLogStats::ToString() const {
   return "captured " + std::to_string(captured) + ", dropped " +
          std::to_string(dropped) + ", holding " + std::to_string(size) +
          "/" + std::to_string(capacity);
 }
 
-size_t QueryLog::ShardIndex() {
-  thread_local size_t shard = NextShard();
-  return shard;
-}
-
 QueryLog::QueryLog(size_t capacity)
-    : per_shard_capacity_((capacity + kShards - 1) / kShards) {
-  if (per_shard_capacity_ == 0) per_shard_capacity_ = 1;
-}
+    : capacity_(std::max<size_t>(capacity, 1)) {}
 
 Status QueryLog::Append(CaptureRecord record) {
-  record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  record.seq = seq_++;
   // The failpoint sits after sequence assignment so arg-matched specs can
-  // fail "the k-th captured query" deterministically even when capture
-  // runs concurrently (hit order races, sequence values do not). A trip
-  // is a lost record, counted like a ring overwrite.
+  // fail "the k-th captured record" deterministically. A trip is a lost
+  // record, counted like a ring overwrite.
   Status injected = [&]() -> Status {
     XIA_FAILPOINT_ARG("wlm.capture.append",
                       static_cast<int64_t>(record.seq));
@@ -85,13 +87,11 @@ Status QueryLog::Append(CaptureRecord record) {
     dropped_.Increment();
     return injected;
   }
-  Shard& shard = shards_[ShardIndex()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.ring.size() < per_shard_capacity_) {
-    shard.ring.push_back(std::move(record));
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(record));
   } else {
-    shard.ring[shard.next] = std::move(record);
-    shard.next = (shard.next + 1) % per_shard_capacity_;
+    ring_[next_] = std::move(record);
+    next_ = (next_ + 1) % capacity_;
     dropped_.Increment();
   }
   captured_.Increment();
@@ -99,88 +99,26 @@ Status QueryLog::Append(CaptureRecord record) {
 }
 
 std::vector<CaptureRecord> QueryLog::Snapshot() const {
-  std::vector<CaptureRecord> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.insert(out.end(), shard.ring.begin(), shard.ring.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CaptureRecord& a, const CaptureRecord& b) {
-              return a.seq < b.seq;
-            });
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<CaptureRecord> out(ring_.begin() + next_, ring_.end());
+  out.insert(out.end(), ring_.begin(), ring_.begin() + next_);
   return out;
 }
 
 void QueryLog::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.ring.clear();
-    shard.next = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ring_.clear();
+  next_ = 0;
 }
 
 QueryLogStats QueryLog::stats() const {
   QueryLogStats stats;
   stats.captured = captured_.Value();
   stats.dropped = dropped_.Value();
-  stats.capacity = per_shard_capacity_ * kShards;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.size += shard.ring.size();
-  }
+  stats.capacity = capacity_;
+  std::lock_guard<std::mutex> lock(mu_);
+  stats.size = ring_.size();
   return stats;
-}
-
-void SetCaptureLog(QueryLog* log) {
-  detail::g_capture_log.store(log, std::memory_order_release);
-}
-
-QueryLog* CaptureLog() {
-  return detail::g_capture_log.load(std::memory_order_relaxed);
-}
-
-void MaybeCapture(const QueryPlan& plan) {
-  QueryLog* log = CaptureLog();
-  if (log == nullptr) return;
-  // Plans produced before capture existed (or built by hand in tests)
-  // may lack the originating text; without it the record could not be
-  // re-advised, so it is not worth logging.
-  if (plan.query_text.empty()) return;
-  CaptureRecord record;
-  record.timestamp_micros = NowMicros();
-  record.est_cost = plan.total_cost;
-  record.text = plan.query_text;
-  record.fingerprint = TemplateFingerprint(plan.query);
-  (void)log->Append(std::move(record));  // Lost records never fail queries.
-}
-
-void MaybeCapture(const Query& query, double est_cost) {
-  QueryLog* log = CaptureLog();
-  if (log == nullptr) return;
-  if (query.text.empty()) return;
-  CaptureRecord record;
-  record.timestamp_micros = NowMicros();
-  record.est_cost = est_cost;
-  record.text = query.text;
-  record.fingerprint = TemplateFingerprint(query);
-  (void)log->Append(std::move(record));
-}
-
-void MaybeCaptureDml(CaptureKind kind, const std::string& collection,
-                     const std::string& pattern, double maintenance_work) {
-  QueryLog* log = CaptureLog();
-  if (log == nullptr) return;
-  if (kind == CaptureKind::kQuery) return;  // Misuse: drop, never fail.
-  if (collection.empty() || pattern.empty()) return;
-  CaptureRecord record;
-  record.timestamp_micros = NowMicros();
-  record.est_cost = maintenance_work;
-  record.kind = kind;
-  record.text = collection + " " + pattern;
-  record.fingerprint = std::string("dml:") +
-                       std::string(CaptureKindName(kind)) + ":" +
-                       collection + ":" + pattern;
-  (void)log->Append(std::move(record));
 }
 
 }  // namespace wlm

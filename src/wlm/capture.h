@@ -1,8 +1,6 @@
 #ifndef XIA_WLM_CAPTURE_H_
 #define XIA_WLM_CAPTURE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -12,7 +10,6 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "optimizer/plan.h"
 #include "query/query.h"
 
 namespace xia {
@@ -22,11 +19,10 @@ namespace wlm {
 /// it into an advisable weighted workload, and notice when the current
 /// index configuration has gone stale (see wlm/compress.h, wlm/drift.h).
 ///
-/// This header is the capture side: a bounded, sharded ring log fed by a
-/// hook on the query hot path. The hook follows the XIA_SPAN / failpoint
-/// discipline — disarmed (no log installed) it costs exactly one relaxed
-/// atomic load, so it can sit in Executor::Execute and the interactive
-/// what-if path unconditionally (verified by a bench_micro entry).
+/// This header is the capture side: the record one query execution or
+/// DML statement becomes, and the bounded ring log that holds them. A log
+/// belongs to whoever arms capture — the server's SharedState
+/// (server/session.h), whose `run` and DML verbs append to it while armed.
 
 /// What a capture record describes: a query execution or a DML statement
 /// (src/dml). The read/write mix of the captured stream is what makes
@@ -46,8 +42,8 @@ std::optional<CaptureKind> CaptureKindFromName(std::string_view name);
 
 /// One captured query execution or DML statement.
 struct CaptureRecord {
-  /// Global capture sequence number (assigned by QueryLog::Append);
-  /// snapshots sort by it, so serial capture order is reproduced exactly.
+  /// Capture sequence number (assigned by QueryLog::Append); snapshots
+  /// are in sequence order, so capture order is reproduced exactly.
   uint64_t seq = 0;
   /// Wall-clock capture time, microseconds since the Unix epoch.
   /// Informational only: compression ignores it, so two logs with equal
@@ -69,6 +65,16 @@ struct CaptureRecord {
   std::string fingerprint;
 };
 
+/// The record of one executed query: its text, its template fingerprint
+/// and the executed plan's estimated cost, stamped now.
+CaptureRecord QueryRecord(const Query& query, double est_cost);
+
+/// The record of one DML statement at pattern granularity: `pattern` is
+/// the affected document's root pattern (DmlResult::root_pattern) and
+/// `work` the index entries it touched. `kind` is not kQuery.
+CaptureRecord DmlRecord(CaptureKind kind, const std::string& collection,
+                        const std::string& pattern, double work);
+
 /// Counts for `log stats` displays; the same numbers feed the obs
 /// counters "wlm.captured" and "wlm.dropped".
 struct QueryLogStats {
@@ -80,24 +86,20 @@ struct QueryLogStats {
   std::string ToString() const;
 };
 
-/// Bounded sharded ring log of captured queries.
+/// Bounded ring log of captured records, guarded by one mutex.
 ///
-/// Appends take one shard mutex (shard picked by a per-thread stripe, so
-/// concurrent captors usually touch different shards and different cache
-/// lines). When a shard ring is full the oldest record in that shard is
-/// overwritten and counted as dropped — capture is lossy by design; the
-/// compressor's frequency weights come from what survived.
+/// The ring grows on demand up to exactly `capacity` records. Once full,
+/// each append overwrites the oldest record and counts it as dropped —
+/// capture is lossy by design; the compressor's frequency weights come
+/// from what survived.
 ///
 /// Failure injection: Append hits the "wlm.capture.append" failpoint
 /// (arg = sequence number). A tripped append drops the record and counts
 /// it — it never propagates into the query that was being captured.
 class QueryLog {
  public:
-  static constexpr size_t kShards = 8;
-
-  /// `capacity` is the total record bound across shards (rounded up to a
-  /// multiple of kShards, minimum one record per shard).
-  explicit QueryLog(size_t capacity = 4096);
+  /// Holds at most `capacity` records (at least one).
+  explicit QueryLog(size_t capacity);
 
   QueryLog(const QueryLog&) = delete;
   QueryLog& operator=(const QueryLog&) = delete;
@@ -105,11 +107,10 @@ class QueryLog {
   /// Appends one record (seq is assigned here; any caller-set value is
   /// overwritten). Returns the injected error when the capture failpoint
   /// trips — callers on the query path must treat that as "record lost",
-  /// never as a query failure (MaybeCapture does exactly that).
+  /// never as a query failure.
   Status Append(CaptureRecord record);
 
-  /// All live records, sorted by sequence number (deterministic for any
-  /// fixed log contents regardless of shard layout).
+  /// All held records, oldest first (ascending sequence numbers).
   std::vector<CaptureRecord> Snapshot() const;
 
   /// Drops every record. Lifetime captured/dropped counts are retained.
@@ -118,95 +119,16 @@ class QueryLog {
   QueryLogStats stats() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<CaptureRecord> ring;  // Capacity-sized once warm.
-    size_t next = 0;                  // Overwrite cursor once full.
-  };
-
-  /// The calling thread's shard index (stable per thread).
-  static size_t ShardIndex();
-
-  size_t per_shard_capacity_;
-  std::array<Shard, kShards> shards_;
-  std::atomic<uint64_t> seq_{0};
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::vector<CaptureRecord> ring_;  // Grows to capacity_ on demand.
+  size_t next_ = 0;                  // Oldest record once the ring is full.
+  uint64_t seq_ = 0;
   // xia::obs counters: lifetime accepted/lost records across all
   // QueryLog instances (registry-attached; retained over destruction).
   obs::Counter captured_{"wlm.captured"};
   obs::Counter dropped_{"wlm.dropped"};
 };
-
-/// Installs `log` as the process-wide capture sink (nullptr disarms).
-/// The caller owns the log and must keep it alive while installed —
-/// install order: construct, install; disarm before destroying.
-/// Prefer ScopedCaptureLog wherever a scope owns the log: it makes the
-/// disarm exception-safe.
-void SetCaptureLog(QueryLog* log);
-
-/// The installed sink, or nullptr. One relaxed atomic load.
-QueryLog* CaptureLog();
-
-/// True when capture is armed. One relaxed atomic load — this is the
-/// whole disarmed cost of the hooks below.
-inline bool CaptureEnabled();
-
-/// Capture hook for call sites holding an optimized plan (the executor):
-/// records the plan's originating query text, its template fingerprint,
-/// and its estimated total cost. No-op (one relaxed load) when disarmed;
-/// a full record append when armed. Never fails the caller: a tripped
-/// capture failpoint or a missing query text only drops the record.
-void MaybeCapture(const QueryPlan& plan);
-
-/// Capture hook for call sites holding the query itself plus an estimated
-/// cost (the interactive what-if path). Same no-fail contract.
-void MaybeCapture(const Query& query, double est_cost);
-
-/// Capture hook for the DML path (server insert/delete/update verbs):
-/// records the mutation at pattern granularity — `pattern` is the
-/// affected document's root pattern (DmlResult::root_pattern) and
-/// `maintenance_work` the index entries touched. Same no-fail contract
-/// as the query hooks; `kind` must not be kQuery.
-void MaybeCaptureDml(CaptureKind kind, const std::string& collection,
-                     const std::string& pattern, double maintenance_work);
-
-/// RAII guard for the process-wide capture sink: remembers the sink
-/// installed at construction (optionally installing `log` first) and
-/// restores it on destruction.
-///
-/// This is the only safe way to arm capture from a scope that owns the
-/// log: if anything between arm and disarm throws — a REPL command, a
-/// server request — stack unwinding restores the previous sink *before*
-/// the owning scope destroys the log, so the hooks can never fire
-/// against a destroyed QueryLog. Declare the guard AFTER the log's owner
-/// (guards destruct first). Restore semantics (rather than
-/// unconditional disarm) make nested guards compose in tests.
-class ScopedCaptureLog {
- public:
-  /// Pure guard: installs nothing now; restores the current sink later.
-  ScopedCaptureLog() : previous_(CaptureLog()) {}
-
-  /// Installs `log` (nullptr = disarm) and restores the previous sink on
-  /// destruction.
-  explicit ScopedCaptureLog(QueryLog* log) : previous_(CaptureLog()) {
-    SetCaptureLog(log);
-  }
-
-  ~ScopedCaptureLog() { SetCaptureLog(previous_); }
-
-  ScopedCaptureLog(const ScopedCaptureLog&) = delete;
-  ScopedCaptureLog& operator=(const ScopedCaptureLog&) = delete;
-
- private:
-  QueryLog* previous_;
-};
-
-namespace detail {
-extern std::atomic<QueryLog*> g_capture_log;
-}  // namespace detail
-
-inline bool CaptureEnabled() {
-  return detail::g_capture_log.load(std::memory_order_relaxed) != nullptr;
-}
 
 }  // namespace wlm
 }  // namespace xia

@@ -63,10 +63,6 @@ class Document {
   /// value itself.
   std::string TextValue(NodeIndex i) const;
 
-  /// Returns the child elements/attributes iteration start.
-  NodeIndex FirstChild(NodeIndex i) const { return node(i).first_child; }
-  NodeIndex NextSibling(NodeIndex i) const { return node(i).next_sibling; }
-
   /// Approximate in-memory/storage footprint in bytes (sizeof(XmlNode)
   /// plus the value length, summed over nodes), used by the cost model
   /// and the executor's page accounting. Computed once at construction.

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "storage/collection_io.h"
+#include "xml/parser.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/parser.h"
 
@@ -83,6 +84,32 @@ TEST_F(CollectionIoTest, LoadRejectsBadXmlWithFilename) {
       LoadCollectionFromDirectory(&db, "c", dir_.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("doc_0.xml"), std::string::npos);
+}
+
+// A file that fails to parse leaves none of its names behind: the name
+// table holds what the files before it interned, with the ids a direct
+// parse of those files gives.
+TEST_F(CollectionIoTest, FailedParseLeavesNoNamesBehind) {
+  const std::string good =
+      "<site><item id=\"a\"><price>1</price></item></site>";
+  fs::create_directories(dir_);
+  std::ofstream(dir_ / "doc_0.xml") << good;
+  std::ofstream(dir_ / "doc_1.xml")
+      << "<brand_new_root><leaked_name>oops</leaked_name><open>"
+         "</brand_new_root>";
+  Database db;
+  ASSERT_FALSE(LoadCollectionFromDirectory(&db, "c", dir_.string()).ok());
+
+  NameTable direct;
+  ASSERT_TRUE(XmlParser(&direct).Parse(good).ok());
+  ASSERT_EQ(db.names().size(), direct.size());
+  for (size_t id = 0; id < direct.size(); ++id) {
+    EXPECT_EQ(db.names().NameOf(static_cast<NameId>(id)),
+              direct.NameOf(static_cast<NameId>(id)));
+  }
+  for (const char* leaked : {"brand_new_root", "leaked_name", "open"}) {
+    EXPECT_EQ(db.names().Lookup(leaked), kNoName) << leaked;
+  }
 }
 
 TEST_F(CollectionIoTest, LoadIntoExistingCollectionFails) {

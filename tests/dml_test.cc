@@ -332,14 +332,15 @@ TEST_F(DmlTest, StalenessBoundTriggersSynopsisRebuild) {
 
 TEST_F(DmlTest, DmlCaptureRoundTripsThroughVersionedLogFormat) {
   wlm::QueryLog log(64);
-  {
-    wlm::ScopedCaptureLog armed(&log);
-    wlm::MaybeCaptureDml(wlm::CaptureKind::kInsert, "xmark", "/site", 12.0);
-    wlm::MaybeCaptureDml(wlm::CaptureKind::kDelete, "xmark", "/site", 8.0);
-    wlm::MaybeCaptureDml(wlm::CaptureKind::kUpdate, "xmark", "/site", 20.0);
-    wlm::MaybeCapture(Parse("for $i in doc(\"xmark\")/site/regions/africa/"
-                            "item where $i/quantity > 5 return $i/name"),
-                      3.0);
+  for (const wlm::CaptureRecord& record :
+       {wlm::DmlRecord(wlm::CaptureKind::kInsert, "xmark", "/site", 12.0),
+        wlm::DmlRecord(wlm::CaptureKind::kDelete, "xmark", "/site", 8.0),
+        wlm::DmlRecord(wlm::CaptureKind::kUpdate, "xmark", "/site", 20.0),
+        wlm::QueryRecord(Parse("for $i in doc(\"xmark\")/site/regions/"
+                               "africa/item where $i/quantity > 5 return "
+                               "$i/name"),
+                         3.0)}) {
+    ASSERT_TRUE(log.Append(record).ok());
   }
   std::vector<wlm::CaptureRecord> records = log.Snapshot();
   ASSERT_EQ(records.size(), 4u);
@@ -441,14 +442,17 @@ TEST_F(DmlTest, WriteHeavyCaptureWindowDropsIndexesViaDriftReadvising) {
       "where $o/current > 100 return $o",
   };
 
-  // Read-heavy window: queries only, captured through the what-if path.
+  // Read-heavy window: queries only, at the what-if path's costs.
   wlm::QueryLog read_log(4096);
   {
-    wlm::ScopedCaptureLog armed(&read_log);
     WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
     for (int round = 0; round < 10; ++round) {
       for (const std::string& text : templates) {
-        ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
+        Query query = Parse(text);
+        Result<QueryPlan> plan = session.ExplainQuery(query);
+        ASSERT_TRUE(plan.ok());
+        ASSERT_TRUE(
+            read_log.Append(wlm::QueryRecord(query, plan->total_cost)).ok());
       }
     }
   }
@@ -470,20 +474,26 @@ TEST_F(DmlTest, WriteHeavyCaptureWindowDropsIndexesViaDriftReadvising) {
   // whole-document DML (as the server verbs capture it).
   wlm::QueryLog write_log(1 << 20);
   {
-    wlm::ScopedCaptureLog armed(&write_log);
-    // QueryLog shards by thread and overwrites oldest-first once a shard
-    // ring fills, so a single-threaded stream sees 1/kShards of the
-    // nominal capacity — capture the DML burst first and the queries
-    // last so nothing this window needs can be evicted.
+    // The ring holds all 120003 records of this window. Were it to wrap,
+    // it would overwrite the oldest first, so the DML burst comes first
+    // and the queries last.
     for (int i = 0; i < 60000; ++i) {
-      wlm::MaybeCaptureDml(wlm::CaptureKind::kInsert, "xmark", "/site",
-                           50.0);
-      wlm::MaybeCaptureDml(wlm::CaptureKind::kDelete, "xmark", "/site",
-                           50.0);
+      ASSERT_TRUE(write_log
+                      .Append(wlm::DmlRecord(wlm::CaptureKind::kInsert,
+                                             "xmark", "/site", 50.0))
+                      .ok());
+      ASSERT_TRUE(write_log
+                      .Append(wlm::DmlRecord(wlm::CaptureKind::kDelete,
+                                             "xmark", "/site", 50.0))
+                      .ok());
     }
     WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
     for (const std::string& text : templates) {
-      ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
+      Query query = Parse(text);
+      Result<QueryPlan> plan = session.ExplainQuery(query);
+      ASSERT_TRUE(plan.ok());
+      ASSERT_TRUE(
+          write_log.Append(wlm::QueryRecord(query, plan->total_cost)).ok());
     }
   }
   Result<wlm::CompressedWorkload> write_mix =

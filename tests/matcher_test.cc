@@ -33,8 +33,8 @@ class MatcherTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.AddVirtual(std::move(def), VirtualIndexStats{}).ok());
   }
 
-  std::vector<IndexMatch> Match(const std::string& query_text) {
-    Result<Query> q = ParseQuery(query_text);
+  std::vector<IndexMatch> Match(const std::string& text) {
+    Result<Query> q = ParseQuery(text);
     EXPECT_TRUE(q.ok()) << q.status().ToString();
     IndexMatcher matcher(&cache_);
     return matcher.Match(q->normalized, catalog_.IndexesFor("xmark"));

@@ -7,12 +7,15 @@
 // failpoint sweep (an injected fault drops one client, never the
 // server), plus connection governance: mid-frame stall timeouts, idle
 // reaping, health/ready probes, and the drain → GOAWAY → clean-exit
-// protocol. The whole file runs under ASan+UBSan and TSan in CI.
+// protocol, and workload capture into each SharedState's own log. The
+// whole file runs under ASan+UBSan and TSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -1237,6 +1240,178 @@ TEST(DispatcherDbTest, PreloadAndGenGenerateTheSameData) {
         << spec;
   }
   EXPECT_TRUE(bad.db.CollectionNames().empty());
+}
+
+// ---------------------------------------------------------------------
+// Workload capture: each SharedState records into its own log.
+
+constexpr char kNoCaptureLog[] = "no capture log — run 'capture on' first\n";
+
+// Arming one state records nothing of another's traffic, and the other
+// has no log at all.
+TEST(DispatcherCaptureTest, ArmingOneStateRecordsNoOtherState) {
+  SharedState a;
+  ClientSession session_a(a);
+  SharedState b;
+  ClientSession session_b(b);
+  Dispatch(&b, &session_b, "gen xmark 2");
+  EXPECT_EQ(Dispatch(&a, &session_a, "capture on").find("capture armed"), 0u);
+  const std::string run = std::string("run ") + kAfricaQuery;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_GE(ResultNodes(Dispatch(&b, &session_b, run)), 0);
+  }
+  EXPECT_EQ(Dispatch(&a, &session_a, "log stats"),
+            "captured 0, dropped 0, holding 0/4096\n");
+  EXPECT_EQ(Dispatch(&b, &session_b, "log stats"), kNoCaptureLog);
+}
+
+// A state destroyed while armed takes its log with it; other states run
+// on untouched (run under ASan, a dangling log shows here).
+TEST(DispatcherCaptureTest, DestroyedArmedStateLeavesOtherStatesRunning) {
+  {
+    SharedState armed;
+    ClientSession session(armed);
+    EXPECT_EQ(
+        Dispatch(&armed, &session, "capture on 16").find("capture armed"), 0u);
+  }
+  SharedState other;
+  ClientSession session(other);
+  Dispatch(&other, &session, "gen xmark 2");
+  const std::string run = std::string("run ") + kAfricaQuery;
+  EXPECT_GE(ResultNodes(Dispatch(&other, &session, run)), 0);
+  EXPECT_EQ(Dispatch(&other, &session, "log stats"), kNoCaptureLog);
+}
+
+// One session's runs fill the whole ring: capacity is exact.
+TEST(DispatcherCaptureTest, OneSessionFillsTheWholeRing) {
+  SharedState shared;
+  ClientSession session(shared);
+  Dispatch(&shared, &session, "gen xmark 2");
+  EXPECT_EQ(Dispatch(&shared, &session, "capture on 64"),
+            "capture armed (64 record ring; 'run' and the DML verbs are "
+            "recorded)\n");
+  const std::string run = std::string("run ") + kAfricaQuery;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_GE(ResultNodes(Dispatch(&shared, &session, run)), 0);
+  }
+  EXPECT_EQ(Dispatch(&shared, &session, "log stats"),
+            "captured 40, dropped 0, holding 40/64\n");
+}
+
+TEST(DispatcherCaptureTest, CapacityIsParsedStrictly) {
+  SharedState shared;
+  ClientSession session(shared);
+  for (const char* capacity : {"abc", "0", "-1", "12abc", "1.5"}) {
+    EXPECT_EQ(Dispatch(&shared, &session,
+                       std::string("capture on ") + capacity),
+              std::string("bad capacity '") + capacity +
+                  "' (a positive number of records)\n");
+    EXPECT_EQ(Dispatch(&shared, &session, "log stats"), kNoCaptureLog)
+        << capacity;
+    EXPECT_FALSE(shared.capture_armed) << capacity;
+  }
+  EXPECT_EQ(Dispatch(&shared, &session, "capture on 3").find(
+                "capture armed (3 record ring;"),
+            0u);
+  EXPECT_EQ(Dispatch(&shared, &session, "log stats"),
+            "captured 0, dropped 0, holding 0/3\n");
+  EXPECT_EQ(ParseCaptureCapacity("4096"), std::optional<size_t>(4096));
+  EXPECT_EQ(ParseCaptureCapacity(""), std::nullopt);
+  EXPECT_EQ(ParseCaptureCapacity("+5"), std::nullopt);
+}
+
+// The index entries a DML reply says it touched ("+I/-R entries"), or -1.
+double EntriesTouched(const std::string& reply) {
+  size_t at = reply.find("indexes, +");
+  int inserted = 0;
+  int removed = 0;
+  if (at == std::string::npos ||
+      std::sscanf(reply.c_str() + at, "indexes, +%d/-%d entries", &inserted,
+                  &removed) != 2) {
+    return -1;
+  }
+  return inserted + removed;
+}
+
+// Each applied DML verb appends one record of its kind, fingerprinted by
+// collection and root pattern and costed by the index entries it touched;
+// a refused one appends none; `capture off` stops recording but keeps the
+// log for `advise --from-log`.
+TEST(DispatcherCaptureTest, DmlVerbsRecordWhileArmed) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_capture_test";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  const std::string doc =
+      "<site><regions><africa><item id=\"c1\"><quantity>7</quantity>"
+      "<name>c</name></item></africa></regions></site>";
+  fs::path xml = scratch / "doc.xml";
+  std::ofstream(xml) << doc;
+
+  SharedState shared;
+  ClientSession session(shared);
+  Dispatch(&shared, &session, "gen xmark 2");
+  Dispatch(&shared, &session, "workload xmark");
+  Dispatch(&shared, &session, "advise 512 heuristic");
+  ASSERT_NE(Dispatch(&shared, &session, "materialize").find("materialized"),
+            std::string::npos);
+  Dispatch(&shared, &session, "capture on");
+
+  struct Expected {
+    wlm::CaptureKind kind;
+    std::string fingerprint;
+    double entries;
+  };
+  std::vector<Expected> expected;
+  auto apply = [&](const std::string& line, wlm::CaptureKind kind,
+                   const std::string& fingerprint) {
+    std::string reply = Dispatch(&shared, &session, line);
+    double entries = EntriesTouched(reply);
+    EXPECT_GE(entries, 0) << line << " -> " << reply;
+    expected.push_back({kind, fingerprint, entries});
+  };
+  apply("insert xmark " + doc, wlm::CaptureKind::kInsert,
+        "dml:insert:xmark:/site");
+  apply("load xmark " + xml.string(), wlm::CaptureKind::kInsert,
+        "dml:insert:xmark:/site");
+  apply("update xmark 0 " + doc, wlm::CaptureKind::kUpdate,
+        "dml:update:xmark:/site");
+  apply("delete xmark 1", wlm::CaptureKind::kDelete,
+        "dml:delete:xmark:/site");
+  EXPECT_GT(expected[0].entries, 0) << "no index saw the insert";
+
+  // Refused: nothing applied, nothing recorded.
+  EXPECT_EQ(Dispatch(&shared, &session, "insert xmark <site><oops></site>")
+                .find("inserted doc"),
+            std::string::npos);
+  EXPECT_EQ(Dispatch(&shared, &session, "delete xmark 1").find("deleted doc"),
+            std::string::npos);
+
+  std::vector<wlm::CaptureRecord> records = shared.capture_log->Snapshot();
+  ASSERT_EQ(records.size(), expected.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].kind, expected[i].kind) << i;
+    EXPECT_EQ(records[i].fingerprint, expected[i].fingerprint) << i;
+    EXPECT_EQ(records[i].text, "xmark /site") << i;
+    EXPECT_DOUBLE_EQ(records[i].est_cost, expected[i].entries) << i;
+  }
+  const std::string run = std::string("run ") + kAfricaQuery;
+  EXPECT_GE(ResultNodes(Dispatch(&shared, &session, run)), 0);
+  ASSERT_EQ(shared.capture_log->Snapshot().size(), 5u);
+
+  EXPECT_EQ(
+      Dispatch(&shared, &session, "capture off").find("capture disarmed"), 0u);
+  Dispatch(&shared, &session, "insert xmark " + doc);
+  Dispatch(&shared, &session, "load xmark " + xml.string());
+  Dispatch(&shared, &session, "update xmark 2 " + doc);
+  Dispatch(&shared, &session, "delete xmark 3");
+  Dispatch(&shared, &session, run);
+  EXPECT_EQ(Dispatch(&shared, &session, "log stats"),
+            "captured 5, dropped 0, holding 5/4096\n");
+  EXPECT_EQ(Dispatch(&shared, &session, "advise --from-log --compress 512")
+                .find("compressed 5 records into 4 templates\n"),
+            0u);
+  fs::remove_all(scratch);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include "storage/database.h"
 #include "storage/node_store.h"
-#include "xpath/parser.h"
 
 namespace xia {
 namespace {
@@ -57,34 +56,6 @@ TEST(DatabaseTest, CollectionNamesSorted) {
   ASSERT_TRUE(db.CreateCollection("alpha").ok());
   EXPECT_EQ(db.CollectionNames(),
             (std::vector<std::string>{"alpha", "zeta"}));
-}
-
-TEST(NodeStoreTest, PatternOverCollection) {
-  Database db;
-  ASSERT_TRUE(db.CreateCollection("c").ok());
-  ASSERT_TRUE(db.LoadXml("c", "<a><b>1</b></a>").ok());
-  ASSERT_TRUE(db.LoadXml("c", "<a><b>2</b><b>3</b></a>").ok());
-  Result<PathPattern> p = ParsePathPattern("/a/b");
-  ASSERT_TRUE(p.ok());
-  std::vector<NodeRef> refs = EvaluatePatternOverCollection(
-      *db.GetCollection("c"), db.names(), *p);
-  ASSERT_EQ(refs.size(), 3u);
-  EXPECT_EQ(refs[0].doc, 0);
-  EXPECT_EQ(refs[1].doc, 1);
-  EXPECT_EQ(refs[2].doc, 1);
-}
-
-TEST(NodeStoreTest, ParsedPathOverCollection) {
-  Database db;
-  ASSERT_TRUE(db.CreateCollection("c").ok());
-  ASSERT_TRUE(db.LoadXml("c", "<a><b><v>5</v></b></a>").ok());
-  ASSERT_TRUE(db.LoadXml("c", "<a><b><v>50</v></b></a>").ok());
-  Result<ParsedPath> p = ParsePathExpr("/a/b[v > 10]");
-  ASSERT_TRUE(p.ok());
-  std::vector<NodeRef> refs = EvaluateParsedPathOverCollection(
-      *db.GetCollection("c"), db.names(), *p);
-  ASSERT_EQ(refs.size(), 1u);
-  EXPECT_EQ(refs[0].doc, 1);
 }
 
 TEST(NodeRefTest, Ordering) {

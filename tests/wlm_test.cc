@@ -1,6 +1,6 @@
 // xia::wlm — workload capture, template compression, and drift-triggered
-// re-advising. Covers the ring-log semantics, the capture hooks on the
-// executor and what-if paths, content-deterministic compression (threads
+// re-advising. Covers the ring-log semantics, capture through the
+// server's `run` verb, content-deterministic compression (threads
 // 1 vs 4, and under an injected capture failpoint), capture-log IO, the
 // drift monitor, and the headline acceptance property: a 10×-duplicated
 // workload advised through capture + compression yields the same
@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,9 +21,9 @@
 #include "advisor/whatif.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "exec/executor.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
+#include "server/session.h"
 #include "wlm/capture.h"
 #include "wlm/compress.h"
 #include "wlm/drift.h"
@@ -46,10 +48,6 @@ CaptureRecord Rec(const std::string& text, double cost) {
   r.fingerprint = TemplateFingerprint(Parse(text));
   return r;
 }
-
-/// RAII capture arming: the library's ScopedCaptureLog (wlm/capture.h),
-/// which disarms on scope exit even when an assertion fails mid-test.
-using ScopedCapture = ScopedCaptureLog;
 
 /// Everything that must be bit-identical between two equivalent advising
 /// runs, rendered with round-trip float precision.
@@ -118,7 +116,7 @@ TEST(QueryLogTest, AppendSnapshotAndStats) {
   }
   std::vector<CaptureRecord> snap = log.Snapshot();
   ASSERT_EQ(snap.size(), 5u);
-  // Snapshot is seq-sorted: serial capture order is reproduced exactly.
+  // Snapshot is in sequence order: capture order is reproduced exactly.
   for (size_t i = 1; i < snap.size(); ++i) {
     EXPECT_LT(snap[i - 1].seq, snap[i].seq);
   }
@@ -126,7 +124,7 @@ TEST(QueryLogTest, AppendSnapshotAndStats) {
   EXPECT_EQ(stats.captured, 5u);
   EXPECT_EQ(stats.dropped, 0u);
   EXPECT_EQ(stats.size, 5u);
-  EXPECT_GE(stats.capacity, 64u);
+  EXPECT_EQ(stats.capacity, 64u);
   EXPECT_EQ(
       obs::Registry().TakeSnapshot().counter("wlm.captured") - before, 5u);
   EXPECT_NE(stats.ToString().find("captured 5"), std::string::npos);
@@ -138,9 +136,7 @@ TEST(QueryLogTest, AppendSnapshotAndStats) {
 }
 
 TEST(QueryLogTest, RingOverwritesOldestAndCountsDrops) {
-  // Serial appends land on ONE shard (per-thread stripe), so the
-  // effective serial capacity is capacity / kShards = 2 records.
-  QueryLog log(2 * QueryLog::kShards);
+  QueryLog log(2);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(log.Append(Rec("for $i in doc(\"c\")/a/b where $i/v > " +
                                    std::to_string(i) + " return $i",
@@ -178,128 +174,63 @@ TEST(QueryLogTest, AppendFailpointDropsTheMatchedRecord) {
       obs::Registry().TakeSnapshot().counter("wlm.dropped") - before, 1u);
 }
 
-// -------------------------------------------------------- Capture hooks.
+// ------------------------------------------------- Capture through run.
 
+/// A server state over the XMark data `gen xmark 4` builds, driven
+/// through the dispatcher the way a client's verbs are.
 class CaptureHookTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    XMarkParams params;
-    ASSERT_TRUE(PopulateXMark(&db_, "xmark", 4, params, 42).ok());
+    ASSERT_EQ(Run("gen xmark 4").find("generated"), 0u);
   }
 
-  Database db_;
-  Catalog catalog_;
-  CostModel cost_model_;
-  ContainmentCache cache_;
+  std::string Run(const std::string& line) {
+    std::ostringstream out;
+    server::CommandDispatcher(&shared_).Execute(line, &session_, out);
+    return out.str();
+  }
+
+  server::SharedState shared_;
+  server::ClientSession session_{shared_};
 };
 
-TEST_F(CaptureHookTest, ExecutorCapturesTextFingerprintAndCost) {
-  const std::string text =
-      "for $i in doc(\"xmark\")/site/regions/africa/item "
-      "where $i/quantity > 5 return $i/name";
-  Optimizer opt(&db_, cost_model_);
-  Result<QueryPlan> plan = opt.Optimize(Parse(text), catalog_, &cache_);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->query_text, text);
+constexpr char kAfricaQuery[] =
+    "for $i in doc(\"xmark\")/site/regions/africa/item "
+    "where $i/quantity > 5 return $i/name";
 
-  QueryLog log(64);
-  Executor executor(&db_, &catalog_, cost_model_);
-  {
-    ScopedCapture armed(&log);
-    ASSERT_TRUE(executor.Execute(*plan).ok());
-  }
-  std::vector<CaptureRecord> snap = log.Snapshot();
+TEST_F(CaptureHookTest, ExecutorCapturesTextFingerprintAndCost) {
+  const std::string text = kAfricaQuery;
+  // The plan `run` executes: the state's cost model over its catalog.
+  Optimizer opt(&shared_.db, shared_.default_options.cost_model);
+  Result<QueryPlan> plan =
+      opt.Optimize(Parse(text), shared_.catalog, &shared_.containment);
+  ASSERT_TRUE(plan.ok());
+
+  ASSERT_EQ(Run("capture on 64").find("capture armed (64 record ring"), 0u);
+  ASSERT_NE(Run("run " + text).find("result nodes"), std::string::npos);
+  std::vector<CaptureRecord> snap = shared_.capture_log->Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].text, text);
   EXPECT_EQ(snap[0].fingerprint, TemplateFingerprint(Parse(text)));
   EXPECT_DOUBLE_EQ(snap[0].est_cost, plan->total_cost);
 
   // Disarmed: the same execution captures nothing.
-  ASSERT_TRUE(executor.Execute(*plan).ok());
-  EXPECT_EQ(log.Snapshot().size(), 1u);
-}
-
-TEST_F(CaptureHookTest, WhatIfPathCapturesIncludingCacheHits) {
-  const std::string text =
-      "for $i in doc(\"xmark\")/site/regions/africa/item "
-      "where $i/quantity > 5 return $i/name";
-  WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
-  QueryLog log(64);
-  ScopedCapture armed(&log);
-  ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
-  // Second EXPLAIN hits the cost cache — the capture hook must still see
-  // it: repeated executions are exactly what frequency weights measure.
-  ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
-  std::vector<CaptureRecord> snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].text, text);
-  EXPECT_EQ(snap[0].fingerprint, snap[1].fingerprint);
-  EXPECT_DOUBLE_EQ(snap[0].est_cost, snap[1].est_cost);
+  Run("capture off");
+  ASSERT_NE(Run("run " + text).find("result nodes"), std::string::npos);
+  EXPECT_EQ(shared_.capture_log->Snapshot().size(), 1u);
 }
 
 TEST_F(CaptureHookTest, CaptureFailureNeverFailsTheQuery) {
-  QueryLog log(64);
-  ScopedCapture armed(&log);
+  Run("capture on 64");
   fp::FailSpec spec;
   spec.code = StatusCode::kInternal;
   fp::ScopedFailpoint guard("wlm.capture.append", spec);
-  Optimizer opt(&db_, cost_model_);
-  Result<QueryPlan> plan = opt.Optimize(
-      Parse("for $i in doc(\"xmark\")/site/regions/africa/item "
-            "where $i/quantity > 5 return $i/name"),
-      catalog_, &cache_);
-  ASSERT_TRUE(plan.ok());
-  Executor executor(&db_, &catalog_, cost_model_);
   // Every capture append trips, yet the query succeeds.
-  ASSERT_TRUE(executor.Execute(*plan).ok());
-  EXPECT_TRUE(log.Snapshot().empty());
-  EXPECT_EQ(log.stats().dropped, 1u);
-}
-
-TEST(ScopedCaptureLogTest, RestoresPreviousSinkAndNests) {
-  ASSERT_EQ(CaptureLog(), nullptr);
-  QueryLog outer_log(8);
-  QueryLog inner_log(8);
-  {
-    ScopedCaptureLog outer(&outer_log);
-    EXPECT_EQ(CaptureLog(), &outer_log);
-    {
-      // Nested guards compose: the inner one restores the OUTER log, not
-      // a blanket nullptr — which is what lets a scope temporarily swap
-      // sinks without knowing whether capture was already armed.
-      ScopedCaptureLog inner(&inner_log);
-      EXPECT_EQ(CaptureLog(), &inner_log);
-    }
-    EXPECT_EQ(CaptureLog(), &outer_log);
-    {
-      // nullptr = scoped disarm.
-      ScopedCaptureLog disarm(nullptr);
-      EXPECT_FALSE(CaptureEnabled());
-    }
-    EXPECT_EQ(CaptureLog(), &outer_log);
-  }
-  EXPECT_EQ(CaptureLog(), nullptr);
-}
-
-TEST(ScopedCaptureLogTest, DisarmsOnException) {
-  // The leak this guard exists to prevent: a scope owns a log, arms it,
-  // then throws — unwinding must restore the sink BEFORE the owner (and
-  // the log with it) is destroyed, or the next capture hook fires into
-  // freed memory.
-  ASSERT_EQ(CaptureLog(), nullptr);
-  EXPECT_THROW(
-      {
-        QueryLog log(8);
-        ScopedCaptureLog armed(&log);  // After the log: guard dies first.
-        EXPECT_EQ(CaptureLog(), &log);
-        throw std::runtime_error("mid-capture failure");
-      },
-      std::runtime_error);
-  EXPECT_EQ(CaptureLog(), nullptr);
-  // Safe to capture again through a fresh sink.
-  QueryLog fresh(8);
-  ScopedCaptureLog armed(&fresh);
-  EXPECT_TRUE(CaptureEnabled());
+  EXPECT_NE(Run(std::string("run ") + kAfricaQuery).find("result nodes"),
+            std::string::npos);
+  EXPECT_TRUE(shared_.capture_log->Snapshot().empty());
+  EXPECT_EQ(shared_.capture_log->stats().dropped, 1u);
+  EXPECT_EQ(Run("log stats"), "captured 0, dropped 1, holding 0/64\n");
 }
 
 // ----------------------------------------------------------- Compression.
@@ -520,16 +451,18 @@ TEST_F(WlmAdvisingTest, CompressedAdvisingMatchesHandWeightedWorkload) {
       "where $o/current > 100 return $o",
   };
 
-  // Capture each query 10× through the what-if path.
+  // Capture each query 10× with the cost the what-if path estimates.
   QueryLog log(4096);
   uint64_t captured_before =
       obs::Registry().TakeSnapshot().counter("wlm.captured");
   {
-    ScopedCapture armed(&log);
     WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1);
     for (int round = 0; round < 10; ++round) {
       for (const std::string& text : templates) {
-        ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
+        Query query = Parse(text);
+        Result<QueryPlan> plan = session.ExplainQuery(query);
+        ASSERT_TRUE(plan.ok());
+        ASSERT_TRUE(log.Append(QueryRecord(query, plan->total_cost)).ok());
       }
     }
   }
