@@ -67,15 +67,18 @@ Result<Collection*> FindLiveDocument(Database* db,
 /// The RUNSTATS fallback: a full rebuild once incremental deletes have
 /// made the sample-backed statistics stale past the bound. Deterministic
 /// in the collection's live contents, so live mutation and WAL replay
-/// rebuild at the same points with the same results.
+/// rebuild at the same points with the same results. A deferred rebuild
+/// is only flagged here; its caller builds and installs it.
 Status MaybeRebuildSynopsis(Database* db, const std::string& collection,
-                            DmlResult* out) {
+                            Fallback fallback, DmlResult* out) {
   const PathSynopsis* synopsis = db->synopsis(collection);
   if (synopsis == nullptr ||
       synopsis->StalenessFraction() <= kSynopsisStalenessBound) {
     return Status::Ok();
   }
-  XIA_RETURN_IF_ERROR(db->Analyze(collection));
+  if (fallback == Fallback::kInline) {
+    XIA_RETURN_IF_ERROR(db->Analyze(collection));
+  }
   out->synopsis_rebuilt = true;
   RebuildCounter().Increment();
   return Status::Ok();
@@ -115,7 +118,8 @@ Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
 }
 
 Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
-                              const std::string& collection, DocId doc) {
+                              const std::string& collection, DocId doc,
+                              Fallback fallback) {
   XIA_ASSIGN_OR_RETURN(Collection * coll,
                        FindLiveDocument(db, collection, doc));
   DmlResult out;
@@ -132,16 +136,17 @@ Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
   XIA_ASSIGN_OR_RETURN(out.maintenance,
                        ApplyDocumentDelete(*db, collection, doc, catalog));
   XIA_RETURN_IF_ERROR(coll->Delete(doc));
-  XIA_RETURN_IF_ERROR(MaybeRebuildSynopsis(db, collection, &out));
+  XIA_RETURN_IF_ERROR(MaybeRebuildSynopsis(db, collection, fallback, &out));
   DeleteCounter().Increment();
   return out;
 }
 
 Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc,
-                              Document replacement, const NameTable& names) {
+                              Document replacement, const NameTable& names,
+                              Fallback fallback) {
   XIA_ASSIGN_OR_RETURN(DmlResult removed,
-                       ApplyDelete(db, catalog, collection, doc));
+                       ApplyDelete(db, catalog, collection, doc, fallback));
   XIA_ASSIGN_OR_RETURN(
       DmlResult inserted,
       ApplyInsert(db, catalog, collection, std::move(replacement), names));

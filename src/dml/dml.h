@@ -34,10 +34,14 @@ namespace dml {
 ///      mutation immediately, no full re-Analyze per mutation,
 ///   4. the RUNSTATS fallback: when incremental deletes have made the
 ///      sample-backed statistics stale past kSynopsisStalenessBound,
-///      Database::Analyze rebuilds the synopsis from the live documents.
+///      Database::Analyze rebuilds the synopsis from the live documents
+///      (Fallback::kInline), or the apply only flags the rebuild and the
+///      caller builds it beside readers, then installs it
+///      (Fallback::kDeferred).
 ///
 /// Callers must hold exclusive access to the database/catalog (the
-/// server's exclusive-verb lock; recovery is single-threaded).
+/// storage engine's apply lock, or owning the database alone, as
+/// recovery does).
 ///
 /// Update semantics: an update tombstones the old document and inserts
 /// the new content under a fresh DocId (our region encoding makes
@@ -49,6 +53,23 @@ namespace dml {
 /// Stale-sample bound: when the fraction of incrementally removed node
 /// instances exceeds this, the next mutation triggers a full Analyze.
 inline constexpr double kSynopsisStalenessBound = 0.3;
+
+/// Where a delete or update runs a RUNSTATS fallback its staleness check
+/// finds due.
+enum class Fallback {
+  /// Inside the apply: Database::Analyze right after the check (WAL
+  /// replay, tests, an engine without an apply lock).
+  kInline,
+  /// Only flagged (DmlResult::synopsis_rebuilt), leaving the live
+  /// synopsis in place: the caller builds its replacement with
+  /// Database::BuildSynopsis, beside readers, and installs it with
+  /// Database::InstallSynopsis before it acknowledges the mutation. That
+  /// equals the inline rebuild: a delete's check is its last step, and
+  /// an update's replacement, added after its check, is the collection's
+  /// last document, which a build folds last, as the insert half folds
+  /// it into the inline rebuild.
+  kDeferred,
+};
 
 /// What one DML apply did — surfaced by the server verbs, captured into
 /// the workload stream, and validated against the advisor's maintenance
@@ -88,19 +109,22 @@ Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
                               const std::string& xml);
 
 /// Tombstones document `doc` of `collection`: synopsis decrement, index
-/// entry removal, then Collection::Delete. Fails on dead or
-/// out-of-range ids.
+/// entry removal, Collection::Delete, then the staleness check. Fails on
+/// dead or out-of-range ids.
 Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
-                              const std::string& collection, DocId doc);
+                              const std::string& collection, DocId doc,
+                              Fallback fallback = Fallback::kInline);
 
 /// Replaces document `doc` with `replacement` (built against `names`, as
 /// for ApplyInsert): ApplyDelete(doc) then ApplyInsert(replacement). The
 /// result's `doc` is the NEW document's id; the maintenance stats
 /// aggregate both halves. The replacement is already a document, so the
-/// delete half never runs ahead of an insert half that cannot apply.
+/// delete half never runs ahead of an insert half that cannot apply. The
+/// staleness check runs between the halves, where the delete half ends.
 Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc,
-                              Document replacement, const NameTable& names);
+                              Document replacement, const NameTable& names,
+                              Fallback fallback = Fallback::kInline);
 
 /// Checks that `doc` is live, parses `xml` against a private name table,
 /// then applies the update above: one parse, and a replacement that

@@ -198,9 +198,10 @@ int main(int argc, char** argv) {
   if (capture.has_value()) shared.ArmCapture(*capture);
   // Start serving BEFORE recovery/preload, gated not-ready: `health`
   // and `ready` answer immediately (they bypass the dispatcher and its
-  // locks) while real verbs block on the exclusive state lock held for
-  // the duration of recovery. Orchestrators see a live process whose
-  // readiness flips exactly when the data is consistent.
+  // locks) while real verbs block on the writer mutex and the exclusive
+  // state lock held for the duration of recovery. Orchestrators see a
+  // live process whose readiness flips exactly when the data is
+  // consistent.
   server::Server srv(&shared, options);
   srv.SetReady(false);
   Status started = srv.Start();
@@ -216,10 +217,13 @@ int main(int argc, char** argv) {
   }
 
   {
-    std::unique_lock<std::shared_mutex> state_lock(shared.mu);
+    std::lock_guard<std::mutex> writer_lock(shared.write_mu);
+    std::unique_lock<RwLock> state_lock(shared.mu);
     // Open persistence BEFORE preloads: recovery refuses a non-empty
     // database, and when previous state exists it replaces --preload
-    // regeneration entirely.
+    // regeneration entirely. Replay and the preloads' bulk load never
+    // take the state lock; the recovered engine applies under it only
+    // once attached, after Open returns.
     if (!data_dir.empty()) {
       Result<std::unique_ptr<storage::StorageEngine>> opened =
           storage::StorageEngine::Open(
@@ -231,6 +235,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       shared.engine = std::move(*opened);
+      shared.engine->AttachApplyLock(&shared.mu);
       const storage::RecoveryStats& rec = shared.engine->recovery();
       if (rec.opened_existing) {
         std::cerr << "recovered " << data_dir << " (epoch " << rec.epoch
@@ -283,8 +288,12 @@ int main(int argc, char** argv) {
   srv.Wait();
 
   // All sessions have drained; final checkpoint so the next start
-  // replays an empty WAL.
-  Status closed = shared.engine->Close();
+  // replays an empty WAL. A checkpoint is a mutation's peer: it runs
+  // under the writer mutex.
+  Status closed = [&] {
+    std::lock_guard<std::mutex> writer_lock(shared.write_mu);
+    return shared.engine->Close();
+  }();
   if (!closed.ok()) {
     std::cerr << "storage close: " << closed.ToString() << "\n";
     return 1;

@@ -1,10 +1,13 @@
 #include "server/session.h"
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <shared_mutex>
 #include <sstream>
 
 #include "advisor/analysis.h"
@@ -55,6 +58,35 @@ Status GenerateTpox(Database* db, int customers, int orders,
                       /*seed=*/11);
 }
 
+/// `text` as one whole decimal integer no larger than `max`: digits only,
+/// so a sign, a fraction, an exponent or trailing junk is nullopt.
+std::optional<uint64_t> ParseUnsigned(std::string_view text, uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
+}
+
+/// A count of generated data as `gen` and `--preload xmark:<docs>` spell
+/// it: a positive whole number; nullopt otherwise.
+std::optional<int> ParseCount(std::string_view text) {
+  std::optional<uint64_t> count =
+      ParseUnsigned(text, std::numeric_limits<int>::max());
+  if (!count.has_value() || *count == 0) return std::nullopt;
+  return static_cast<int>(*count);
+}
+
+/// A document id as `delete` and `update` spell it: a non-negative whole
+/// number; nullopt otherwise, so `1x` or `2.9` never names document 1 or
+/// 2.
+std::optional<DocId> ParseDocId(std::string_view text) {
+  std::optional<uint64_t> id =
+      ParseUnsigned(text, std::numeric_limits<DocId>::max());
+  if (!id.has_value()) return std::nullopt;
+  return static_cast<DocId>(*id);
+}
+
 }  // namespace
 
 Status Preload(SharedState* shared, const std::vector<std::string>& specs) {
@@ -64,8 +96,12 @@ Status Preload(SharedState* shared, const std::vector<std::string>& specs) {
       int docs = kXMarkDocs;
       size_t colon = spec.find(':');
       if (colon != std::string::npos) {
-        docs = std::atoi(spec.c_str() + colon + 1);
-        if (docs <= 0) return Status::InvalidArgument("bad --preload " + spec);
+        std::optional<int> count =
+            ParseCount(std::string_view(spec).substr(colon + 1));
+        if (!count.has_value()) {
+          return Status::InvalidArgument("bad --preload " + spec);
+        }
+        docs = *count;
       }
       loads.push_back([docs](Database* db) { return GenerateXMark(db, docs); });
     } else if (spec == "tpox") {
@@ -83,6 +119,8 @@ Status Preload(SharedState* shared, const std::vector<std::string>& specs) {
   });
 }
 
+SharedState::SharedState() { engine->AttachApplyLock(&mu); }
+
 wlm::DriftMonitor* SharedState::DriftWatcher() {
   if (!drift) {
     drift =
@@ -97,11 +135,10 @@ void SharedState::ArmCapture(size_t capacity) {
 }
 
 std::optional<size_t> ParseCaptureCapacity(std::string_view text) {
-  size_t capacity = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, capacity);
-  if (ec != std::errc() || ptr != end || capacity == 0) return std::nullopt;
-  return capacity;
+  std::optional<uint64_t> capacity =
+      ParseUnsigned(text, std::numeric_limits<size_t>::max());
+  if (!capacity.has_value() || *capacity == 0) return std::nullopt;
+  return static_cast<size_t>(*capacity);
 }
 
 /// One command line as its handler sees it.
@@ -173,30 +210,39 @@ void CmdUnknown(VerbCall& call) {
 void CmdGen(VerbCall& call) {
   std::string kind;
   call.args >> kind;
+  std::vector<int> counts;  // The defaults; given counts replace them.
   if (kind == "xmark") {
-    int docs = kXMarkDocs;
-    call.args >> docs;
-    Status status = call.shared.engine->BulkLoad(
-        [docs](Database* db) { return GenerateXMark(db, docs); });
-    if (status.ok()) {
-      call.out << "generated xmark: "
-               << call.shared.db.GetCollection("xmark")->num_nodes()
-               << " nodes\n";
-    }
-    ReportBulkLoad(call, status);
+    counts = {kXMarkDocs};
   } else if (kind == "tpox") {
-    int customers = kTpoxCustomers;
-    int orders = kTpoxOrders;
-    int securities = kTpoxSecurities;
-    call.args >> customers >> orders >> securities;
-    Status status = call.shared.engine->BulkLoad([=](Database* db) {
-      return GenerateTpox(db, customers, orders, securities);
-    });
-    if (status.ok()) call.out << "generated tpox collections\n";
-    ReportBulkLoad(call, status);
+    counts = {kTpoxCustomers, kTpoxOrders, kTpoxSecurities};
   } else {
     call.out << "usage: gen xmark <docs> | gen tpox <c> <o> <s>\n";
+    return;
   }
+  // Checked before anything is created: a junk count must not leave an
+  // empty collection behind that every later `gen` collides with.
+  std::string token;
+  for (size_t i = 0; i < counts.size() && call.args >> token; ++i) {
+    std::optional<int> count = ParseCount(token);
+    if (!count.has_value()) {
+      call.out << "bad count '" << token << "' (a positive number)\n";
+      return;
+    }
+    counts[i] = *count;
+  }
+  Status status = call.shared.engine->BulkLoad([&](Database* db) {
+    return kind == "xmark"
+               ? GenerateXMark(db, counts[0])
+               : GenerateTpox(db, counts[0], counts[1], counts[2]);
+  });
+  if (status.ok() && kind == "xmark") {
+    call.out << "generated xmark: "
+             << call.shared.db.GetCollection("xmark")->num_nodes()
+             << " nodes\n";
+  } else if (status.ok()) {
+    call.out << "generated tpox collections\n";
+  }
+  ReportBulkLoad(call, status);
 }
 
 /// Shared DML reply/capture tail: records an applied mutation into the
@@ -348,28 +394,31 @@ void CmdInsert(VerbCall& call) {
 
 void CmdDelete(VerbCall& call) {
   std::string collection;
-  int64_t doc = -1;
-  if (!(call.args >> collection >> doc) || doc < 0) {
+  std::string id;
+  std::optional<DocId> doc;
+  if (!(call.args >> collection >> id) ||
+      !(doc = ParseDocId(id)).has_value()) {
     call.out << "usage: delete <collection> <doc-id>\n";
     return;
   }
-  DocId id = static_cast<DocId>(doc);
   ReportDml(call, "deleted", wlm::CaptureKind::kDelete, collection,
-            call.shared.engine->DeleteDocument(collection, id));
+            call.shared.engine->DeleteDocument(collection, *doc));
 }
 
 void CmdUpdate(VerbCall& call) {
   std::string collection;
-  int64_t doc = -1;
+  std::string id;
+  std::optional<DocId> doc;
   std::string xml;
-  if (!(call.args >> collection >> doc) || doc < 0 ||
-      !std::getline(call.args, xml) || Trim(xml).empty()) {
+  if (!(call.args >> collection >> id) ||
+      !(doc = ParseDocId(id)).has_value() || !std::getline(call.args, xml) ||
+      Trim(xml).empty()) {
     call.out << "usage: update <collection> <doc-id> <xml...>\n";
     return;
   }
   ReportDml(call, "updated", wlm::CaptureKind::kUpdate, collection,
-            call.shared.engine->UpdateDocument(
-                collection, static_cast<DocId>(doc), std::string(Trim(xml))));
+            call.shared.engine->UpdateDocument(collection, *doc,
+                                               std::string(Trim(xml))));
 }
 
 void CmdShow(VerbCall& call) {
@@ -759,9 +808,16 @@ void CmdDrift(VerbCall& call) {
   call.args >> sub;
   std::lock_guard<std::mutex> drift_lock(call.shared.drift_mu);
   if (sub == "threshold") {
-    double threshold = 0;
-    if (call.args >> threshold) {
-      call.shared.DriftWatcher()->set_threshold(threshold);
+    std::string token;
+    if (call.args >> token) {
+      std::optional<double> threshold = ParseDouble(token);
+      if (!threshold.has_value() || !std::isfinite(*threshold) ||
+          *threshold < 0) {
+        call.out << "bad threshold '" << token
+                 << "' (a finite number >= 0)\n";
+        return;
+      }
+      call.shared.DriftWatcher()->set_threshold(*threshold);
     }
     call.out << "drift threshold: " << call.shared.DriftWatcher()->threshold()
              << "\n";
@@ -863,10 +919,25 @@ void CmdStats(VerbCall& call) {
   call.out << obs::Registry().TakeSnapshot().ToText("  ");
 }
 
+/// The always-on histogram of a lock class's waits in Execute, recorded
+/// like the server's `server.verb.<verb>` histograms.
+obs::LatencyHistogram& LockWaitHistogram(VerbLock lock) {
+  static obs::LatencyHistogram& shared =
+      obs::Registry().GetSpanHistogram("server.lock_wait.shared");
+  static obs::LatencyHistogram& write =
+      obs::Registry().GetSpanHistogram("server.lock_wait.write");
+  static obs::LatencyHistogram& exclusive =
+      obs::Registry().GetSpanHistogram("server.lock_wait.exclusive");
+  return lock == VerbLock::kShared  ? shared
+         : lock == VerbLock::kWrite ? write
+                                    : exclusive;
+}
+
 }  // namespace
 
 const std::vector<VerbSpec>& CommandDispatcher::Verbs() {
   constexpr VerbLock kNone = VerbLock::kNone;
+  constexpr VerbLock kWrite = VerbLock::kWrite;
   constexpr VerbLock kExclusive = VerbLock::kExclusive;
   constexpr VerbAdmission kAdvise = VerbAdmission::kAdvise;
   // Rows whose fields are left out take the VerbSpec defaults: any
@@ -876,14 +947,14 @@ const std::vector<VerbSpec>& CommandDispatcher::Verbs() {
       {.verb = "gen", .lock = kExclusive,
        .usage = "gen xmark <docs> | gen tpox <cust> <orders> <secs>",
        .handler = &CmdGen},
-      {.verb = "load", .lock = kExclusive,
+      {.verb = "load", .lock = kWrite,
        .usage = "load <collection> <file.xml>   (inserts one document)",
        .handler = &CmdLoad},
       {.verb = "savecoll", .usage = "savecoll <collection> <dir>",
        .handler = &CmdSaveColl},
       {.verb = "loadcoll", .lock = kExclusive,
        .usage = "loadcoll <collection> <dir>", .handler = &CmdLoadColl},
-      {.verb = "analyze", .lock = kExclusive, .usage = "analyze <collection>",
+      {.verb = "analyze", .lock = kWrite, .usage = "analyze <collection>",
        .handler = &CmdAnalyze},
       {.verb = "workload", .retry_safe = true,
        .usage = "workload xmark|tpox | workload file <path>",
@@ -893,11 +964,11 @@ const std::vector<VerbSpec>& CommandDispatcher::Verbs() {
       {.verb = "updateop", .retry_safe = true,
        .usage = "updateop <insert|delete> <collection> <weight> <pattern>",
        .handler = &CmdUpdateOp},
-      {.verb = "insert", .lock = kExclusive,
+      {.verb = "insert", .lock = kWrite,
        .usage = "insert <collection> <xml...>", .handler = &CmdInsert},
-      {.verb = "delete", .lock = kExclusive,
+      {.verb = "delete", .lock = kWrite,
        .usage = "delete <collection> <doc-id>", .handler = &CmdDelete},
-      {.verb = "update", .lock = kExclusive,
+      {.verb = "update", .lock = kWrite,
        .usage = "update <collection> <doc-id> <xml...>   (replace document)",
        .handler = &CmdUpdate},
       {.verb = "show", .retry_safe = true,
@@ -914,7 +985,7 @@ const std::vector<VerbSpec>& CommandDispatcher::Verbs() {
                 "|drop <name>|eval",
        .handler = &CmdWhatIf},
       {.verb = "ddl", .retry_safe = true, .usage = "ddl", .handler = &CmdDdl},
-      {.verb = "materialize", .lock = kExclusive, .usage = "materialize",
+      {.verb = "materialize", .lock = kWrite, .usage = "materialize",
        .handler = &CmdMaterialize},
       {.verb = "run", .retry_safe = true, .usage = "run <query...>",
        .handler = &CmdRun},
@@ -938,9 +1009,9 @@ const std::vector<VerbSpec>& CommandDispatcher::Verbs() {
       {.verb = "failpoint",
        .usage = "failpoint <name=mode[,mode...]>|<name=off>|list",
        .handler = &CmdFailpoint},
-      {.verb = "db", .sub = "status", .lock = kExclusive, .retry_safe = true,
+      {.verb = "db", .sub = "status", .lock = kWrite, .retry_safe = true,
        .handler = &CmdDb},
-      {.verb = "db", .lock = kExclusive,
+      {.verb = "db", .lock = kWrite,
        .usage = "db status | db checkpoint   (persistent storage, --data-dir)",
        .handler = &CmdDb},
       {.verb = "stats", .retry_safe = true, .while_draining = true,
@@ -996,14 +1067,32 @@ CommandOutcome CommandDispatcher::Execute(const std::string& line,
                 std::string(Trim(rest)), {}, out};
   call.args.str(call.rest);
   const VerbSpec& spec = Lookup(line);
-  std::shared_lock<std::shared_mutex> read_lock(shared_->mu,
-                                                std::defer_lock);
-  std::unique_lock<std::shared_mutex> write_lock(shared_->mu,
-                                                 std::defer_lock);
-  if (spec.lock == VerbLock::kExclusive) {
-    write_lock.lock();
-  } else if (spec.lock == VerbLock::kShared) {
-    read_lock.lock();
+  std::unique_lock<std::mutex> writer(shared_->write_mu, std::defer_lock);
+  std::unique_lock<RwLock> exclusive(shared_->mu, std::defer_lock);
+  std::shared_lock<RwLock> reader(shared_->mu, std::defer_lock);
+  const auto started = std::chrono::steady_clock::now();
+  switch (spec.lock) {
+    case VerbLock::kNone:
+      break;
+    case VerbLock::kShared:
+      reader.lock();
+      break;
+    case VerbLock::kWrite:
+      writer.lock();
+      // An engine installed without `mu` attached would apply without
+      // it: hold `mu` across the verb instead, as an exclusive row does.
+      if (shared_->engine->apply_lock() != &shared_->mu) exclusive.lock();
+      break;
+    case VerbLock::kExclusive:
+      writer.lock();
+      exclusive.lock();
+      break;
+  }
+  if (spec.lock != VerbLock::kNone) {
+    LockWaitHistogram(spec.lock).Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - started)
+            .count()));
   }
   spec.handler(call);
   return call.outcome;

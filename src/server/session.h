@@ -5,13 +5,13 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "advisor/advisor.h"
 #include "advisor/whatif.h"
+#include "common/rw_lock.h"
 #include "index/catalog.h"
 #include "optimizer/cost_cache.h"
 #include "storage/buffer_pool.h"
@@ -35,16 +35,23 @@ namespace server {
 /// the caches that make repeated advising cheap, and the workload-
 /// management machinery. One instance per process (server) or per REPL.
 ///
-/// Concurrency contract: CommandDispatcher::Execute takes `mu` as the
-/// verb's row says (VerbSpec::lock) — shared for read-only verbs and
-/// exclusive for verbs that mutate the database, catalog, storage engine,
-/// or the capture/drift machinery, so any number of sessions
-/// may run/advise/explain concurrently while `gen`/`load`/`analyze`/
-/// `materialize`/`capture`/`drift` serialize against them. The caches
-/// (`containment`, `what_if_cache`, `buffer_pool`) are internally
-/// thread-safe and shared by design: one session's advise warms the
-/// plan cache every other session hits.
+/// Concurrency contract: CommandDispatcher::Execute takes the locks the
+/// verb's row says (VerbSpec::lock), always in the order `write_mu` →
+/// `mu` → `drift_mu`. Read-only verbs hold `mu` shared, so any number of
+/// sessions run/advise/explain concurrently. Every mutating verb holds
+/// `write_mu`, so mutations run one at a time. The logged mutations
+/// (`write` rows: the DML verbs, `load`, `analyze`, `materialize`, `db`)
+/// hold nothing else: `engine` parses, builds and fsyncs beside the
+/// readers and takes `mu` exclusively only to apply in memory (its
+/// attached apply lock), so a write is durable before it is visible.
+/// `gen`/`loadcoll`/`capture`/`drift` also hold `mu` exclusively for the
+/// whole verb. The caches (`containment`, `what_if_cache`,
+/// `buffer_pool`) are internally thread-safe and shared by design: one
+/// session's advise warms the plan cache every other session hits.
 struct SharedState {
+  /// Attaches `mu` to the memory-only `engine` as its apply lock.
+  SharedState();
+
   Database db;
   Catalog catalog;
   /// Template for new sessions' AdvisorOptions (thread knob, time
@@ -75,13 +82,20 @@ struct SharedState {
   /// load/insert/delete/update/analyze and each index `materialize`
   /// builds append WAL records, gen/loadcoll/--preload are bulk loads
   /// that checkpoint once, and startup recovers the previous run's state.
-  /// Guarded by `mu` like the db/catalog it persists.
+  /// Called under `write_mu`. An engine installed here applies under
+  /// `mu` once it is attached (AttachApplyLock(&mu)); until then the
+  /// `write` rows hold `mu` exclusively for the whole verb.
   std::unique_ptr<storage::StorageEngine> engine =
       storage::StorageEngine::MemoryOnly(&db, &catalog,
                                          default_options.cost_model.storage);
 
-  /// Reader/writer lock over db/catalog/capture/drift (see above).
-  std::shared_mutex mu;
+  /// Serializes mutations: every mutating verb holds it, and shutdown
+  /// holds it across the engine's Close(). Never taken while holding `mu`.
+  std::mutex write_mu;
+  /// Reader/writer lock over db/catalog/capture/drift (see above). It
+  /// prefers writers, so an apply waiting for the readers in flight is
+  /// not starved by new ones.
+  RwLock mu;
   /// Serializes lazy drift-monitor creation and prediction recording
   /// from concurrent `advise` verbs (which hold `mu` only shared).
   std::mutex drift_mu;
@@ -91,7 +105,7 @@ struct SharedState {
 
   /// Arms capture (`capture on`, the --capture flags), creating
   /// `capture_log` with `capacity` records unless an earlier arming did.
-  /// Callers hold `mu` exclusively or own the state alone.
+  /// Callers hold `write_mu` and `mu` exclusively or own the state alone.
   void ArmCapture(size_t capacity);
 };
 
@@ -130,13 +144,18 @@ enum class CommandOutcome {
   kQuit,     // `quit` / `exit`: close the session.
 };
 
-/// How a verb holds SharedState::mu.
+/// How a verb holds SharedState's locks. Execute records each verb's
+/// wait for them in the `server.lock_wait.<shared|write|exclusive>`
+/// histograms.
 enum class VerbLock {
   kNone,       // Touches no shared state: answers even while recovery
                // holds the state exclusively.
-  kShared,     // Reader lock: any number run concurrently.
-  kExclusive,  // Writer lock: mutates the database, catalog, capture or
-               // drift machinery, or the storage engine.
+  kShared,     // `mu` shared: any number run concurrently.
+  kWrite,      // `write_mu` only: a logged mutation whose engine takes
+               // `mu` exclusively around each in-memory apply.
+  kExclusive,  // `write_mu`, then `mu` exclusively: mutates the database
+               // or catalog outside the engine's logged path (bulk
+               // loads), or the capture or drift machinery.
 };
 
 /// Admission class: kAdvise verbs run the advisor pipeline and count

@@ -42,14 +42,26 @@ Status Database::LoadXml(const std::string& collection,
 }
 
 Status Database::Analyze(const std::string& collection) {
+  XIA_ASSIGN_OR_RETURN(std::unique_ptr<PathSynopsis> synopsis,
+                       BuildSynopsis(collection));
+  InstallSynopsis(collection, std::move(synopsis));
+  return Status::Ok();
+}
+
+Result<std::unique_ptr<PathSynopsis>> Database::BuildSynopsis(
+    const std::string& collection) const {
   const Collection* coll = GetCollection(collection);
   if (coll == nullptr) {
     return Status::NotFound("collection " + collection + " does not exist");
   }
   auto synopsis = std::make_unique<PathSynopsis>(&names_);
   synopsis->AddCollection(*coll);
+  return synopsis;
+}
+
+void Database::InstallSynopsis(const std::string& collection,
+                               std::unique_ptr<PathSynopsis> synopsis) {
   synopses_[collection] = std::move(synopsis);
-  return Status::Ok();
 }
 
 const PathSynopsis* Database::synopsis(const std::string& collection) const {

@@ -38,8 +38,22 @@ class Database {
   /// A document that fails to parse adds nothing, not even names.
   Status LoadXml(const std::string& collection, const std::string& xml);
 
-  /// (Re)builds the path synopsis for a collection — the RUNSTATS analogue.
+  /// (Re)builds the path synopsis for a collection — the RUNSTATS
+  /// analogue: InstallSynopsis(BuildSynopsis(collection)).
   Status Analyze(const std::string& collection);
+
+  /// Builds, without installing, the synopsis of `collection`'s live
+  /// documents, folded in id order. Const: it reads the collection and
+  /// the name table only, so it can run beside readers of the installed
+  /// synopsis.
+  Result<std::unique_ptr<PathSynopsis>> BuildSynopsis(
+      const std::string& collection) const;
+
+  /// Installs `synopsis` (built by BuildSynopsis over this database) as
+  /// `collection`'s, replacing the previous one. Callers must hold
+  /// exclusive access to the database, as for mutable_synopsis.
+  void InstallSynopsis(const std::string& collection,
+                       std::unique_ptr<PathSynopsis> synopsis);
 
   /// Synopsis for a collection, or nullptr if never analyzed.
   const PathSynopsis* synopsis(const std::string& collection) const;

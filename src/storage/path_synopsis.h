@@ -59,7 +59,7 @@ class PathSynopsis {
   /// build, and the estimator memos are invalidated, so post-insert
   /// estimates see the new data without a full Analyze.
   ///
-  /// Mutations require exclusive access (the server's exclusive-verb
+  /// Mutations require exclusive access (the storage engine's apply
   /// lock): concurrent const estimator calls are only safe between
   /// mutations, and AggregateValues references are invalidated by them.
   void AddDocument(const Document& doc);

@@ -1,6 +1,7 @@
 #include "storage/storage_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -126,6 +127,14 @@ std::vector<StreamBlob> BuildStreams(const Database& db,
 constexpr const char* kRefusedUntilCheckpoint =
     "logged mutations are refused until a checkpoint succeeds "
     "(`db checkpoint`)";
+
+/// Each apply's wait for the exclusive apply lock. Always recorded, like
+/// the server's own lock-wait histograms.
+obs::LatencyHistogram& ApplyLockWait() {
+  static obs::LatencyHistogram& histogram =
+      obs::Registry().GetSpanHistogram("storage.apply_lock_wait");
+  return histogram;
+}
 
 uint64_t PagesFor(size_t bytes) {
   return (bytes + kPagePayloadSize - 1) / kPagePayloadSize;
@@ -525,7 +534,8 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
     }
     case WalRecordType::kCreateIndex: {
       XIA_ASSIGN_OR_RETURN(std::string ddl, r.Str());
-      return ApplyCreateIndex(ddl).status();
+      XIA_ASSIGN_OR_RETURN(PathIndex index, BuildLoggedIndex(ddl));
+      return InstallIndex(std::move(index));
     }
     case WalRecordType::kDropIndex: {
       XIA_ASSIGN_OR_RETURN(std::string name, r.Str());
@@ -556,7 +566,37 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
 // then append the WAL record, then apply — through the same Database,
 // Catalog and dml:: calls ReplayRecord makes. An insert or update
 // applies the document its validation parse built; replay parses the
-// logged XML once and makes the same dml:: call.
+// logged XML once and makes the same dml:: call. `analyze` and
+// CREATE INDEX build before logging, with the calls replay makes, and
+// only install under the apply lock.
+
+std::unique_lock<RwLock> StorageEngine::LockForApply() {
+  if (apply_lock_ == nullptr) return {};
+  const auto started = std::chrono::steady_clock::now();
+  std::unique_lock<RwLock> lock(*apply_lock_);
+  ApplyLockWait().Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count()));
+  return lock;
+}
+
+dml::Fallback StorageEngine::fallback() const {
+  return apply_lock_ != nullptr ? dml::Fallback::kDeferred
+                                : dml::Fallback::kInline;
+}
+
+Status StorageEngine::FinishFallback(const std::string& collection,
+                                     const dml::DmlResult& result) {
+  if (!result.synopsis_rebuilt || fallback() == dml::Fallback::kInline) {
+    return Status::Ok();
+  }
+  XIA_ASSIGN_OR_RETURN(std::unique_ptr<PathSynopsis> synopsis,
+                       db_->BuildSynopsis(collection));
+  std::unique_lock<RwLock> lock = LockForApply();
+  db_->InstallSynopsis(collection, std::move(synopsis));
+  return Status::Ok();
+}
 
 Status StorageEngine::CreateCollection(const std::string& name) {
   if (name.empty()) {
@@ -568,18 +608,20 @@ Status StorageEngine::CreateCollection(const std::string& name) {
   BinWriter w;
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kCreateCollection, w.Take()));
+  std::unique_lock<RwLock> lock = LockForApply();
   return db_->CreateCollection(name).status();
 }
 
 Status StorageEngine::Analyze(const std::string& collection) {
-  if (db_->GetCollection(collection) == nullptr) {
-    return Status::NotFound("collection " + collection +
-                            " does not exist");
-  }
+  // Replay's Database::Analyze is this build plus this install.
+  XIA_ASSIGN_OR_RETURN(std::unique_ptr<PathSynopsis> synopsis,
+                       db_->BuildSynopsis(collection));
   BinWriter w;
   w.Str(collection);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kAnalyze, w.Take()));
-  return db_->Analyze(collection);
+  std::unique_lock<RwLock> lock = LockForApply();
+  db_->InstallSynopsis(collection, std::move(synopsis));
+  return Status::Ok();
 }
 
 Result<std::string> StorageEngine::CreateIndex(const std::string& ddl) {
@@ -592,12 +634,17 @@ Result<std::string> StorageEngine::CreateIndex(const std::string& ddl) {
     return Status::AlreadyExists("index " + def.name + " already exists");
   }
   // Log the normalized rendering, so replay parses exactly what the
-  // definition prints.
+  // definition prints; build from it, as replay does, before logging, so
+  // a build that fails logs nothing.
   std::string normalized = def.DdlString();
+  XIA_ASSIGN_OR_RETURN(PathIndex index, BuildLoggedIndex(normalized));
   BinWriter w;
   w.Str(normalized);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kCreateIndex, w.Take()));
-  return ApplyCreateIndex(normalized);
+  std::string name = index.def().name;
+  std::unique_lock<RwLock> lock = LockForApply();
+  XIA_RETURN_IF_ERROR(InstallIndex(std::move(index)));
+  return name;
 }
 
 Status StorageEngine::DropIndex(const std::string& name) {
@@ -607,6 +654,7 @@ Status StorageEngine::DropIndex(const std::string& name) {
   BinWriter w;
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kDropIndex, w.Take()));
+  std::unique_lock<RwLock> lock = LockForApply();
   return catalog_->Drop(name);
 }
 
@@ -626,6 +674,7 @@ Result<dml::DmlResult> StorageEngine::InsertDocument(
   w.Str(collection);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kInsertDocument, w.Take()));
+  std::unique_lock<RwLock> lock = LockForApply();
   return dml::ApplyInsert(db_, catalog_, collection, std::move(parsed), names);
 }
 
@@ -645,7 +694,14 @@ Result<dml::DmlResult> StorageEngine::DeleteDocument(
   w.Str(collection);
   w.I32(doc);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kDeleteDocument, w.Take()));
-  return dml::ApplyDelete(db_, catalog_, collection, doc);
+  Result<dml::DmlResult> result = [&] {
+    std::unique_lock<RwLock> lock = LockForApply();
+    return dml::ApplyDelete(db_, catalog_, collection, doc, fallback());
+  }();
+  if (result.ok()) {
+    XIA_RETURN_IF_ERROR(FinishFallback(collection, *result));
+  }
+  return result;
 }
 
 Result<dml::DmlResult> StorageEngine::UpdateDocument(
@@ -667,17 +723,26 @@ Result<dml::DmlResult> StorageEngine::UpdateDocument(
   w.I32(doc);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kUpdateDocument, w.Take()));
-  return dml::ApplyUpdate(db_, catalog_, collection, doc, std::move(parsed),
-                          names);
+  Result<dml::DmlResult> result = [&] {
+    std::unique_lock<RwLock> lock = LockForApply();
+    return dml::ApplyUpdate(db_, catalog_, collection, doc, std::move(parsed),
+                            names, fallback());
+  }();
+  if (result.ok()) {
+    XIA_RETURN_IF_ERROR(FinishFallback(collection, *result));
+  }
+  return result;
 }
 
-Result<std::string> StorageEngine::ApplyCreateIndex(const std::string& ddl) {
+Result<PathIndex> StorageEngine::BuildLoggedIndex(
+    const std::string& ddl) const {
   XIA_ASSIGN_OR_RETURN(IndexDefinition def, ParseIndexDdl(ddl));
-  std::string name = def.name;
-  XIA_ASSIGN_OR_RETURN(PathIndex index, BuildIndex(*db_, def));
-  XIA_RETURN_IF_ERROR(catalog_->AddPhysical(
-      std::make_shared<PathIndex>(std::move(index)), constants_));
-  return name;
+  return BuildIndex(*db_, def);
+}
+
+Status StorageEngine::InstallIndex(PathIndex index) {
+  return catalog_->AddPhysical(std::make_shared<PathIndex>(std::move(index)),
+                               constants_);
 }
 
 // ------------------------------------------------------------ Checkpoint.

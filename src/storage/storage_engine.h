@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
+#include "common/rw_lock.h"
 #include "common/status.h"
 #include "dml/dml.h"
 #include "index/catalog.h"
@@ -63,8 +65,19 @@ struct RecoveryStats {
 ///   storage.checkpoint.flush                crash mid-page-flush
 ///   storage.checkpoint.rename               crash before MANIFEST swap
 ///
-/// The engine is not itself thread-safe; the server serializes mutating
-/// verbs behind its exclusive-verb lock (src/server/session.cc).
+/// Concurrency. Callers run one engine call at a time (the server holds
+/// its writer mutex, SharedState::write_mu, across every mutating verb).
+/// With an apply lock attached (AttachApplyLock: the server's state lock,
+/// which readers of db/catalog hold shared), a logged mutation parses,
+/// validates, builds and appends and fsyncs its WAL record beside those
+/// readers, and holds the lock exclusively only to apply in memory and to
+/// install what it built (an index, a synopsis): a write is durable
+/// before it is visible, and nothing slow runs under the lock. Each such
+/// wait lands in the `storage.apply_lock_wait` histogram. Without a lock
+/// the engine applies inline, as WAL replay does, under whatever
+/// exclusion its caller holds. BulkLoad, Checkpoint(), Close() and the
+/// replay inside Open never take the lock: a bulk load's caller holds it
+/// exclusively, and a checkpoint only reads the state.
 class StorageEngine {
  public:
   /// Opens (or creates) the database directory `dir`.
@@ -90,8 +103,17 @@ class StorageEngine {
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
 
+  /// From now on, takes `lock` exclusively around each in-memory apply
+  /// and install, and defers a delete's or update's RUNSTATS fallback
+  /// build to beside the live synopsis (dml::Fallback::kDeferred). The
+  /// caller must not hold `lock` while it calls a logged mutation.
+  void AttachApplyLock(RwLock* lock) { apply_lock_ = lock; }
+  /// The attached lock, or null.
+  RwLock* apply_lock() const { return apply_lock_; }
+
   // ------------------------------------------------ Logged mutations.
-  // Each validates, appends the WAL record, then applies in memory.
+  // Each validates (and builds what it installs), appends the WAL record,
+  // then applies in memory.
 
   Status CreateCollection(const std::string& name);
   Status Analyze(const std::string& collection);
@@ -174,8 +196,23 @@ class StorageEngine {
   /// the live mutations make.
   Status ReplayRecord(const WalRecord& record);
 
-  /// Builds and registers the index `ddl` defines (live and replay).
-  Result<std::string> ApplyCreateIndex(const std::string& ddl);
+  /// Parses the normalized `ddl` a create-index record holds and builds
+  /// its index (live, beside readers, and replay).
+  Result<PathIndex> BuildLoggedIndex(const std::string& ddl) const;
+  /// Registers a built index in the catalog.
+  Status InstallIndex(PathIndex index);
+
+  /// The attached lock held exclusively (the wait recorded), or an empty
+  /// lock when none is attached.
+  std::unique_lock<RwLock> LockForApply();
+  /// kDeferred with an apply lock attached, else kInline.
+  dml::Fallback fallback() const;
+  /// After a delete or update whose apply deferred its RUNSTATS
+  /// fallback: builds the synopsis beside readers, then installs it
+  /// under the apply lock (dml::Fallback::kDeferred). A no-op when
+  /// `result` tripped no fallback or ran it inline.
+  Status FinishFallback(const std::string& collection,
+                        const dml::DmlResult& result);
 
   Status AppendWal(WalRecordType type, std::string payload);
 
@@ -194,6 +231,7 @@ class StorageEngine {
   StorageConstants constants_;
   StorageOptions options_;
 
+  RwLock* apply_lock_ = nullptr;
   uint64_t epoch_ = 0;
   uint64_t next_lsn_ = 1;
   std::optional<WalWriter> wal_;

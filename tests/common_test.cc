@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <shared_mutex>
+#include <thread>
+
 #include "common/bitmap.h"
 #include "common/random.h"
+#include "common/rw_lock.h"
 #include "common/status.h"
 #include "common/string_util.h"
 
@@ -222,6 +228,47 @@ TEST(BitmapTest, AllAndEquality) {
   b.Set(2);
   EXPECT_TRUE(a == b);
   EXPECT_EQ(a.ToString(), "111");
+}
+
+// ---------------------------------------------------------------- RwLock.
+
+TEST(RwLockTest, ReadersShareAndAWriterExcludes) {
+  RwLock lock;
+  {
+    std::shared_lock<RwLock> first(lock);
+    EXPECT_TRUE(lock.try_lock_shared());
+    lock.unlock_shared();
+    EXPECT_FALSE(lock.try_lock());
+  }
+  {
+    std::unique_lock<RwLock> writer(lock);
+    EXPECT_FALSE(lock.try_lock_shared());
+  }
+  EXPECT_TRUE(lock.try_lock());
+  lock.unlock();
+}
+
+// Once a writer waits, a new reader queues behind it even though only
+// readers hold the lock: glibc's default rwlock (std::shared_mutex) lets
+// the reader in, which starves the writer while readers overlap.
+TEST(RwLockTest, AWaitingWriterHoldsOffNewReaders) {
+  RwLock lock;
+  lock.lock_shared();
+  std::thread writer([&] {
+    std::unique_lock<RwLock> exclusive(lock);
+  });
+  bool refused = false;
+  for (int waited_ms = 0; waited_ms < 10000 && !refused; ++waited_ms) {
+    if (lock.try_lock_shared()) {
+      lock.unlock_shared();  // The writer is not queued yet.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      refused = true;
+    }
+  }
+  lock.unlock_shared();
+  writer.join();
+  EXPECT_TRUE(refused);
 }
 
 }  // namespace

@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -32,6 +35,7 @@
 #include "storage/storage_engine.h"
 #include "xml/serializer.h"
 #include "xmldata/xmark_gen.h"
+#include "xpath/parser.h"
 
 namespace xia {
 namespace server {
@@ -773,6 +777,7 @@ TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
         EXPECT_EQ(spec.verb, verb);
         const char* lock = spec.lock == VerbLock::kNone     ? "none"
                            : spec.lock == VerbLock::kShared ? "shared"
+                           : spec.lock == VerbLock::kWrite  ? "write"
                                                             : "exclusive";
         EXPECT_EQ(cells[1], lock);
         EXPECT_EQ(cells[2], spec.admission == VerbAdmission::kAdvise
@@ -797,7 +802,7 @@ TEST(DispatcherLockTest, ProtocolVerbTableMatchesIsExclusiveVerb) {
 TEST(DispatcherDbTest, DbVerbWithoutEngineReportsMemoryOnly) {
   SharedState shared;
   ClientSession session(shared);
-  EXPECT_EQ(CommandDispatcher::Lookup("db").lock, VerbLock::kExclusive);
+  EXPECT_EQ(CommandDispatcher::Lookup("db").lock, VerbLock::kWrite);
   EXPECT_NE(Dispatch(&shared, &session, "db status").find("persistence: off"),
             std::string::npos);
   EXPECT_NE(
@@ -1242,6 +1247,131 @@ TEST(DispatcherDbTest, PreloadAndGenGenerateTheSameData) {
   EXPECT_TRUE(bad.db.CollectionNames().empty());
 }
 
+// A malformed document id is refused whole, logging nothing: `args >>
+// int64` used to read `1x` as document 1 and `2.9` as document 2, and
+// delete (or update) that document, WAL-logged and never retried.
+TEST(DispatcherDbTest, MalformedDocIdsAreRefusedAndLogNothing) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_doc_id_test";
+  fs::remove_all(scratch);
+  SharedState shared;
+  ASSERT_TRUE(OpenDataDir(&shared, (scratch / "db").string()).ok());
+  ClientSession session(shared);
+  ASSERT_EQ(Dispatch(&shared, &session, "gen xmark 3").find("generated"), 0u);
+  const int64_t next_lsn =
+      StatusField(Dispatch(&shared, &session, "db status"), "next_lsn");
+  ASSERT_GT(next_lsn, 0);
+  const std::string delete_usage = "usage: delete <collection> <doc-id>\n";
+  const std::string update_usage =
+      "usage: update <collection> <doc-id> <xml...>\n";
+  for (const std::string id : {"1x", "2.9", "+1", "-1", "1e0"}) {
+    SCOPED_TRACE(id);
+    EXPECT_EQ(Dispatch(&shared, &session, "delete xmark " + id), delete_usage);
+    EXPECT_EQ(Dispatch(&shared, &session, "update xmark " + id + " <site/>"),
+              update_usage);
+  }
+  // No space before the document: the id token is `1<site/>`.
+  EXPECT_EQ(Dispatch(&shared, &session, "update xmark 1<site/>"),
+            update_usage);
+  EXPECT_EQ(StatusField(Dispatch(&shared, &session, "db status"), "next_lsn"),
+            next_lsn);
+  const Collection* xmark = shared.db.GetCollection("xmark");
+  EXPECT_EQ(xmark->num_docs(), 3u);
+  for (DocId doc : {0, 1, 2}) EXPECT_TRUE(xmark->IsLive(doc)) << doc;
+  EXPECT_EQ(Dispatch(&shared, &session, "delete xmark 2")
+                .find("deleted doc 2 of xmark"),
+            0u);
+  fs::remove_all(scratch);
+}
+
+// A junk, zero or negative `gen` count is refused before anything is
+// created: `gen xmark abc` used to create an empty `xmark` that every
+// later `gen xmark <docs>` collided with. `--preload` counts follow the
+// same rule.
+TEST(DispatcherDbTest, GenRefusesJunkCountsBeforeCreatingAnything) {
+  SharedState shared;
+  ClientSession session(shared);
+  for (const char* line :
+       {"gen xmark abc", "gen xmark 0", "gen xmark -3", "gen xmark 2.5",
+        "gen xmark 3x", "gen tpox 5 abc 3", "gen tpox 0"}) {
+    EXPECT_EQ(Dispatch(&shared, &session, line).find("bad count '"), 0u)
+        << line;
+  }
+  EXPECT_TRUE(shared.db.CollectionNames().empty());
+  EXPECT_EQ(Dispatch(&shared, &session, "gen xmark 2").find("generated xmark"),
+            0u);
+  EXPECT_EQ(shared.db.GetCollection("xmark")->num_docs(), 2u);
+
+  SharedState preloaded;
+  for (const char* spec : {"xmark:5abc", "xmark:-1", "xmark:"}) {
+    EXPECT_EQ(Preload(&preloaded, {spec}).code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
+  EXPECT_TRUE(preloaded.db.CollectionNames().empty());
+}
+
+// `drift threshold` takes one whole finite number >= 0. Anything else is
+// an error that keeps the old threshold: a negative one used to be
+// accepted (every later check then read stale), and junk was ignored.
+TEST(DispatcherDriftTest, ThresholdIsParsedStrictly) {
+  SharedState shared;
+  ClientSession session(shared);
+  EXPECT_EQ(Dispatch(&shared, &session, "drift threshold"),
+            "drift threshold: 0.2\n");
+  for (const std::string threshold :
+       {"-5", "abc", "0.5x", "nan", "inf", "-inf"}) {
+    EXPECT_EQ(Dispatch(&shared, &session, "drift threshold " + threshold),
+              "bad threshold '" + threshold + "' (a finite number >= 0)\n");
+  }
+  EXPECT_EQ(Dispatch(&shared, &session, "drift threshold"),
+            "drift threshold: 0.2\n");
+  EXPECT_EQ(Dispatch(&shared, &session, "drift threshold 0.5"),
+            "drift threshold: 0.5\n");
+  EXPECT_EQ(Dispatch(&shared, &session, "drift threshold 0"),
+            "drift threshold: 0\n");
+}
+
+// Each verb's wait for its locks lands in its lock class's always-on
+// histogram, and each in-memory apply's wait in storage.apply_lock_wait;
+// `stats` and the JSON snapshot export all four.
+TEST(DispatcherLockTest, LockWaitsAreRecordedPerLockClass) {
+  SharedState shared;
+  ASSERT_TRUE(PopulateXMark(&shared.db, "xmark", 2, XMarkParams(), 42).ok());
+  ClientSession session(shared);
+  const std::vector<std::string> names = {
+      "server.lock_wait.shared", "server.lock_wait.write",
+      "server.lock_wait.exclusive", "storage.apply_lock_wait"};
+  auto counts = [&] {
+    obs::Snapshot snapshot = obs::Registry().TakeSnapshot();
+    std::vector<uint64_t> out;
+    for (const std::string& name : names) {
+      auto it = snapshot.spans.find(name);
+      out.push_back(it == snapshot.spans.end() ? 0 : it->second.count);
+    }
+    return out;
+  };
+  const std::vector<uint64_t> before = counts();
+  EXPECT_GE(ResultNodes(Dispatch(&shared, &session,
+                                 std::string("run ") + kAfricaQuery)),
+            0);
+  EXPECT_EQ(Dispatch(&shared, &session, "insert xmark <site/>")
+                .find("inserted doc 2 of xmark"),
+            0u);
+  const std::vector<uint64_t> after = counts();
+  EXPECT_EQ(after[0] - before[0], 1u);  // run
+  EXPECT_EQ(after[1] - before[1], 1u);  // insert
+  EXPECT_EQ(after[2] - before[2], 0u);
+  EXPECT_EQ(after[3] - before[3], 1u);  // the insert's apply
+  const std::string stats = Dispatch(&shared, &session, "stats");
+  const std::string json = obs::Registry().TakeSnapshot().ToJson();
+  for (const std::string& name : names) {
+    EXPECT_NE(stats.find("span." + name + " = "), std::string::npos) << name;
+    EXPECT_NE(json.find("\"" + name + "\":{\"count\":"), std::string::npos)
+        << name;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Workload capture: each SharedState records into its own log.
 
@@ -1411,6 +1541,255 @@ TEST(DispatcherCaptureTest, DmlVerbsRecordWhileArmed) {
   EXPECT_EQ(Dispatch(&shared, &session, "advise --from-log --compress 512")
                 .find("compressed 5 records into 4 templates\n"),
             0u);
+  fs::remove_all(scratch);
+}
+
+// ---------------------------------------------------------------------
+// The writer split: a logged mutation parses, builds, logs and fsyncs
+// under the writer mutex alone, and the engine takes the state lock only
+// to apply and to install what it built.
+
+// Opens `dir` into `shared` and attaches the state lock to its engine,
+// as xia_server does once recovery returns: the split path.
+Status OpenSplitDataDir(SharedState* shared, const std::string& dir) {
+  XIA_RETURN_IF_ERROR(OpenDataDir(shared, dir));
+  shared->engine->AttachApplyLock(&shared->mu);
+  return Status::Ok();
+}
+
+// `count` generated XMark documents as XML text.
+std::vector<std::string> XMarkDocs(int count, uint64_t seed) {
+  NameTable names;
+  Random rng(seed);
+  std::vector<std::string> docs;
+  for (int i = 0; i < count; ++i) {
+    docs.push_back(SerializeDocument(
+        GenerateXMarkDocument(&names, XMarkParams(), &rng), names));
+  }
+  return docs;
+}
+
+// A reader does not queue behind a writer's WAL append: with the append
+// held up 300 ms inside its record write (before the fsync), a `run` sent
+// after an `insert` is answered first. While one exclusive lock covered
+// log and apply, the `run` waited for the insert.
+TEST(WriterSplitTest, RunIsAnsweredWhileAnInsertWaitsOnItsWal) {
+  namespace fs = std::filesystem;
+  fp::DisarmAll();
+  fs::path scratch = fs::temp_directory_path() / "xia_split_fsync_test";
+  fs::remove_all(scratch);
+  SharedState shared;
+  ASSERT_TRUE(OpenSplitDataDir(&shared, (scratch / "db").string()).ok());
+  {
+    ClientSession session(shared);
+    ASSERT_EQ(Dispatch(&shared, &session, "gen xmark 2").find("generated"),
+              0u);
+  }
+  ServerOptions options;
+  options.tcp_port = 0;
+  Server srv(&shared, options);
+  ASSERT_TRUE(srv.Start().ok());
+  Result<BlockingClient> reader = BlockingClient::ConnectTcp(srv.port());
+  Result<BlockingClient> writer = BlockingClient::ConnectTcp(srv.port());
+  ASSERT_TRUE(reader.ok() && writer.ok());
+  ASSERT_TRUE(fp::ArmFromSpec("storage.wal.append=sleep:300").ok());
+  const uint64_t trips = fp::Trips("storage.wal.append");
+
+  std::atomic<int> replies{0};
+  int insert_rank = 0;
+  Result<std::string> inserted = Status::Internal("not sent");
+  std::thread writing([&] {
+    inserted = writer->Call("insert xmark <site><regions/></site>");
+    insert_rank = ++replies;
+  });
+  // Send the `run` once the insert is inside its WAL record write.
+  for (int waited_ms = 0;
+       fp::Trips("storage.wal.append") == trips && waited_ms < 10000;
+       ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Result<std::string> ran = reader->Call(std::string("run ") + kAfricaQuery);
+  const int run_rank = ++replies;
+  writing.join();
+  fp::DisarmAll();
+
+  ASSERT_TRUE(ran.ok() && inserted.ok());
+  EXPECT_GE(ResultNodes(*ran), 0) << *ran;
+  EXPECT_NE(inserted->find("inserted doc 2 of xmark"), std::string::npos)
+      << *inserted;
+  EXPECT_EQ(run_rank, 1);
+  EXPECT_EQ(insert_rank, 2);
+  srv.RequestStop();
+  srv.Wait();
+  fs::remove_all(scratch);
+}
+
+// The split path leaves bit for bit the state the inline path leaves. One
+// seeded DML sequence runs through a data-dir state with the lock
+// attached (each RUNSTATS fallback built beside the live synopsis and
+// swapped in) and through one whose engine has none (the fallback built
+// inside the apply, as WAL replay builds it). After every step the
+// replies, the fingerprints, the synopsis reports and the selectivities
+// are equal, and a kill and reopen of the split state reproduces them.
+TEST(WriterSplitTest, SplitPathMatchesInlinePathBitForBit) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_split_parity_test";
+  fs::remove_all(scratch);
+  const std::string split_dir = (scratch / "split").string();
+
+  struct Probe {
+    const char* pattern;
+    CompareOp op;
+    const char* literal;
+  };
+  const std::vector<Probe> probes = {
+      {"/site/regions/*/item/quantity", CompareOp::kEq, "1"},
+      {"/site/open_auctions/open_auction/bidder/increase", CompareOp::kEq,
+       "5"},
+      {"/site/regions/*/item/location", CompareOp::kEq, "United States"},
+      {"/site/people/person/profile/age", CompareOp::kGt, "30"},
+      {"/site/closed_auctions/closed_auction/price", CompareOp::kLt, "100"},
+  };
+  // What the optimizer reads of the synopsis: its report and the
+  // selectivities at %.17g.
+  auto statistics = [&](const SharedState& shared) {
+    const PathSynopsis* synopsis = shared.db.synopsis("xmark");
+    if (synopsis == nullptr) return std::string("no synopsis");
+    std::string out = synopsis->Describe(0);
+    for (const Probe& probe : probes) {
+      Result<PathPattern> pattern = ParsePathPattern(probe.pattern);
+      EXPECT_TRUE(pattern.ok()) << probe.pattern;
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g\n",
+                    synopsis->SelectivityFor(*pattern, probe.op,
+                                             probe.literal));
+      out += buf;
+    }
+    return out;
+  };
+
+  auto split = std::make_unique<SharedState>();
+  ASSERT_TRUE(OpenSplitDataDir(split.get(), split_dir).ok());
+  SharedState lockless;
+  ASSERT_TRUE(OpenDataDir(&lockless, (scratch / "inline").string()).ok());
+  ASSERT_EQ(lockless.engine->apply_lock(), nullptr);
+  ClientSession split_session(*split);
+  ClientSession lockless_session(lockless);
+  auto both = [&](const std::string& line) {
+    const std::string reply = Dispatch(split.get(), &split_session, line);
+    EXPECT_EQ(reply, Dispatch(&lockless, &lockless_session, line)) << line;
+    EXPECT_EQ(Fingerprint(*split), Fingerprint(lockless)) << line;
+    EXPECT_EQ(statistics(*split), statistics(lockless)) << line;
+    return reply;
+  };
+  ASSERT_EQ(both("gen xmark 4").find("generated"), 0u);
+  both("workload xmark");
+  both("advise 64");
+  ASSERT_EQ(both("materialize").find("materialized"), 0u);
+
+  const std::vector<std::string> docs = XMarkDocs(8, 5);
+  std::mt19937_64 rng(21);
+  std::vector<DocId> live = {0, 1, 2, 3};
+  int rebuilt_by_delete = 0;
+  int rebuilt_by_update = 0;
+  for (int step = 0; step < 40; ++step) {
+    const uint64_t kind = live.size() <= 2 ? 0 : rng() % 3;
+    const size_t target = rng() % live.size();
+    const std::string& xml = docs[static_cast<size_t>(step) % docs.size()];
+    std::string reply;
+    if (kind == 0) {
+      reply = both("insert xmark " + xml);
+      ASSERT_EQ(reply.find("inserted doc "), 0u) << reply;
+      live.push_back(std::atoi(reply.c_str() + 13));
+    } else if (kind == 1) {
+      reply = both("update xmark " + std::to_string(live[target]) + " " + xml);
+      ASSERT_EQ(reply.find("updated doc "), 0u) << reply;
+      live[target] = std::atoi(reply.c_str() + 12);
+      rebuilt_by_update += reply.find("stats rebuilt") != std::string::npos;
+    } else {
+      reply = both("delete xmark " + std::to_string(live[target]));
+      ASSERT_EQ(reply.find("deleted doc "), 0u) << reply;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(target));
+      rebuilt_by_delete += reply.find("stats rebuilt") != std::string::npos;
+    }
+    if (testing::Test::HasFailure()) FAIL() << "step " << step;
+  }
+  EXPECT_GT(rebuilt_by_delete, 0);
+  EXPECT_GT(rebuilt_by_update, 0);
+
+  const std::string fingerprint = Fingerprint(*split);
+  const std::string stats = statistics(*split);
+  split.reset();  // Kill: no Close().
+  SharedState reopened;
+  ASSERT_TRUE(OpenDataDir(&reopened, split_dir).ok());
+  EXPECT_EQ(Fingerprint(reopened), fingerprint);
+  EXPECT_EQ(statistics(reopened), stats);
+  fs::remove_all(scratch);
+}
+
+// Readers keep running while one writer inserts, updates, deletes,
+// analyzes, materializes and checkpoints on the split path: every reply
+// reports success, and a kill and reopen reproduces the live state.
+TEST(WriterSplitTest, ConcurrentReadersAndAWriterAllSucceed) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_split_concurrent_test";
+  fs::remove_all(scratch);
+  const std::string db_dir = (scratch / "db").string();
+  const std::vector<std::string> docs = XMarkDocs(5, 9);
+  std::string fingerprint;
+  {
+    SharedState shared;
+    ASSERT_TRUE(OpenSplitDataDir(&shared, db_dir).ok());
+    ClientSession writer(shared);
+    ASSERT_EQ(Dispatch(&shared, &writer, "gen xmark 3").find("generated"), 0u);
+    Dispatch(&shared, &writer, "workload xmark");
+    ASSERT_NE(Dispatch(&shared, &writer, "advise 64")
+                  .find("Recommended configuration"),
+              std::string::npos);
+
+    std::atomic<bool> writing{true};
+    std::vector<int> reads(3, 0);
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < reads.size(); ++r) {
+      readers.emplace_back([&, r] {
+        ClientSession session(shared);
+        do {
+          const std::string ran =
+              Dispatch(&shared, &session, std::string("run ") + kAfricaQuery);
+          EXPECT_GE(ResultNodes(ran), 0) << ran;
+          const std::string shown =
+              Dispatch(&shared, &session, "show stats xmark");
+          EXPECT_EQ(shown.find("no statistics"), std::string::npos) << shown;
+          ++reads[r];
+        } while (writing.load());
+      });
+    }
+    const std::vector<std::pair<std::string, std::string>> script = {
+        {"insert xmark " + docs[0], "inserted doc 3 of xmark"},
+        {"update xmark 0 " + docs[1], "updated doc 4 of xmark"},
+        {"delete xmark 1", "deleted doc 1 of xmark"},
+        {"analyze xmark", "statistics rebuilt"},
+        {"materialize", "materialized "},
+        {"insert xmark " + docs[2], "inserted doc 5 of xmark"},
+        {"db checkpoint", "checkpointed (epoch "},
+        {"update xmark 3 " + docs[3], "updated doc 6 of xmark"},
+        {"delete xmark 2", "deleted doc 2 of xmark"},
+        {"delete xmark 4", "deleted doc 4 of xmark"},
+        {"insert xmark " + docs[4], "inserted doc 7 of xmark"},
+    };
+    for (const auto& [line, expected] : script) {
+      const std::string reply = Dispatch(&shared, &writer, line);
+      EXPECT_EQ(reply.find(expected), 0u) << line << "\n" << reply;
+    }
+    writing = false;
+    for (std::thread& reader : readers) reader.join();
+    for (int n : reads) EXPECT_GT(n, 0);
+    fingerprint = Fingerprint(shared);
+    // Kill: no Close().
+  }
+  SharedState reopened;
+  ASSERT_TRUE(OpenDataDir(&reopened, db_dir).ok());
+  EXPECT_EQ(Fingerprint(reopened), fingerprint);
   fs::remove_all(scratch);
 }
 
