@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/random.h"
 #include "storage/database.h"
 #include "storage/node_store.h"
+#include "storage/page.h"
 
 namespace xia {
 namespace {
@@ -65,6 +69,44 @@ TEST(NodeRefTest, Ordering) {
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
   EXPECT_EQ(a, (NodeRef{0, 5}));
+}
+
+// Page files, WAL records and state fingerprints all carry this checksum,
+// so it must stay the reflected CRC-32 (polynomial 0xEDB88320) whatever
+// the implementation.
+TEST(Crc32Test, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(storage::Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(storage::Crc32(""), 0u);
+}
+
+uint32_t BitwiseCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, EqualsABitwiseReferenceAtEveryLengthAndAlignment) {
+  Random rng(32);
+  std::string buffer(10008, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(0, 255));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (int round = 0; round < 40; ++round) {
+      const size_t length = static_cast<size_t>(rng.Uniform(0, 10000));
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(storage::Crc32(data), BitwiseCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+    for (size_t length = 0; length < 24; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(storage::Crc32(data), BitwiseCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 }  // namespace

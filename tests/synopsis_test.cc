@@ -1,8 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "dml/dml.h"
+#include "index/catalog.h"
+#include "index/index_builder.h"
 #include "storage/database.h"
 #include "storage/path_synopsis.h"
 #include "storage/statistics.h"
+#include "storage/storage_engine.h"
+#include "xml/serializer.h"
+#include "xmldata/xmark_gen.h"
 #include "xpath/parser.h"
 
 namespace xia {
@@ -266,6 +279,133 @@ TEST(SynopsisReservoirTest, SampleCapHolds) {
   EXPECT_EQ(stats.sample.size(), 128u);  // Reservoir cap.
   EXPECT_EQ(stats.min_num, 0.0);
   EXPECT_EQ(stats.max_num, 499.0);
+}
+
+// ------------------------------------------------ Pinned synopsis contents.
+//
+// The synopsis after a full build and after incremental upkeep, pinned
+// against constants recorded from a known-good build: a faster AddDocument
+// or RemoveDocument must leave every count, value statistic, reservoir
+// slot and distinct probe exactly where it was.
+
+/// 64-bit FNV-1a, local to the test so a pinned constant cannot move with
+/// a library hash.
+class Fnv {
+ public:
+  void Byte(uint8_t b) {
+    hash_ ^= b;
+    hash_ *= 1099511628211ull;
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Str(std::string_view s) {
+    U64(s.size());
+    for (char c : s) Byte(static_cast<uint8_t>(c));
+  }
+  void Double(double d) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    Str(buf);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+void HashSynopsisNode(const SynopsisNode& n, Fnv* fnv) {
+  fnv->U64(static_cast<uint64_t>(n.name));
+  fnv->U64(n.is_attr ? 1 : 0);
+  fnv->U64(n.depth);
+  fnv->U64(n.count);
+  fnv->U64(n.value_count);
+  fnv->U64(n.numeric_count);
+  fnv->Double(n.min_num);
+  fnv->Double(n.max_num);
+  fnv->Double(n.total_value_bytes);
+  fnv->U64(n.sample.size());
+  for (const std::string& v : n.sample) fnv->Str(v);
+  fnv->U64(n.sample_seen);
+  fnv->U64(n.distinct_probe.size());
+  fnv->U64(n.children.size());
+  for (const auto& child : n.children) HashSynopsisNode(*child, fnv);
+}
+
+std::string SynopsisHash(const PathSynopsis& synopsis) {
+  Fnv fnv;
+  fnv.U64(synopsis.TotalNodes());
+  fnv.Double(synopsis.StalenessFraction());
+  HashSynopsisNode(synopsis.root(), &fnv);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, fnv.value());
+  return buf;
+}
+
+TEST(SynopsisPinTest, AnalyzeAndSeededDmlKeepRecordedContents) {
+  Database db;
+  Catalog catalog;
+  ASSERT_TRUE(PopulateXMark(&db, "xmark", 40, XMarkParams(), 41).ok());
+  ASSERT_NE(db.synopsis("xmark"), nullptr);
+  EXPECT_EQ(SynopsisHash(*db.synopsis("xmark")), "0xb95abf9b0ce8e10b");
+
+  // Two physical indexes, so every write also runs index upkeep.
+  for (const auto& [pattern, type] :
+       std::vector<std::pair<std::string, ValueType>>{
+           {"/site/regions/*/item/quantity", ValueType::kDouble},
+           {"//date", ValueType::kVarchar}}) {
+    IndexDefinition def;
+    def.collection = "xmark";
+    def.pattern = P(pattern);
+    def.type = type;
+    def.name = catalog.UniqueName(def.pattern);
+    Result<PathIndex> built = BuildIndex(db, def);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_TRUE(catalog
+                    .AddPhysical(std::make_shared<PathIndex>(std::move(*built)),
+                                 StorageConstants())
+                    .ok());
+  }
+
+  std::vector<std::string> texts;
+  {
+    NameTable names;
+    Random gen(42);
+    for (int i = 0; i < 12; ++i) {
+      texts.push_back(SerializeDocument(
+          GenerateXMarkDocument(&names, XMarkParams(), &gen), names));
+    }
+  }
+  std::vector<DocId> live;
+  for (DocId id = 0; id < 40; ++id) live.push_back(id);
+  Random rng(43);
+  size_t rebuilds = 0;
+  for (int op = 0; op < 90; ++op) {
+    const int64_t roll = rng.Uniform(0, 9);
+    const std::string& xml = texts[static_cast<size_t>(op) % texts.size()];
+    if (roll < 3 || live.size() < 8) {
+      Result<dml::DmlResult> r = dml::ApplyInsert(&db, &catalog, "xmark", xml);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      live.push_back(r->doc);
+      continue;
+    }
+    const size_t slot = static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(live.size()) - 1));
+    Result<dml::DmlResult> r =
+        roll < 6 ? dml::ApplyUpdate(&db, &catalog, "xmark", live[slot], xml)
+                 : dml::ApplyDelete(&db, &catalog, "xmark", live[slot]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    rebuilds += r->synopsis_rebuilt ? 1 : 0;
+    if (roll < 6) {
+      live[slot] = r->doc;
+    } else {
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(slot));
+    }
+  }
+  EXPECT_GE(rebuilds, 2u);
+  EXPECT_EQ(SynopsisHash(*db.synopsis("xmark")), "0x3ffa05943e80687f");
+  EXPECT_EQ(storage::StorageEngine::StateFingerprint(db, catalog),
+            "752b6b82-3424060");
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/random.h"
 #include "xml/builder.h"
 #include "xml/document.h"
 #include "xml/name_table.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
+#include "xmldata/tpox_gen.h"
+#include "xmldata/xmark_gen.h"
 
 namespace xia {
 namespace {
@@ -208,6 +213,253 @@ TEST(ParserTest, UnterminatedFails) {
   EXPECT_FALSE(parser.Parse("<a><b>").ok());
   EXPECT_FALSE(parser.Parse("<a x=\"1>").ok());
   EXPECT_FALSE(parser.Parse("<a>&bogus;</a>").ok());
+}
+
+// ------------------------------------------------- Pinned parse outcomes.
+//
+// The parser's observable behaviour, pinned: every outcome below is hashed
+// and compared against a constant recorded from a known-good build, so a
+// rewrite of the scanner must reproduce each document, each interned name
+// order and each error text byte for byte.
+
+/// 64-bit FNV-1a, local to the test so a pinned constant cannot move with
+/// a library hash.
+class Fnv {
+ public:
+  void Byte(uint8_t b) {
+    hash_ ^= b;
+    hash_ *= 1099511628211ull;
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Str(std::string_view s) {
+    U64(s.size());
+    for (char c : s) Byte(static_cast<uint8_t>(c));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+/// One parse into a fresh name table. The outcome is the serialized
+/// document with its node array, or the error text (which carries the
+/// offset); either way followed by the names in the order they were
+/// interned. Returns whether the parse succeeded.
+bool HashParseOutcome(std::string_view input, Fnv* fnv) {
+  NameTable names;
+  Result<Document> doc = XmlParser(&names).Parse(input);
+  if (doc.ok()) {
+    fnv->U64(1);
+    fnv->Str(SerializeDocument(*doc, names));
+    fnv->U64(doc->ByteSize());
+    for (const XmlNode& n : doc->nodes()) {
+      fnv->U64(static_cast<uint64_t>(n.kind));
+      fnv->U64(static_cast<uint64_t>(n.name));
+      fnv->U64(static_cast<uint64_t>(n.parent));
+      fnv->U64(static_cast<uint64_t>(n.first_child));
+      fnv->U64(static_cast<uint64_t>(n.next_sibling));
+      fnv->U64(n.begin);
+      fnv->U64(n.end);
+      fnv->U64(n.level);
+      fnv->Str(n.value);
+    }
+  } else {
+    fnv->U64(0);
+    fnv->Str(doc.status().ToString());
+  }
+  fnv->U64(names.size());
+  for (NameId id = 0; id < static_cast<NameId>(names.size()); ++id) {
+    fnv->Str(names.NameOf(id));
+  }
+  return doc.ok();
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+  return buf;
+}
+
+/// Generated XMark and TPoX documents, compact and indented.
+std::vector<std::string> PinnedSeedDocuments() {
+  NameTable names;
+  Random rng(2008);
+  SerializeOptions pretty;
+  pretty.pretty = true;
+  std::vector<std::string> docs;
+  XMarkParams small;
+  small.items_per_region = 1;
+  small.categories = 2;
+  small.people = 3;
+  small.open_auctions = 2;
+  small.closed_auctions = 2;
+  for (int i = 0; i < 3; ++i) {
+    const SerializeOptions& options = i == 1 ? pretty : SerializeOptions{};
+    docs.push_back(SerializeDocument(
+        GenerateXMarkDocument(&names, small, &rng), names, options));
+  }
+  docs.push_back(SerializeDocument(
+      GenerateXMarkDocument(&names, XMarkParams(), &rng), names));
+  TpoxParams tpox;
+  for (int i = 0; i < 2; ++i) {
+    const SerializeOptions& options = i == 0 ? pretty : SerializeOptions{};
+    docs.push_back(SerializeDocument(
+        GenerateTpoxCustomer(&names, tpox, &rng, i), names, options));
+    docs.push_back(SerializeDocument(GenerateTpoxOrder(&names, tpox, &rng, i),
+                                     names, options));
+    docs.push_back(SerializeDocument(
+        GenerateTpoxSecurity(&names, tpox, &rng, i), names, options));
+  }
+  return docs;
+}
+
+/// One seeded edit: a printable byte replaced, a byte deleted or doubled,
+/// a markup fragment spliced in, or a short range cut out.
+std::string MutateOnce(const std::string& input, Random* rng) {
+  static const std::vector<std::string> kFragments = {
+      "&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "&#65;", "&#x4E2D;",
+      "&#128512;", "&#0;", "&#x110000;", "&#;", "&#xZ;", "&bogus;", "&",
+      ";", "<", ">", "</", "/>", "=", "\"", "'", " ", "\n",
+      "<![CDATA[a<b&c]]>", "<![CDATA[", "]]>", "<!--c-->", "<!--",
+      "-->", "<?pi x?>", "<?", "<x/>", "<x>", "</x>", "<x a='1'>t</x>",
+      " a=\"v\"", "<!DOCTYPE d>"};
+  if (input.empty()) return kFragments[static_cast<size_t>(rng->Uniform(
+      0, static_cast<int64_t>(kFragments.size()) - 1))];
+  std::string out = input;
+  size_t pos = static_cast<size_t>(
+      rng->Uniform(0, static_cast<int64_t>(out.size()) - 1));
+  switch (rng->Uniform(0, 4)) {
+    case 0:
+      out[pos] = static_cast<char>(rng->Uniform(32, 126));
+      break;
+    case 1:
+      out.erase(pos, 1);
+      break;
+    case 2:
+      out.insert(pos, 1, out[pos]);
+      break;
+    case 3:
+      out.insert(pos, rng->Choice(kFragments));
+      break;
+    default:
+      out.erase(pos, static_cast<size_t>(rng->Uniform(1, 40)));
+      break;
+  }
+  return out;
+}
+
+TEST(ParserPinTest, MutatedAndTruncatedCorpusParsesAsRecorded) {
+  const std::vector<std::string> seeds = PinnedSeedDocuments();
+  Random rng(22);
+  Fnv fnv;
+  size_t outcomes = 0;
+  size_t errors = 0;
+  auto hash = [&](const std::string& input) {
+    errors += HashParseOutcome(input, &fnv) ? 0 : 1;
+    ++outcomes;
+  };
+  for (const std::string& seed : seeds) {
+    hash(seed);
+    for (int round = 0; round < 220; ++round) {
+      std::string text = seed;
+      const int64_t edits = rng.Uniform(1, 3);
+      for (int64_t e = 0; e < edits; ++e) text = MutateOnce(text, &rng);
+      hash(text);
+    }
+    for (int cut = 0; cut < 30; ++cut) {
+      hash(seed.substr(0, static_cast<size_t>(rng.Uniform(
+                              0, static_cast<int64_t>(seed.size()) - 1))));
+    }
+  }
+  EXPECT_GE(outcomes, 2000u);
+  EXPECT_GE(errors, 1000u);
+  EXPECT_EQ(Hex(fnv.value()), "0xcdd653e69e453abf")
+      << outcomes << " outcomes, " << errors << " errors";
+}
+
+TEST(ParserPinTest, HandWrittenCasesParseAsRecorded) {
+  const std::vector<std::string> cases = {
+      // Entities and numeric references, in text and in attributes.
+      "<a x=\"&lt;&amp;&gt;&quot;&apos;\">t &lt;b&gt; &amp; &quot;q&apos;</a>",
+      "<a x='&#65;&#x42;&#X43;'>&#97;&#x62;&#xE9;&#x800;&#x263A;&#128512;"
+      "&#x10FFFF;</a>",
+      "<a>&#32;&#x20;&#10;</a>",
+      "<a>x&#32;</a>",
+      "<a>&#0;</a>",
+      "<a>&#x110000;</a>",
+      "<a>&#;</a>",
+      "<a>&#x;</a>",
+      "<a>&#12a;</a>",
+      "<a>&#xG1;</a>",
+      "<a>&bogus;</a>",
+      "<a>&;</a>",
+      "<a>&amp</a>",
+      "<a>&amp <b/></a>",
+      "<a x=\"&amp\"/>",
+      "<a x=\"&nope;\"/>",
+      "<a x=\"&#xFFFFFFFFF;\"/>",
+      "<a b=\"1\" c='&apos;\"' d=\"'&quot;\"/>",
+      // CDATA, and comments or PIs between text runs.
+      "<a>x<!--c-->y<?p q?>z<![CDATA[<&>]]>w</a>",
+      "<a><![CDATA[]]></a>",
+      "<a> <![CDATA[ ]]> </a>",
+      "<a><![CDATA[&amp;]]>&amp;</a>",
+      "<a>x<![CDATA[never closed</a>",
+      "<a>x<!-- never closed</a>",
+      "<a>x<?pi never closed</a>",
+      "<a><!----><?p?>t</a>",
+      // Mixed content, whitespace-only runs and self-closing tags.
+      "<p>hello <b>bold</b> world<br/>!</p>",
+      "<a>\n  <b/>\n\t<c x='1'/>  \r\n</a>",
+      "<a> lead<b/>trail </a>",
+      "<a/>",
+      "<a />",
+      "<a x=\"1\"/>",
+      "<a x = '1'\ny=\"2\" />",
+      "<a x=\"1\" x=\"2\"/>",
+      "<r><a><b><c/></b></a><a/></r>",
+      "<ns:a xmlns:ns=\"u\"><ns:b ns:c=\"1\">v</ns:b></ns:a>",
+      "<a_1 b-2.c=\"v\"><_x/></a_1>",
+      // Prologue and trailing material.
+      "<?xml version=\"1.0\"?>\n<!DOCTYPE a>\n<!-- c --><a/>\n<!-- t -->\n",
+      "<?xml version=\"1.0\"?><a/><?pi?>  ",
+      "\n\t <a/>\n",
+      "<?xml never closed",
+      "<!-- never closed",
+      "<!DOCTYPE never closed",
+      // Mismatched and unterminated tags.
+      "<a><b></a></b>",
+      "<a></b>",
+      "<a></a >",
+      "<a></ a>",
+      "<a></a",
+      "<a>",
+      "<a><b>",
+      "<a",
+      "<a x",
+      "<a x=",
+      "<a x=\"1",
+      "<a x=1/>",
+      "<a x/>",
+      "<a x=\"1\"y=\"2\"/>",
+      "<a/",
+      "<a>text",
+      "</a>",
+      "<a/><b/>",
+      "<a/>junk",
+      "",
+      "   ",
+      "text",
+      "<1a/>",
+      "<a><1b/></a>",
+      "<a><!DOCTYPE x></a>",
+      "<a>&lt;</b></a>",
+  };
+  Fnv fnv;
+  for (const std::string& text : cases) HashParseOutcome(text, &fnv);
+  EXPECT_EQ(Hex(fnv.value()), "0xe80fd4d8370c6315");
 }
 
 // ------------------------------------------------------------ Serializer.
