@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): the substrate operations the
 // advisor leans on — path parsing, containment, synopsis matching, index
-// probes, optimization, and DAG construction.
+// probes, optimization, and DAG construction — and the per-document
+// costs of a write: XML parse, checksum, and synopsis upkeep.
 
 #include <benchmark/benchmark.h>
 
@@ -10,16 +11,20 @@
 
 #include "advisor/dag.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "advisor/enumeration.h"
 #include "advisor/generalize.h"
 #include "index/index_builder.h"
 #include "optimizer/explain.h"
 #include "query/parser.h"
+#include "storage/page.h"
 #include "storage/storage_engine.h"
 #include "wlm/capture.h"
 #include "wlm/compress.h"
 #include "wlm/fingerprint.h"
 #include "workload/xmark_queries.h"
+#include "xml/parser.h"
+#include "xml/serializer.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/containment.h"
 #include "xpath/parser.h"
@@ -196,6 +201,82 @@ void BM_GeneralizeAndBuildDag(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GeneralizeAndBuildDag);
+
+// ---------------------------------------------------------------------
+// The write path's per-document work (perfbench `dml` carries documents
+// of this size): one parse of a generated ~31 KB XMark document, the
+// CRC-32 over a page (4 KB) and a WAL-record-sized buffer (32 KB), one
+// document folded into and out of a 40-document synopsis, and the full
+// 40-document build the RUNSTATS fallback runs.
+
+const std::string& XMarkText() {
+  static const std::string* text = [] {
+    NameTable names;
+    Random rng(43);
+    return new std::string(SerializeDocument(
+        GenerateXMarkDocument(&names, XMarkParams(), &rng), names));
+  }();
+  return *text;
+}
+
+Database* XMark40() {
+  static Database* db = [] {
+    auto* d = new Database();
+    XIA_CHECK(PopulateXMark(d, "xmark", 40, XMarkParams(), 41).ok());
+    return d;
+  }();
+  return db;
+}
+
+void BM_XmlParse(benchmark::State& state) {
+  const std::string& xml = XMarkText();
+  for (auto _ : state) {
+    NameTable names;
+    Result<Document> doc = XmlParser(&names).Parse(xml);
+    XIA_CHECK(doc.ok());
+    benchmark::DoNotOptimize(doc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(xml.size()));
+}
+BENCHMARK(BM_XmlParse);
+
+void BM_Crc32(benchmark::State& state) {
+  Random rng(32);
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(32768);
+
+void BM_SynopsisAddRemove(benchmark::State& state) {
+  // A private copy of the fixture's synopsis: iterations mutate it.
+  Database* db = XMark40();
+  Result<std::unique_ptr<PathSynopsis>> synopsis = db->BuildSynopsis("xmark");
+  XIA_CHECK(synopsis.ok());
+  Random rng(44);
+  const Document doc =
+      GenerateXMarkDocument(db->mutable_names(), XMarkParams(), &rng);
+  for (auto _ : state) {
+    (*synopsis)->AddDocument(doc);
+    (*synopsis)->RemoveDocument(doc);
+  }
+}
+BENCHMARK(BM_SynopsisAddRemove);
+
+void BM_BuildSynopsis(benchmark::State& state) {
+  const Database* db = XMark40();
+  for (auto _ : state) {
+    Result<std::unique_ptr<PathSynopsis>> synopsis = db->BuildSynopsis("xmark");
+    XIA_CHECK(synopsis.ok());
+    benchmark::DoNotOptimize(synopsis);
+  }
+}
+BENCHMARK(BM_BuildSynopsis)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Persistent storage: cold vs. warm recovery-on-open (storage/

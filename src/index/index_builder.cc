@@ -13,12 +13,13 @@ Result<PathIndex> BuildIndex(const Database& db, const IndexDefinition& def) {
                             " does not exist");
   }
   std::vector<PathIndex::Entry> entries;
+  std::string scratch;
   for (DocId id = 0; id < static_cast<DocId>(coll->num_docs()); ++id) {
     if (!coll->IsLive(id)) continue;  // Tombstoned: nothing to index.
     const Document& doc = coll->doc(id);
     for (NodeIndex n : EvaluatePattern(doc, db.names(), def.pattern)) {
-      std::string value = doc.TextValue(n);
-      std::optional<TypedValue> key = TypedValue::Make(def.type, value);
+      std::optional<TypedValue> key =
+          TypedValue::Make(def.type, doc.TextView(n, &scratch));
       if (!key.has_value()) continue;  // Non-castable for DOUBLE: rejected.
       entries.push_back(PathIndex::Entry{std::move(*key),
                                          NodeRef{doc.id(), n}});

@@ -30,14 +30,15 @@ Result<MaintenanceStats> ApplyDocumentInsert(const Database& db,
   const Document& document = coll->doc(doc);
   MaintenanceStats stats;
   StorageConstants constants;
+  std::string scratch;
   for (const CatalogEntry* entry : catalog->IndexesFor(collection)) {
     if (entry->is_virtual) continue;
     CatalogEntry* mutable_entry = catalog->FindMutable(entry->def.name);
     std::vector<PathIndex::Entry> new_entries;
     for (NodeIndex n :
          EvaluatePattern(document, db.names(), entry->def.pattern)) {
-      std::optional<TypedValue> key =
-          TypedValue::Make(entry->def.type, document.TextValue(n));
+      std::optional<TypedValue> key = TypedValue::Make(
+          entry->def.type, document.TextView(n, &scratch));
       if (!key.has_value()) continue;
       new_entries.push_back(
           PathIndex::Entry{std::move(*key), NodeRef{doc, n}});

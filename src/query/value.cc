@@ -16,7 +16,7 @@ const char* ValueTypeName(ValueType type) {
 }
 
 std::optional<TypedValue> TypedValue::Make(ValueType type,
-                                           const std::string& raw) {
+                                           std::string_view raw) {
   TypedValue v;
   v.type = type;
   if (type == ValueType::kDouble) {
@@ -24,7 +24,7 @@ std::optional<TypedValue> TypedValue::Make(ValueType type,
     if (!parsed.has_value()) return std::nullopt;
     v.num = *parsed;
   } else {
-    v.str = raw;
+    v.str.assign(raw);
   }
   return v;
 }

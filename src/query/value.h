@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace xia {
 
@@ -23,7 +24,7 @@ struct TypedValue {
   std::string str;
 
   static std::optional<TypedValue> Make(ValueType type,
-                                        const std::string& raw);
+                                        std::string_view raw);
 
   bool operator<(const TypedValue& other) const;
   bool operator==(const TypedValue& other) const;

@@ -254,7 +254,9 @@ void ReportDml(VerbCall& call, const char* what, wlm::CaptureKind kind,
                const Result<dml::DmlResult>& result) {
   std::ostream& out = call.out;
   if (!result.ok()) {
-    out << result.status().ToString() << "\n";
+    // A failed mutation: the server answers ERR with the reason.
+    out << result.status().ToString() << (call.host != nullptr ? "" : "\n");
+    call.outcome = CommandOutcome::kRefused;
     return;
   }
   const dml::DmlResult& r = *result;

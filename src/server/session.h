@@ -139,8 +139,8 @@ struct ClientSession {
 /// What Execute() decided about a command line.
 enum class CommandOutcome {
   kHandled,  // Executed (successfully or not); reply text written.
-  kRefused,  // A serving verb declined (`ready` while not ready); the
-             // reply text is the reason.
+  kRefused,  // A serving verb declined (`ready` while not ready) or a
+             // DML verb's mutation failed; the reply text is the reason.
   kQuit,     // `quit` / `exit`: close the session.
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <set>
 
 #include "common/metrics.h"
@@ -67,7 +68,7 @@ SynopsisNode* PathSynopsis::ChildFor(SynopsisNode* parent, NameId name,
   return parent->children.back().get();
 }
 
-void PathSynopsis::ObserveValue(SynopsisNode* sn, const std::string& value) {
+void PathSynopsis::ObserveValue(SynopsisNode* sn, std::string_view value) {
   sn->value_count++;
   sn->total_value_bytes += static_cast<double>(value.size());
   if (auto d = ParseDouble(value); d.has_value()) {
@@ -79,37 +80,41 @@ void PathSynopsis::ObserveValue(SynopsisNode* sn, const std::string& value) {
     }
     sn->numeric_count++;
   }
-  // Reservoir sampling keeps a uniform sample of all observed values.
+  // Reservoir sampling keeps a uniform sample of all observed values; a
+  // value is copied only into the slot that keeps it.
   sn->sample_seen++;
   if (sn->sample.size() < kSampleCap) {
-    sn->sample.push_back(value);
+    sn->sample.emplace_back(value);
   } else {
     size_t j = static_cast<size_t>(rng_.Uniform(
         0, static_cast<int64_t>(sn->sample_seen) - 1));
-    if (j < kSampleCap) sn->sample[j] = value;
+    if (j < kSampleCap) sn->sample[j].assign(value);
   }
   // Capped distinct tracker; saturates at kDistinctCap.
-  if (sn->distinct_probe.size() < kDistinctCap &&
-      std::find(sn->distinct_probe.begin(), sn->distinct_probe.end(),
-                value) == sn->distinct_probe.end()) {
-    sn->distinct_probe.push_back(value);
+  if (sn->distinct_probe.size() < kDistinctCap) {
+    const uint64_t hash = std::hash<std::string_view>{}(value);
+    auto it = std::lower_bound(sn->distinct_probe.begin(),
+                               sn->distinct_probe.end(), hash);
+    if (it == sn->distinct_probe.end() || *it != hash) {
+      sn->distinct_probe.insert(it, hash);
+    }
   }
 }
 
 void PathSynopsis::AddNode(const Document& doc, NodeIndex idx,
-                           SynopsisNode* parent) {
+                           SynopsisNode* parent, std::string* scratch) {
   const XmlNode& n = doc.node(idx);
   if (n.kind == NodeKind::kText) return;  // Text folds into parent's value.
   SynopsisNode* sn =
       ChildFor(parent, n.name, n.kind == NodeKind::kAttribute);
   sn->count++;
   total_nodes_++;
-  std::string value = doc.TextValue(idx);
+  std::string_view value = doc.TextView(idx, scratch);
   if (!value.empty()) ObserveValue(sn, value);
   if (n.kind == NodeKind::kElement) {
     for (NodeIndex c = n.first_child; c != kNullNode;
          c = doc.node(c).next_sibling) {
-      AddNode(doc, c, sn);
+      AddNode(doc, c, sn, scratch);
     }
   }
 }
@@ -131,7 +136,8 @@ void PathSynopsis::InvalidateMemos() {
 
 void PathSynopsis::AddDocument(const Document& doc) {
   if (doc.empty()) return;
-  AddNode(doc, doc.root(), root_.get());
+  std::string scratch;
+  AddNode(doc, doc.root(), root_.get(), &scratch);
   // A memoized estimate computed before this document must not survive
   // it; cheap during a full build (the memos are empty until the first
   // estimator call).
@@ -139,7 +145,7 @@ void PathSynopsis::AddDocument(const Document& doc) {
 }
 
 void PathSynopsis::RemoveNode(const Document& doc, NodeIndex idx,
-                              SynopsisNode* parent) {
+                              SynopsisNode* parent, std::string* scratch) {
   const XmlNode& n = doc.node(idx);
   if (n.kind == NodeKind::kText) return;  // Folded into parent's value.
   SynopsisNode* sn =
@@ -150,7 +156,7 @@ void PathSynopsis::RemoveNode(const Document& doc, NodeIndex idx,
     total_nodes_--;
     removed_nodes_++;
   }
-  std::string value = doc.TextValue(idx);
+  std::string_view value = doc.TextView(idx, scratch);
   if (!value.empty() && sn->value_count > 0) {
     sn->value_count--;
     sn->total_value_bytes = std::max(
@@ -164,14 +170,15 @@ void PathSynopsis::RemoveNode(const Document& doc, NodeIndex idx,
   if (n.kind == NodeKind::kElement) {
     for (NodeIndex c = n.first_child; c != kNullNode;
          c = doc.node(c).next_sibling) {
-      RemoveNode(doc, c, sn);
+      RemoveNode(doc, c, sn, scratch);
     }
   }
 }
 
 void PathSynopsis::RemoveDocument(const Document& doc) {
   if (doc.empty()) return;
-  RemoveNode(doc, doc.root(), root_.get());
+  std::string scratch;
+  RemoveNode(doc, doc.root(), root_.get(), &scratch);
   InvalidateMemos();
 }
 

@@ -30,7 +30,10 @@ struct SynopsisNode {
   double total_value_bytes = 0.0;
   std::vector<std::string> sample;  // Reservoir sample of values.
   uint64_t sample_seen = 0;
-  std::vector<std::string> distinct_probe;  // Capped distinct tracker.
+  // Capped distinct tracker: the sorted 64-bit hashes of the distinct
+  // values seen. Only its size is read; two values collide with odds of
+  // about 2^-64.
+  std::vector<uint64_t> distinct_probe;
   SynopsisNode* parent = nullptr;
   std::vector<std::unique_ptr<SynopsisNode>> children;
 
@@ -164,9 +167,12 @@ class PathSynopsis {
   SynopsisNode* ChildFor(SynopsisNode* parent, NameId name, bool is_attr);
   SynopsisNode* FindChild(SynopsisNode* parent, NameId name,
                           bool is_attr) const;
-  void AddNode(const Document& doc, NodeIndex idx, SynopsisNode* parent);
-  void RemoveNode(const Document& doc, NodeIndex idx, SynopsisNode* parent);
-  void ObserveValue(SynopsisNode* sn, const std::string& value);
+  // `scratch` holds a value TextView had to concatenate.
+  void AddNode(const Document& doc, NodeIndex idx, SynopsisNode* parent,
+               std::string* scratch);
+  void RemoveNode(const Document& doc, NodeIndex idx, SynopsisNode* parent,
+                  std::string* scratch);
+  void ObserveValue(SynopsisNode* sn, std::string_view value);
   /// Drops the estimator memos and draws a new version() — the common
   /// tail of every mutation.
   void InvalidateMemos();

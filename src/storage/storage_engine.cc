@@ -513,6 +513,18 @@ Status StorageEngine::AppendWal(WalRecordType type, std::string payload) {
   return Status::Ok();
 }
 
+Status StorageEngine::ReconcileFailedApply(Status applied) {
+  if (applied.ok() || !persistent()) return applied;
+  Status checkpointed = Checkpoint();
+  if (checkpointed.ok()) return applied;
+  wal_.reset();  // AppendWal refuses until a checkpoint succeeds.
+  return Status(applied.code(), applied.message() +
+                                    "; not checkpointed after the failed "
+                                    "apply (" +
+                                    checkpointed.message() + "); " +
+                                    kRefusedUntilCheckpoint);
+}
+
 Status StorageEngine::ReplayRecord(const WalRecord& record) {
   BinReader r(record.payload);
   switch (record.type) {
@@ -608,8 +620,11 @@ Status StorageEngine::CreateCollection(const std::string& name) {
   BinWriter w;
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kCreateCollection, w.Take()));
-  std::unique_lock<RwLock> lock = LockForApply();
-  return db_->CreateCollection(name).status();
+  Status created = [&] {
+    std::unique_lock<RwLock> lock = LockForApply();
+    return db_->CreateCollection(name).status();
+  }();
+  return ReconcileFailedApply(std::move(created));
 }
 
 Status StorageEngine::Analyze(const std::string& collection) {
@@ -642,8 +657,11 @@ Result<std::string> StorageEngine::CreateIndex(const std::string& ddl) {
   w.Str(normalized);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kCreateIndex, w.Take()));
   std::string name = index.def().name;
-  std::unique_lock<RwLock> lock = LockForApply();
-  XIA_RETURN_IF_ERROR(InstallIndex(std::move(index)));
+  Status installed = [&] {
+    std::unique_lock<RwLock> lock = LockForApply();
+    return InstallIndex(std::move(index));
+  }();
+  XIA_RETURN_IF_ERROR(ReconcileFailedApply(std::move(installed)));
   return name;
 }
 
@@ -654,8 +672,11 @@ Status StorageEngine::DropIndex(const std::string& name) {
   BinWriter w;
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kDropIndex, w.Take()));
-  std::unique_lock<RwLock> lock = LockForApply();
-  return catalog_->Drop(name);
+  Status dropped = [&] {
+    std::unique_lock<RwLock> lock = LockForApply();
+    return catalog_->Drop(name);
+  }();
+  return ReconcileFailedApply(std::move(dropped));
 }
 
 Result<dml::DmlResult> StorageEngine::InsertDocument(
@@ -674,8 +695,13 @@ Result<dml::DmlResult> StorageEngine::InsertDocument(
   w.Str(collection);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kInsertDocument, w.Take()));
-  std::unique_lock<RwLock> lock = LockForApply();
-  return dml::ApplyInsert(db_, catalog_, collection, std::move(parsed), names);
+  Result<dml::DmlResult> result = [&] {
+    std::unique_lock<RwLock> lock = LockForApply();
+    return dml::ApplyInsert(db_, catalog_, collection, std::move(parsed),
+                            names);
+  }();
+  if (!result.ok()) return ReconcileFailedApply(result.status());
+  return result;
 }
 
 Result<dml::DmlResult> StorageEngine::DeleteDocument(
@@ -698,9 +724,8 @@ Result<dml::DmlResult> StorageEngine::DeleteDocument(
     std::unique_lock<RwLock> lock = LockForApply();
     return dml::ApplyDelete(db_, catalog_, collection, doc, fallback());
   }();
-  if (result.ok()) {
-    XIA_RETURN_IF_ERROR(FinishFallback(collection, *result));
-  }
+  if (!result.ok()) return ReconcileFailedApply(result.status());
+  XIA_RETURN_IF_ERROR(FinishFallback(collection, *result));
   return result;
 }
 
@@ -728,9 +753,8 @@ Result<dml::DmlResult> StorageEngine::UpdateDocument(
     return dml::ApplyUpdate(db_, catalog_, collection, doc, std::move(parsed),
                             names, fallback());
   }();
-  if (result.ok()) {
-    XIA_RETURN_IF_ERROR(FinishFallback(collection, *result));
-  }
+  if (!result.ok()) return ReconcileFailedApply(result.status());
+  XIA_RETURN_IF_ERROR(FinishFallback(collection, *result));
   return result;
 }
 

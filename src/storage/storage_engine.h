@@ -113,7 +113,10 @@ class StorageEngine {
 
   // ------------------------------------------------ Logged mutations.
   // Each validates (and builds what it installs), appends the WAL record,
-  // then applies in memory.
+  // then applies in memory. An apply that fails after its record was
+  // appended is reconciled at once: the engine checkpoints the live
+  // state, which retires the record; if that checkpoint fails too, the
+  // WAL writer is dropped, as after a failed BulkLoad checkpoint.
 
   Status CreateCollection(const std::string& name);
   Status Analyze(const std::string& collection);
@@ -215,6 +218,12 @@ class StorageEngine {
                         const dml::DmlResult& result);
 
   Status AppendWal(WalRecordType type, std::string payload);
+  /// `applied` is the outcome of applying a record AppendWal logged.
+  /// On failure, checkpoints, so replay never applies what the live
+  /// state lacks; if the checkpoint fails, drops the WAL writer (logged
+  /// mutations are refused until a checkpoint succeeds) and says so in
+  /// the returned error. Returns `applied` otherwise.
+  Status ReconcileFailedApply(Status applied);
 
   /// Serializes db_/catalog_ into one page-file image.
   std::string SerializeCheckpoint() const;

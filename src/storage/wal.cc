@@ -43,16 +43,18 @@ Status WriteAllFd(int fd, const char* data, size_t len,
 }  // namespace
 
 std::string EncodeWalRecord(const WalRecord& record) {
-  BinWriter body;  // The CRC-covered region: lsn, type, payload_len,
-  body.U64(record.lsn);  // payload.
-  body.U8(static_cast<uint8_t>(record.type));
-  body.U32(static_cast<uint32_t>(record.payload.size()));
-  std::string crc_region = body.Take() + record.payload;
-
   BinWriter head;
   head.U32(kWalMagic);
-  head.U32(Crc32(crc_region));
-  return head.Take() + crc_region;
+  head.U32(0);  // Checksum placeholder, patched below.
+  head.U64(record.lsn);  // The CRC-covered region: lsn, type,
+  head.U8(static_cast<uint8_t>(record.type));  // payload_len, payload.
+  head.U32(static_cast<uint32_t>(record.payload.size()));
+  std::string encoded = head.Take();
+  encoded.reserve(encoded.size() + record.payload.size());
+  encoded += record.payload;
+  const uint32_t crc = Crc32(std::string_view(encoded).substr(8));
+  std::memcpy(encoded.data() + 4, &crc, 4);
+  return encoded;
 }
 
 WalReadResult ScanWal(std::string_view data) {

@@ -10,34 +10,34 @@ DocumentBuilder::DocumentBuilder(NameTable* names) : names_(names) {
   XIA_CHECK(names_ != nullptr);
 }
 
-NodeIndex DocumentBuilder::Append(XmlNode node) {
-  NodeIndex idx = static_cast<NodeIndex>(doc_.nodes_.size());
+void DocumentBuilder::Reserve(size_t nodes) { doc_.nodes_.reserve(nodes); }
+
+XmlNode& DocumentBuilder::Append(NodeKind kind, NameId name) {
+  const NodeIndex idx = static_cast<NodeIndex>(doc_.nodes_.size());
+  XmlNode& node = doc_.nodes_.emplace_back();
+  node.kind = kind;
+  node.name = name;
   if (!stack_.empty()) {
-    NodeIndex parent = stack_.back();
+    const NodeIndex parent = stack_.back();
+    XmlNode& parent_node = doc_.nodes_[static_cast<size_t>(parent)];
     node.parent = parent;
-    node.level = static_cast<uint16_t>(doc_.nodes_[static_cast<size_t>(parent)].level + 1);
-    NodeIndex prev = last_child_.back();
+    node.level = static_cast<uint16_t>(parent_node.level + 1);
+    NodeIndex& prev = last_child_.back();
     if (prev == kNullNode) {
-      doc_.nodes_[static_cast<size_t>(parent)].first_child = idx;
+      parent_node.first_child = idx;
     } else {
       doc_.nodes_[static_cast<size_t>(prev)].next_sibling = idx;
     }
-    last_child_.back() = idx;
-  } else {
-    node.parent = kNullNode;
-    node.level = 0;
+    prev = idx;
   }
   node.begin = next_begin_++;
   node.end = node.begin;
-  doc_.nodes_.push_back(std::move(node));
-  return idx;
+  return node;
 }
 
 void DocumentBuilder::StartElement(std::string_view name) {
-  XmlNode node;
-  node.kind = NodeKind::kElement;
-  node.name = names_->Intern(name);
-  NodeIndex idx = Append(std::move(node));
+  const NodeIndex idx = static_cast<NodeIndex>(doc_.nodes_.size());
+  Append(NodeKind::kElement, names_->Intern(name));
   stack_.push_back(idx);
   last_child_.push_back(kNullNode);
 }
@@ -45,19 +45,12 @@ void DocumentBuilder::StartElement(std::string_view name) {
 void DocumentBuilder::AddAttribute(std::string_view name,
                                    std::string_view value) {
   XIA_CHECK(!stack_.empty());
-  XmlNode node;
-  node.kind = NodeKind::kAttribute;
-  node.name = names_->Intern(name);
-  node.value = std::string(value);
-  Append(std::move(node));
+  Append(NodeKind::kAttribute, names_->Intern(name)).value.assign(value);
 }
 
 void DocumentBuilder::AddText(std::string_view text) {
   XIA_CHECK(!stack_.empty());
-  XmlNode node;
-  node.kind = NodeKind::kText;
-  node.value = std::string(text);
-  Append(std::move(node));
+  Append(NodeKind::kText, kNoName).value.assign(text);
 }
 
 void DocumentBuilder::EndElement() {

@@ -23,6 +23,11 @@ class DocumentBuilder {
   DocumentBuilder(const DocumentBuilder&) = delete;
   DocumentBuilder& operator=(const DocumentBuilder&) = delete;
 
+  /// Reserves room for `nodes` nodes in the document under construction,
+  /// so a caller that can bound its size fills the array without
+  /// regrowing it (the parser sizes it once from its input).
+  void Reserve(size_t nodes);
+
   /// Opens a child element of the current element (or the root).
   void StartElement(std::string_view name);
 
@@ -47,7 +52,9 @@ class DocumentBuilder {
   std::vector<NodeIndex> last_child_;  // Last child appended per open elem.
   uint32_t next_begin_ = 0;
 
-  NodeIndex Append(XmlNode node);
+  /// Constructs the next node in place, linked under the current element
+  /// (or as the root), and returns it for its value to be filled in.
+  XmlNode& Append(NodeKind kind, NameId name);
 };
 
 }  // namespace xia

@@ -64,14 +64,29 @@ void Document::SealByteSize() {
 }
 
 std::string Document::TextValue(NodeIndex i) const {
+  std::string scratch;
+  return std::string(TextView(i, &scratch));
+}
+
+std::string_view Document::TextView(NodeIndex i, std::string* scratch) const {
   const XmlNode& n = node(i);
   if (n.kind != NodeKind::kElement) return n.value;
-  std::string out;
+  const std::string* first = nullptr;
+  bool concatenated = false;
   for (NodeIndex c = n.first_child; c != kNullNode;
        c = node(c).next_sibling) {
-    if (node(c).kind == NodeKind::kText) out += node(c).value;
+    const XmlNode& child = node(c);
+    if (child.kind != NodeKind::kText) continue;
+    if (first == nullptr) {
+      first = &child.value;
+    } else {
+      if (!concatenated) scratch->assign(*first);
+      scratch->append(child.value);
+      concatenated = true;
+    }
   }
-  return out;
+  if (concatenated) return *scratch;
+  return first == nullptr ? std::string_view() : std::string_view(*first);
 }
 
 }  // namespace xia

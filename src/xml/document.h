@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -62,6 +63,12 @@ class Document {
   /// "typed value" for indexing); for attributes and text nodes, the stored
   /// value itself.
   std::string TextValue(NodeIndex i) const;
+
+  /// The same value as a view, copying only what must be concatenated:
+  /// the stored value for attributes, text nodes and elements with at
+  /// most one direct text child; otherwise the concatenation, built in
+  /// `*scratch`. Valid until the document or `*scratch` changes.
+  std::string_view TextView(NodeIndex i, std::string* scratch) const;
 
   /// Approximate in-memory/storage footprint in bytes (sizeof(XmlNode)
   /// plus the value length, summed over nodes), used by the cost model

@@ -1,10 +1,11 @@
 #include "xml/parser.h"
 
-#include <cctype>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "xml/builder.h"
 
 namespace xia {
@@ -17,15 +18,66 @@ obs::Counter& ParseCounter() {
   return counter;
 }
 
+// Character classes of the "C" locale, the only one the accepted subset
+// knows (names are ASCII).
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool IsNameStart(char c) { return IsAlpha(c) || c == '_' || c == ':'; }
+bool IsNameChar(char c) {
+  return IsAlpha(c) || (c >= '0' && c <= '9') || c == '_' || c == ':' ||
+         c == '-' || c == '.';
+}
+
+bool IsBlank(std::string_view text) {
+  for (char c : text) {
+    if (!IsSpace(c)) return false;
+  }
+  return true;
+}
+
+/// The node array's one reservation: a '<' per element start and end tag
+/// and a '=' per attribute bound the nodes of a document without mixed
+/// content, where at most one text node ends at each end tag. Mixed
+/// content can exceed it; the array then grows as usual.
+size_t EstimateNodes(std::string_view input) {
+  // '<' (0x3C) and '=' (0x3D) differ only in the low bit: a byte is one
+  // of them iff (byte | 1) == '='. Eight bytes at a time, x has a zero
+  // byte at each hit; the exact zero-byte test sets that byte's high bit,
+  // and the multiply sums the eight flags into the top byte.
+  constexpr uint64_t kOnes = 0x0101010101010101ull;
+  constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+  size_t marks = 0;
+  size_t i = 0;
+  for (; i + 8 <= input.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, input.data() + i, 8);
+    const uint64_t x = (word | kOnes) ^ (kOnes * '=');
+    const uint64_t hits = ~(((x & kLow7) + kLow7) | x) & (kOnes << 7);
+    marks += ((hits >> 7) * kOnes) >> 56;
+  }
+  for (; i < input.size(); ++i) marks += (input[i] | 1) == '=';
+  return marks;
+}
+
 /// Internal cursor-based scanner; reports errors with byte offsets.
+///
+/// Names, attribute values and text reach the builder as views into the
+/// input; only a run holding an entity reference, or text split by a
+/// comment, PI or CDATA section, is assembled in a buffer first. Open
+/// elements live on an explicit stack, so nesting depth costs heap, not
+/// call stack, and is capped at XmlParser::kMaxDepth.
 class Scanner {
  public:
   Scanner(std::string_view input, NameTable* names)
-      : input_(input), builder_(names) {}
+      : input_(input), builder_(names) {
+    builder_.Reserve(EstimateNodes(input));
+  }
 
   Result<Document> Run() {
     SkipProlog();
-    XIA_RETURN_IF_ERROR(ParseElement());
+    XIA_RETURN_IF_ERROR(ParseRootElement());
     SkipMisc();
     if (pos_ != input_.size()) {
       return Error("trailing content after root element");
@@ -37,6 +89,13 @@ class Scanner {
   std::string_view input_;
   size_t pos_ = 0;
   DocumentBuilder builder_;
+  std::vector<std::string_view> open_;  // Open elements' names.
+  // The innermost open element's text since its last child: a view of
+  // one undecoded run, or (text_in_buf_) assembled in text_buf_.
+  std::string_view text_;
+  bool text_in_buf_ = false;
+  std::string text_buf_;
+  std::string value_buf_;  // A decoded attribute value.
 
   Status Error(const std::string& what) const {
     return Status::ParseError("XML parse error at offset " +
@@ -46,7 +105,7 @@ class Scanner {
   bool Eof() const { return pos_ >= input_.size(); }
   char Peek() const { return input_[pos_]; }
   bool Match(std::string_view token) {
-    if (input_.substr(pos_, token.size()) == token) {
+    if (input_.substr(pos_).starts_with(token)) {
       pos_ += token.size();
       return true;
     }
@@ -54,7 +113,7 @@ class Scanner {
   }
 
   void SkipWhitespace() {
-    while (!Eof() && std::isspace(static_cast<unsigned char>(Peek()))) ++pos_;
+    while (!Eof() && IsSpace(Peek())) ++pos_;
   }
 
   /// Skips XML declaration, comments, PIs, and DOCTYPE before the root.
@@ -92,32 +151,25 @@ class Scanner {
                                              : found + token.size();
   }
 
-  static bool IsNameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-           c == ':';
-  }
-  static bool IsNameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == ':' || c == '-' || c == '.';
-  }
-
-  Result<std::string> ParseName() {
-    if (Eof() || !IsNameStart(Peek())) {
-      return Error("expected name");
-    }
+  /// Reads a name at the cursor into `*name`; false if none starts here.
+  bool ReadName(std::string_view* name) {
+    if (Eof() || !IsNameStart(Peek())) return false;
     size_t start = pos_;
     ++pos_;
     while (!Eof() && IsNameChar(Peek())) ++pos_;
-    return std::string(input_.substr(start, pos_ - start));
+    *name = input_.substr(start, pos_ - start);
+    return true;
   }
 
-  /// Decodes the five predefined entities plus numeric character refs.
-  Result<std::string> DecodeText(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
+  /// Appends `raw` to `*out`, decoding the five predefined entities plus
+  /// numeric character references.
+  Status DecodeInto(std::string_view raw, std::string* out) const {
     for (size_t i = 0; i < raw.size();) {
       if (raw[i] != '&') {
-        out.push_back(raw[i++]);
+        size_t amp = raw.find('&', i);
+        if (amp == std::string_view::npos) amp = raw.size();
+        out->append(raw.substr(i, amp - i));
+        i = amp;
         continue;
       }
       size_t semi = raw.find(';', i);
@@ -126,15 +178,15 @@ class Scanner {
       }
       std::string_view ent = raw.substr(i + 1, semi - i - 1);
       if (ent == "lt") {
-        out.push_back('<');
+        out->push_back('<');
       } else if (ent == "gt") {
-        out.push_back('>');
+        out->push_back('>');
       } else if (ent == "amp") {
-        out.push_back('&');
+        out->push_back('&');
       } else if (ent == "quot") {
-        out.push_back('"');
+        out->push_back('"');
       } else if (ent == "apos") {
-        out.push_back('\'');
+        out->push_back('\'');
       } else if (!ent.empty() && ent[0] == '#') {
         int base = 10;
         std::string_view digits = ent.substr(1);
@@ -142,6 +194,8 @@ class Scanner {
           base = 16;
           digits = digits.substr(1);
         }
+        // Saturates past the largest code point, so any longer run of
+        // digits reads as out of range.
         long code = 0;
         for (char c : digits) {
           int d;
@@ -154,33 +208,33 @@ class Scanner {
           } else {
             return Error("bad character reference");
           }
-          code = code * base + d;
+          if (code <= 0x10FFFF) code = code * base + d;
         }
         if (code <= 0 || code > 0x10FFFF) {
           return Error("character reference out of range");
         }
         // Encode as UTF-8.
         if (code < 0x80) {
-          out.push_back(static_cast<char>(code));
+          out->push_back(static_cast<char>(code));
         } else if (code < 0x800) {
-          out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
         } else if (code < 0x10000) {
-          out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
         } else {
-          out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-          out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
         }
       } else {
         return Error("unknown entity &" + std::string(ent) + ";");
       }
       i = semi + 1;
     }
-    return out;
+    return Status::Ok();
   }
 
   Status ParseAttributes() {
@@ -188,77 +242,71 @@ class Scanner {
       SkipWhitespace();
       if (Eof()) return Error("unexpected end in tag");
       if (Peek() == '>' || Peek() == '/') return Status::Ok();
-      XIA_ASSIGN_OR_RETURN(std::string name, ParseName());
+      std::string_view name;
+      if (!ReadName(&name)) return Error("expected name");
       SkipWhitespace();
       if (!Match("=")) return Error("expected '=' after attribute name");
       SkipWhitespace();
       if (Eof() || (Peek() != '"' && Peek() != '\'')) {
         return Error("expected quoted attribute value");
       }
-      char quote = Peek();
+      const char quote = Peek();
       ++pos_;
-      size_t start = pos_;
-      while (!Eof() && Peek() != quote) ++pos_;
-      if (Eof()) return Error("unterminated attribute value");
-      XIA_ASSIGN_OR_RETURN(std::string value,
-                           DecodeText(input_.substr(start, pos_ - start)));
+      const size_t start = pos_;
+      const size_t close = input_.find(quote, pos_);
+      if (close == std::string_view::npos) {
+        pos_ = input_.size();
+        return Error("unterminated attribute value");
+      }
+      pos_ = close;
+      std::string_view value = input_.substr(start, close - start);
+      if (value.find('&') != std::string_view::npos) {
+        value_buf_.clear();
+        XIA_RETURN_IF_ERROR(DecodeInto(value, &value_buf_));
+        value = value_buf_;
+      }
       ++pos_;  // Closing quote.
       builder_.AddAttribute(name, value);
     }
   }
 
-  Status ParseContent() {
-    std::string pending_text;
-    auto flush_text = [&]() {
-      // Whitespace-only runs between elements are ignored; mixed content
-      // keeps its text verbatim.
-      if (!Trim(pending_text).empty()) {
-        builder_.AddText(pending_text);
+  /// Adds one run to the pending text: character data (decoded) or a
+  /// CDATA section (verbatim).
+  Status AddRun(std::string_view raw, bool decode) {
+    const bool has_entity =
+        decode && raw.find('&') != std::string_view::npos;
+    if (!text_in_buf_) {
+      if (!has_entity && text_.empty()) {
+        text_ = raw;
+        return Status::Ok();
       }
-      pending_text.clear();
-    };
-    while (true) {
-      if (Eof()) return Error("unexpected end inside element");
-      if (Peek() == '<') {
-        if (Match("<!--")) {
-          SkipUntil("-->");
-          continue;
-        }
-        if (Match("<![CDATA[")) {
-          size_t end = input_.find("]]>", pos_);
-          if (end == std::string_view::npos) {
-            return Error("unterminated CDATA");
-          }
-          pending_text += std::string(input_.substr(pos_, end - pos_));
-          pos_ = end + 3;
-          continue;
-        }
-        if (Match("<?")) {
-          SkipUntil("?>");
-          continue;
-        }
-        if (input_.substr(pos_, 2) == "</") {
-          flush_text();
-          return Status::Ok();  // Caller consumes the end tag.
-        }
-        flush_text();
-        XIA_RETURN_IF_ERROR(ParseElement());
-        continue;
-      }
-      size_t lt = input_.find('<', pos_);
-      if (lt == std::string_view::npos) {
-        return Error("unexpected end inside element content");
-      }
-      XIA_ASSIGN_OR_RETURN(std::string text,
-                           DecodeText(input_.substr(pos_, lt - pos_)));
-      pending_text += text;
-      pos_ = lt;
+      text_buf_.assign(text_);
+      text_in_buf_ = true;
     }
+    if (has_entity) return DecodeInto(raw, &text_buf_);
+    text_buf_.append(raw);
+    return Status::Ok();
   }
 
-  Status ParseElement() {
+  /// Hands the pending text to the builder. Whitespace-only runs between
+  /// elements are ignored; mixed content keeps its text verbatim.
+  void FlushText() {
+    std::string_view text = text_in_buf_ ? std::string_view(text_buf_) : text_;
+    if (!IsBlank(text)) builder_.AddText(text);
+    text_ = {};
+    text_in_buf_ = false;
+  }
+
+  /// `<name attributes>` opens an element; `<name attributes/>` opens
+  /// and closes it.
+  Status ParseStartTag() {
     if (!Match("<")) return Error("expected '<'");
-    XIA_ASSIGN_OR_RETURN(std::string name, ParseName());
+    std::string_view name;
+    if (!ReadName(&name)) return Error("expected name");
+    if (open_.size() >= XmlParser::kMaxDepth) {
+      return Error("elements nest deeper than the limit of " +
+                   std::to_string(XmlParser::kMaxDepth) + " levels");
+    }
     builder_.StartElement(name);
     XIA_RETURN_IF_ERROR(ParseAttributes());
     if (Match("/>")) {
@@ -266,16 +314,64 @@ class Scanner {
       return Status::Ok();
     }
     if (!Match(">")) return Error("expected '>' to close start tag");
-    XIA_RETURN_IF_ERROR(ParseContent());
-    if (!Match("</")) return Error("expected end tag");
-    XIA_ASSIGN_OR_RETURN(std::string end_name, ParseName());
-    if (end_name != name) {
-      return Error("mismatched end tag </" + end_name + "> for <" + name +
-                   ">");
+    open_.push_back(name);
+    return Status::Ok();
+  }
+
+  /// `</name>` closing the innermost open element.
+  Status ParseEndTag() {
+    pos_ += 2;  // "</"
+    std::string_view name;
+    if (!ReadName(&name)) return Error("expected name");
+    if (name != open_.back()) {
+      return Error("mismatched end tag </" + std::string(name) + "> for <" +
+                   std::string(open_.back()) + ">");
     }
     SkipWhitespace();
     if (!Match(">")) return Error("expected '>' after end tag name");
     builder_.EndElement();
+    open_.pop_back();
+    return Status::Ok();
+  }
+
+  /// The root element and everything inside it.
+  Status ParseRootElement() {
+    XIA_RETURN_IF_ERROR(ParseStartTag());
+    while (!open_.empty()) {
+      if (Eof()) return Error("unexpected end inside element");
+      if (Peek() != '<') {
+        size_t lt = input_.find('<', pos_);
+        if (lt == std::string_view::npos) {
+          return Error("unexpected end inside element content");
+        }
+        XIA_RETURN_IF_ERROR(AddRun(input_.substr(pos_, lt - pos_), true));
+        pos_ = lt;
+        continue;
+      }
+      if (Match("<!--")) {
+        SkipUntil("-->");
+        continue;
+      }
+      if (Match("<![CDATA[")) {
+        size_t end = input_.find("]]>", pos_);
+        if (end == std::string_view::npos) {
+          return Error("unterminated CDATA");
+        }
+        XIA_RETURN_IF_ERROR(AddRun(input_.substr(pos_, end - pos_), false));
+        pos_ = end + 3;
+        continue;
+      }
+      if (Match("<?")) {
+        SkipUntil("?>");
+        continue;
+      }
+      FlushText();
+      if (input_.substr(pos_).starts_with("</")) {
+        XIA_RETURN_IF_ERROR(ParseEndTag());
+      } else {
+        XIA_RETURN_IF_ERROR(ParseStartTag());
+      }
+    }
     return Status::Ok();
   }
 };

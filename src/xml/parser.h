@@ -1,6 +1,7 @@
 #ifndef XIA_XML_PARSER_H_
 #define XIA_XML_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/status.h"
@@ -16,6 +17,12 @@ namespace xia {
 /// Namespaces are not expanded; prefixed names are kept verbatim.
 class XmlParser {
  public:
+  /// Deepest element nesting a document may have (the root is level 1).
+  /// A deeper one fails with a ParseError naming this limit, which keeps
+  /// the recursive document walkers (the serializer, the path synopsis)
+  /// well inside a worker thread's stack.
+  static constexpr size_t kMaxDepth = 4096;
+
   explicit XmlParser(NameTable* names) : names_(names) {}
 
   /// Parses one document from `input`. Trailing whitespace is allowed;
@@ -24,6 +31,10 @@ class XmlParser {
   /// leaves the names it reached interned: parse against a private
   /// table when that table must not change on failure. Every call counts
   /// one `xml.parse.documents`.
+  ///
+  /// One pass, and no copy of the input beyond the node values: the
+  /// scanner hands the builder views into `input`, which are valid only
+  /// during this call; the returned document owns copies.
   Result<Document> Parse(std::string_view input);
 
  private:

@@ -812,5 +812,117 @@ TEST(PersistenceTest, DmlAgainstMissingTargetsIsRejectedBeforeLogging) {
   ASSERT_TRUE(inst.engine->DeleteDocument("docs", 0).ok());  // Healthy.
 }
 
+// A logged apply that fails after its WAL append is reconciled by an
+// immediate checkpoint, which retires the record: the live state and a
+// reopened one agree. (Without it, the failed install left no index live,
+// while replay after a kill built one.)
+TEST(PersistenceTest, CreateIndexWhoseInstallFailsLeavesNoIndexLiveOrReopened) {
+  ScratchDir dir("xia_persist_failed_install");
+  std::string fingerprint;
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocA).ok());
+    ASSERT_TRUE(fp::ArmFromSpec("index.catalog.ddl=error,trips:1").ok());
+    Result<std::string> created = inst.engine->CreateIndex(kDdl);
+    fp::DisarmAll();
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(inst.catalog.size(), 0u);
+    // The engine still logs: the next mutation is accepted and durable.
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocB).ok());
+    fingerprint = inst.Fingerprint();
+    // Killed without Close().
+  }
+  Instance reopened;
+  ASSERT_TRUE(reopened.OpenIn(dir.db_dir()).ok());
+  EXPECT_EQ(reopened.catalog.size(), 0u);
+  EXPECT_EQ(reopened.Fingerprint(), fingerprint);
+}
+
+TEST(PersistenceTest, DropIndexWhoseApplyFailsKeepsTheIndexLiveAndReopened) {
+  ScratchDir dir("xia_persist_failed_drop");
+  std::string fingerprint;
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ApplyBaseline(&inst);
+    ASSERT_TRUE(fp::ArmFromSpec("index.catalog.ddl=error,trips:1").ok());
+    Status dropped = inst.engine->DropIndex("price_idx");
+    fp::DisarmAll();
+    ASSERT_FALSE(dropped.ok());
+    EXPECT_NE(inst.catalog.Find("price_idx"), nullptr);
+    fingerprint = inst.Fingerprint();
+  }
+  Instance reopened;
+  ASSERT_TRUE(reopened.OpenIn(dir.db_dir()).ok());
+  EXPECT_NE(reopened.catalog.Find("price_idx"), nullptr);
+  EXPECT_EQ(reopened.Fingerprint(), fingerprint);
+}
+
+// When the reconciling checkpoint fails as well, the WAL writer is dropped,
+// as after a failed bulk-load checkpoint: logged mutations are refused
+// until a checkpoint succeeds, and that checkpoint retires the record.
+TEST(PersistenceTest, FailedApplyWhoseCheckpointFailsRefusesLoggingUntilOne) {
+  ScratchDir dir("xia_persist_failed_reconcile");
+  std::string fingerprint;
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
+    ASSERT_TRUE(fp::ArmFromSpec("index.catalog.ddl=error,trips:1").ok());
+    ASSERT_TRUE(fp::ArmFromSpec("storage.checkpoint.flush=error").ok());
+    Result<std::string> created = inst.engine->CreateIndex(kDdl);
+    ASSERT_FALSE(created.ok());
+    EXPECT_NE(created.status().message().find("db checkpoint"),
+              std::string::npos)
+        << created.status().ToString();
+    EXPECT_FALSE(inst.engine->InsertDocument("docs", kDocA).ok());
+    fp::DisarmAll();
+    EXPECT_FALSE(inst.engine->InsertDocument("docs", kDocA).ok());
+    ASSERT_TRUE(inst.engine->Checkpoint().ok());
+    ASSERT_TRUE(inst.engine->InsertDocument("docs", kDocA).ok());
+    EXPECT_EQ(inst.catalog.size(), 0u);
+    fingerprint = inst.Fingerprint();
+  }
+  Instance reopened;
+  ASSERT_TRUE(reopened.OpenIn(dir.db_dir()).ok());
+  EXPECT_EQ(reopened.catalog.size(), 0u);
+  EXPECT_EQ(reopened.Fingerprint(), fingerprint);
+}
+
+// A WAL record nested deeper than XmlParser::kMaxDepth could only come
+// from a build without the limit; replay now refuses it with the parse
+// error instead of overflowing the stack.
+TEST(PersistenceTest, ReplayOfARecordNestedPastTheLimitFailsWithTheParseError) {
+  ScratchDir dir("xia_persist_deep_record");
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ASSERT_TRUE(inst.engine->CreateCollection("docs").ok());
+    inst.engine.reset();  // Kill: the create is in the WAL.
+  }
+  {
+    std::string deep;
+    for (size_t i = 0; i <= XmlParser::kMaxDepth; ++i) deep += "<a>";
+    for (size_t i = 0; i <= XmlParser::kMaxDepth; ++i) deep += "</a>";
+    storage::BinWriter w;
+    w.Str("docs");
+    w.Str(deep);
+    storage::WalRecord r;
+    r.lsn = 2;
+    r.type = storage::WalRecordType::kInsertDocument;
+    r.payload = w.Take();
+    std::ofstream wal(fs::path(dir.db_dir()) / "wal.1.log",
+                      std::ios::binary | std::ios::app);
+    wal << storage::EncodeWalRecord(r);
+  }
+  Instance reopened;
+  Status opened = reopened.OpenIn(dir.db_dir());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.message().find("limit of 4096 levels"), std::string::npos)
+      << opened.ToString();
+}
+
 }  // namespace
 }  // namespace xia

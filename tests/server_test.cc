@@ -33,6 +33,7 @@
 #include "server/server.h"
 #include "server/session.h"
 #include "storage/storage_engine.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/parser.h"
@@ -534,6 +535,40 @@ TEST_F(ServerTest, EmptyRequestGetsErrAndConnectionSurvives) {
   Result<std::string> pong = client.Call("ping");
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(*pong, OkResponse("pong\n"));
+}
+
+// Element nesting is capped by the parser, not by a worker's stack: a
+// document at the limit is inserted (and folded into the synopsis, both
+// recursive walks), and a 30,000-level one, which once killed the server,
+// is refused with ERR before it is logged, and the session goes on.
+TEST_F(ServerTest, DeeplyNestedInsertIsRefusedAndTheSessionSurvives) {
+  Preload(1);
+  StartServer();
+  BlockingClient client = Connect();
+  auto nested = [](size_t depth) {
+    std::string xml;
+    for (size_t i = 0; i < depth; ++i) xml += "<a>";
+    xml += "t";
+    for (size_t i = 0; i < depth; ++i) xml += "</a>";
+    return xml;
+  };
+  Result<std::string> at_limit =
+      client.Call("insert xmark " + nested(XmlParser::kMaxDepth));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(ClassifyResponse(*at_limit), ResponseKind::kOk) << *at_limit;
+  Result<std::string> deleted = client.Call("delete xmark 1");
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(ClassifyResponse(*deleted), ResponseKind::kOk) << *deleted;
+
+  Result<std::string> too_deep = client.Call("insert xmark " + nested(30000));
+  ASSERT_TRUE(too_deep.ok()) << too_deep.status().ToString();
+  EXPECT_EQ(ClassifyResponse(*too_deep), ResponseKind::kErr) << *too_deep;
+  EXPECT_NE(too_deep->find("limit of 4096 levels"), std::string::npos)
+      << *too_deep;
+  Result<std::string> pong = client.Call("ping");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(*pong, OkResponse("pong\n"));
+  EXPECT_EQ(shared_.db.GetCollection("xmark")->num_docs(), 2u);
 }
 
 TEST_F(ServerTest, StalledMidFrameClientIsDroppedAndWorkerFreed) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <functional>
@@ -213,6 +214,69 @@ TEST(ParserTest, UnterminatedFails) {
   EXPECT_FALSE(parser.Parse("<a><b>").ok());
   EXPECT_FALSE(parser.Parse("<a x=\"1>").ok());
   EXPECT_FALSE(parser.Parse("<a>&bogus;</a>").ok());
+}
+
+/// `depth` nested <a> elements around `innermost`.
+std::string Nested(size_t depth, const std::string& innermost = "") {
+  std::string xml;
+  for (size_t i = 0; i < depth; ++i) xml += "<a>";
+  xml += innermost;
+  for (size_t i = 0; i < depth; ++i) xml += "</a>";
+  return xml;
+}
+
+// Open elements live on the scanner's own stack, capped at kMaxDepth: the
+// limit parses and serializes, one level more is a ParseError naming the
+// limit, and depths that once overflowed the call stack (20,000) or
+// wrapped XmlNode::level (70,000) fail the same way.
+TEST(ParserTest, NestingIsCappedAtTheDepthLimit) {
+  constexpr size_t kLimit = XmlParser::kMaxDepth;
+  NameTable names;
+  XmlParser parser(&names);
+  Result<Document> at_limit = parser.Parse(Nested(kLimit, "t"));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  ASSERT_EQ(at_limit->num_nodes(), kLimit + 1);
+  EXPECT_EQ(at_limit->node(static_cast<NodeIndex>(kLimit - 1)).level,
+            kLimit - 1);
+  EXPECT_EQ(at_limit->TextValue(static_cast<NodeIndex>(kLimit - 1)), "t");
+  EXPECT_EQ(SerializeDocument(*at_limit, names), Nested(kLimit, "t"));
+
+  for (const std::string& deeper :
+       {Nested(kLimit + 1), Nested(kLimit, "<b/>"), Nested(20000),
+        Nested(70000)}) {
+    Result<Document> over = parser.Parse(deeper);
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+    EXPECT_NE(over.status().message().find("limit of 4096 levels"),
+              std::string::npos)
+        << over.status().ToString();
+  }
+}
+
+// The parser sizes the node array once, from the input: one slot per '<'
+// and per '=', which bounds a document without mixed content, so the
+// array never regrows.
+TEST(ParserTest, NodeArrayIsReservedOnceFromTheInput) {
+  NameTable names;
+  Random rng(9);
+  std::vector<std::string> texts = {
+      "<a x=\"1\"><b>t</b><c/></a>",
+      SerializeDocument(GenerateXMarkDocument(&names, XMarkParams(), &rng),
+                        names)};
+  TpoxParams tpox;
+  for (int i = 0; i < 3; ++i) {
+    texts.push_back(SerializeDocument(
+        GenerateTpoxOrder(&names, tpox, &rng, i), names));
+  }
+  for (const std::string& text : texts) {
+    const size_t marks = static_cast<size_t>(
+        std::count(text.begin(), text.end(), '<') +
+        std::count(text.begin(), text.end(), '='));
+    Result<Document> doc = XmlParser(&names).Parse(text);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    EXPECT_LE(doc->num_nodes(), marks);
+    EXPECT_EQ(doc->nodes().capacity(), marks) << text.substr(0, 60);
+  }
 }
 
 // ------------------------------------------------- Pinned parse outcomes.
@@ -505,6 +569,26 @@ TEST(DocumentTest, ByteSizeGrowsWithContent) {
   EXPECT_LT(small->ByteSize(), large->ByteSize());
 }
 
+
+// TextView is TextValue without the copy: a view of the node's own value
+// unless more than one direct text child has to be concatenated.
+TEST(DocumentTest, TextViewMatchesTextValueAndBorrowsSingleValues) {
+  NameTable names;
+  XmlParser parser(&names);
+  // 0:<p> 1:@x 2:"one" 3:<b> 4:"two" 5:"three" 6:<c> 7:"four" 8:<d>
+  Result<Document> doc = parser.Parse(
+      "<p x=\"v\">one<b>two</b>three<c>four</c><d/></p>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->num_nodes(), 9u);
+  std::string scratch;
+  for (NodeIndex i = 0; i < static_cast<NodeIndex>(doc->num_nodes()); ++i) {
+    EXPECT_EQ(doc->TextView(i, &scratch), doc->TextValue(i)) << i;
+  }
+  EXPECT_EQ(doc->TextView(0, &scratch).data(), scratch.data());  // Joined.
+  EXPECT_EQ(doc->TextView(1, &scratch).data(), doc->node(1).value.data());
+  EXPECT_EQ(doc->TextView(6, &scratch).data(), doc->node(7).value.data());
+  EXPECT_TRUE(doc->TextView(8, &scratch).empty());
+}
 
 // Checkpoint-loaded node arrays must keep the region encoding the
 // evaluator indexes raw arrays by; each rule broken once is refused.
