@@ -245,6 +245,13 @@ void CmdGen(VerbCall& call) {
   ReportBulkLoad(call, status);
 }
 
+/// Ends a write verb that changed nothing: the server answers ERR with
+/// `reason`, the shell prints it.
+void RefuseWrite(VerbCall& call, const std::string& reason) {
+  call.out << reason << (call.host != nullptr ? "" : "\n");
+  call.outcome = CommandOutcome::kRefused;
+}
+
 /// Shared DML reply/capture tail: records an applied mutation into the
 /// armed capture log (the DML half of the workload stream
 /// maintenance-aware advising consumes) and renders the result line the
@@ -254,9 +261,7 @@ void ReportDml(VerbCall& call, const char* what, wlm::CaptureKind kind,
                const Result<dml::DmlResult>& result) {
   std::ostream& out = call.out;
   if (!result.ok()) {
-    // A failed mutation: the server answers ERR with the reason.
-    out << result.status().ToString() << (call.host != nullptr ? "" : "\n");
-    call.outcome = CommandOutcome::kRefused;
+    RefuseWrite(call, result.status().ToString());
     return;
   }
   const dml::DmlResult& r = *result;
@@ -281,7 +286,7 @@ void CmdLoad(VerbCall& call) {
   call.args >> collection >> path;
   std::ifstream in(path);
   if (!in) {
-    call.out << "cannot open " << path << "\n";
+    RefuseWrite(call, "cannot open " + path);
     return;
   }
   std::ostringstream buffer;
@@ -289,7 +294,7 @@ void CmdLoad(VerbCall& call) {
   if (call.shared.db.GetCollection(collection) == nullptr) {
     Status created = call.shared.engine->CreateCollection(collection);
     if (!created.ok()) {
-      call.out << created.ToString() << "\n";
+      RefuseWrite(call, created.ToString());
       return;
     }
   }

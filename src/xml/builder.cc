@@ -70,6 +70,11 @@ Result<Document> DocumentBuilder::Finish() {
     return Status::InvalidArgument("Finish() on empty document");
   }
   Document out = std::move(doc_);
+  // Growth by doubling leaves at most twice the nodes; keep no more than
+  // that of a reservation that overshot.
+  if (out.nodes_.capacity() > 2 * out.nodes_.size()) {
+    out.nodes_.shrink_to_fit();
+  }
   out.SealByteSize();
   doc_ = Document();
   next_begin_ = 0;

@@ -25,7 +25,9 @@ class DocumentBuilder {
 
   /// Reserves room for `nodes` nodes in the document under construction,
   /// so a caller that can bound its size fills the array without
-  /// regrowing it (the parser sizes it once from its input).
+  /// regrowing it (the parser sizes it once from its input). An
+  /// overestimate is not kept: Finish() trims the array to its nodes when
+  /// it holds more than twice as many slots.
   void Reserve(size_t nodes);
 
   /// Opens a child element of the current element (or the root).

@@ -1,11 +1,11 @@
 #include "xml/parser.h"
 
-#include <cstdint>
-#include <cstring>
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "xml/builder.h"
 
 namespace xia {
@@ -19,7 +19,8 @@ obs::Counter& ParseCounter() {
 }
 
 // Character classes of the "C" locale, the only one the accepted subset
-// knows (names are ASCII).
+// knows (names are ASCII). Inlined here: <cctype>'s out-of-line lookups
+// made BM_XmlParse about 1.4x slower (x86-64, GCC 12, -O3).
 bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 bool IsAlpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
@@ -28,37 +29,6 @@ bool IsNameStart(char c) { return IsAlpha(c) || c == '_' || c == ':'; }
 bool IsNameChar(char c) {
   return IsAlpha(c) || (c >= '0' && c <= '9') || c == '_' || c == ':' ||
          c == '-' || c == '.';
-}
-
-bool IsBlank(std::string_view text) {
-  for (char c : text) {
-    if (!IsSpace(c)) return false;
-  }
-  return true;
-}
-
-/// The node array's one reservation: a '<' per element start and end tag
-/// and a '=' per attribute bound the nodes of a document without mixed
-/// content, where at most one text node ends at each end tag. Mixed
-/// content can exceed it; the array then grows as usual.
-size_t EstimateNodes(std::string_view input) {
-  // '<' (0x3C) and '=' (0x3D) differ only in the low bit: a byte is one
-  // of them iff (byte | 1) == '='. Eight bytes at a time, x has a zero
-  // byte at each hit; the exact zero-byte test sets that byte's high bit,
-  // and the multiply sums the eight flags into the top byte.
-  constexpr uint64_t kOnes = 0x0101010101010101ull;
-  constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
-  size_t marks = 0;
-  size_t i = 0;
-  for (; i + 8 <= input.size(); i += 8) {
-    uint64_t word;
-    std::memcpy(&word, input.data() + i, 8);
-    const uint64_t x = (word | kOnes) ^ (kOnes * '=');
-    const uint64_t hits = ~(((x & kLow7) + kLow7) | x) & (kOnes << 7);
-    marks += ((hits >> 7) * kOnes) >> 56;
-  }
-  for (; i < input.size(); ++i) marks += (input[i] | 1) == '=';
-  return marks;
 }
 
 /// Internal cursor-based scanner; reports errors with byte offsets.
@@ -72,7 +42,12 @@ class Scanner {
  public:
   Scanner(std::string_view input, NameTable* names)
       : input_(input), builder_(names) {
-    builder_.Reserve(EstimateNodes(input));
+    // A '<' per element start and end tag and a '=' per attribute bound
+    // the nodes of a document without mixed content, so the array
+    // usually fills without regrowing; Finish() gives back any excess.
+    builder_.Reserve(
+        static_cast<size_t>(std::count(input.begin(), input.end(), '<') +
+                            std::count(input.begin(), input.end(), '=')));
   }
 
   Result<Document> Run() {
@@ -292,7 +267,7 @@ class Scanner {
   /// elements are ignored; mixed content keeps its text verbatim.
   void FlushText() {
     std::string_view text = text_in_buf_ ? std::string_view(text_buf_) : text_;
-    if (!IsBlank(text)) builder_.AddText(text);
+    if (!Trim(text).empty()) builder_.AddText(text);
     text_ = {};
     text_in_buf_ = false;
   }

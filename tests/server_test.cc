@@ -571,6 +571,32 @@ TEST_F(ServerTest, DeeplyNestedInsertIsRefusedAndTheSessionSurvives) {
   EXPECT_EQ(shared_.db.GetCollection("xmark")->num_docs(), 2u);
 }
 
+// `load` answers like the other writes: ERR when it writes nothing (a file
+// it cannot open, a document that does not parse), OK once it loaded.
+TEST_F(ServerTest, LoadThatWritesNothingAnswersErr) {
+  namespace fs = std::filesystem;
+  fs::path scratch = fs::temp_directory_path() / "xia_server_load_err_test";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  std::ofstream(scratch / "bad.xml") << "<a><b>1</b>";
+  std::ofstream(scratch / "good.xml") << "<a><b>1</b></a>";
+  Preload(1);
+  StartServer();
+  BlockingClient client = Connect();
+  for (const char* file : {"missing.xml", "bad.xml"}) {
+    Result<std::string> reply =
+        client.Call("load xmark " + (scratch / file).string());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(ClassifyResponse(*reply), ResponseKind::kErr) << *reply;
+  }
+  Result<std::string> loaded =
+      client.Call("load xmark " + (scratch / "good.xml").string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(ClassifyResponse(*loaded), ResponseKind::kOk) << *loaded;
+  EXPECT_EQ(shared_.db.GetCollection("xmark")->num_docs(), 2u);
+  fs::remove_all(scratch);
+}
+
 TEST_F(ServerTest, StalledMidFrameClientIsDroppedAndWorkerFreed) {
   ServerOptions options;
   options.workers = 1;  // A stalled client would pin the ONLY worker.

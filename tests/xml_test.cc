@@ -279,6 +279,33 @@ TEST(ParserTest, NodeArrayIsReservedOnceFromTheInput) {
   }
 }
 
+// '=' in text and attribute values and '<' in CDATA sections and comments
+// inflate the reservation without adding nodes. The array kept is trimmed
+// to at most twice its nodes, the most that growth by doubling leaves.
+TEST(ParserTest, NodeArrayKeepsAtMostTwiceItsNodes) {
+  const std::string eqs(100000, '=');
+  const std::string lts(100000, '<');
+  NameTable names;
+  struct Case {
+    std::string text;
+    size_t nodes;
+    const std::string& last_value;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"<a>" + eqs + "</a>", 2, eqs},
+           {"<a x=\"" + eqs + "\"/>", 2, eqs},
+           {"<a><![CDATA[" + lts + "]]></a>", 2, lts},
+           {"<a><!--" + lts + "--><b x=\"" + eqs + "\">" + eqs + "</b></a>",
+            4, eqs}}) {
+    Result<Document> doc = XmlParser(&names).Parse(c.text);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    ASSERT_EQ(doc->num_nodes(), c.nodes) << c.text.substr(0, 16);
+    EXPECT_EQ(doc->nodes().back().value, c.last_value);
+    EXPECT_LE(doc->nodes().capacity(), 2 * doc->num_nodes())
+        << c.text.substr(0, 16);
+  }
+}
+
 // ------------------------------------------------- Pinned parse outcomes.
 //
 // The parser's observable behaviour, pinned: every outcome below is hashed
