@@ -1,9 +1,10 @@
 // Section 3, final bullet: create the recommended configuration for real
 // and display actual execution times — estimated improvements must be
 // mirrored by measured ones (no-index scans vs physical index plans).
-// Every plan runs twice: without a buffer pool, and with a 4096-page pool
-// attached as the server's `run` verb has, so the page accounting on the
-// read path is timed too.
+// Every plan runs twice: without a buffer pool, as the server's `run`
+// verb executes, and with a 4096-page pool, as perfbench's `query`
+// workload attaches, so the page accounting on the read path is timed
+// too.
 
 #include <cstdio>
 #include <iostream>

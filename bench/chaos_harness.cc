@@ -228,7 +228,7 @@ void CrashRecoveryRound(const std::string& db_dir, uint64_t seed) {
   auto open_into = [&](server::SharedState* shared) -> bool {
     Result<std::unique_ptr<storage::StorageEngine>> opened =
         storage::StorageEngine::Open(
-            db_dir, &shared->db, &shared->catalog, &shared->buffer_pool,
+            db_dir, &shared->db, &shared->catalog, /*pool=*/nullptr,
             shared->default_options.cost_model.storage, no_sync);
     Check(opened.ok(), "storage open: " + opened.status().ToString());
     if (!opened.ok()) return false;

@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -87,6 +88,35 @@ void LatencyHistogram::Record(uint64_t micros) {
   total_micros_.fetch_add(micros, std::memory_order_relaxed);
 }
 
+SpanStats LatencyHistogram::Stats() const {
+  std::array<uint64_t, kBuckets> counts;
+  uint64_t samples = 0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    counts[i] = bucket(i);
+    samples += counts[i];
+  }
+  SpanStats stats;
+  stats.count = count();
+  stats.total_micros = total_micros();
+  // The bound of the bucket holding the sample of rank
+  // ceil(percent% of samples).
+  auto quantile = [&](uint64_t percent) -> uint64_t {
+    if (samples == 0) return 0;
+    const uint64_t rank = std::max<uint64_t>(1, (samples * percent + 99) / 100);
+    uint64_t seen = 0;
+    size_t i = 0;
+    for (; i + 1 < kBuckets; ++i) {
+      seen += counts[i];
+      if (seen >= rank) break;
+    }
+    return i + 1 < kBuckets ? (uint64_t{1} << i) - 1 : stats.total_micros;
+  };
+  stats.p50_micros = quantile(50);
+  stats.p90_micros = quantile(90);
+  stats.p99_micros = quantile(99);
+  return stats;
+}
+
 uint64_t Snapshot::counter(const std::string& name) const {
   auto it = counters.find(name);
   return it == counters.end() ? 0 : it->second;
@@ -113,7 +143,10 @@ std::vector<std::string> Snapshot::TextLines(
   for (const auto& [name, stats] : spans) {
     lines.push_back(line_prefix + "span." + name + " = " +
                     std::to_string(stats.count) + " calls, " +
-                    std::to_string(stats.total_micros) + " us");
+                    std::to_string(stats.total_micros) + " us, p50 " +
+                    std::to_string(stats.p50_micros) + " us, p90 " +
+                    std::to_string(stats.p90_micros) + " us, p99 " +
+                    std::to_string(stats.p99_micros) + " us");
   }
   return lines;
 }
@@ -143,7 +176,10 @@ std::string Snapshot::ToJson() const {
     first = false;
     AppendJsonString(out, name);
     out << ":{\"count\":" << stats.count
-        << ",\"total_micros\":" << stats.total_micros << "}";
+        << ",\"total_micros\":" << stats.total_micros
+        << ",\"p50_micros\":" << stats.p50_micros
+        << ",\"p90_micros\":" << stats.p90_micros
+        << ",\"p99_micros\":" << stats.p99_micros << "}";
   }
   out << "}}";
   return out.str();
@@ -202,10 +238,7 @@ Snapshot MetricsRegistry::TakeSnapshot() const {
     }
   }
   for (const auto& [name, histogram] : spans_) {
-    SpanStats stats;
-    stats.count = histogram->count();
-    stats.total_micros = histogram->total_micros();
-    snap.spans[name] = stats;
+    snap.spans[name] = histogram->Stats();
   }
   return snap;
 }

@@ -115,6 +115,22 @@ class Gauge {
   std::string name_;
 };
 
+/// Aggregated span statistics as exported in snapshots. The quantiles
+/// come from the log2 buckets: each is the upper bound of the bucket its
+/// rank falls in (2^i - 1 us for bucket i), so the true quantile is at
+/// most that and at least half of it. The last bucket also takes every
+/// larger sample, so a quantile falling in it reads as the span's total,
+/// which no sample exceeds. All three are 0 for an empty span.
+struct SpanStats {
+  uint64_t count = 0;
+  uint64_t total_micros = 0;
+  uint64_t p50_micros = 0;
+  uint64_t p90_micros = 0;
+  uint64_t p99_micros = 0;
+
+  bool operator==(const SpanStats& other) const = default;
+};
+
 /// Latency aggregation for phase spans: count, total, and log2-scaled
 /// microsecond buckets (bucket i counts samples with bit_width(us) == i).
 class LatencyHistogram {
@@ -135,20 +151,14 @@ class LatencyHistogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
+  /// Count, total and quantiles (see SpanStats), from one read of each
+  /// bucket.
+  SpanStats Stats() const;
+
  private:
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> total_micros_{0};
-};
-
-/// Aggregated span statistics as exported in snapshots.
-struct SpanStats {
-  uint64_t count = 0;
-  uint64_t total_micros = 0;
-
-  bool operator==(const SpanStats& other) const {
-    return count == other.count && total_micros == other.total_micros;
-  }
 };
 
 /// Point-in-time view of every registered metric. Deterministically

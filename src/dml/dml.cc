@@ -41,12 +41,29 @@ std::string RootPattern(const Database& db, const Document& doc) {
                                 : std::string(db.names().NameOf(name)));
 }
 
+Status CollectionNotFound(const std::string& collection) {
+  return Status::NotFound("collection " + collection + " does not exist");
+}
+
 /// The named collection, or NotFound.
 Result<Collection*> FindCollection(Database* db,
                                    const std::string& collection) {
   Collection* coll = db->GetCollection(collection);
-  if (coll == nullptr) {
-    return Status::NotFound("collection " + collection + " does not exist");
+  if (coll == nullptr) return CollectionNotFound(collection);
+  return coll;
+}
+
+/// The collection `doc` was prepared for, checked to assign the id its
+/// index entries point at next; Internal when it would not (something
+/// else mutated it since PrepareDocument).
+Result<Collection*> FindPreparedTarget(Database* db,
+                                       const PreparedDocument& doc) {
+  XIA_ASSIGN_OR_RETURN(Collection * coll, FindCollection(db, doc.collection));
+  if (static_cast<DocId>(coll->num_docs()) != doc.index_entries.doc) {
+    return Status::Internal(
+        "document prepared as id " + std::to_string(doc.index_entries.doc) +
+        " of collection " + doc.collection + ", which assigns id " +
+        std::to_string(coll->num_docs()) + " next");
   }
   return coll;
 }
@@ -86,17 +103,34 @@ Status MaybeRebuildSynopsis(Database* db, const std::string& collection,
 
 }  // namespace
 
+Result<PreparedDocument> PrepareDocument(const Database& db,
+                                         const Catalog& catalog,
+                                         const std::string& collection,
+                                         const std::string& xml) {
+  // Checked before parsing: a missing target reports NotFound, whatever
+  // the text.
+  const Collection* coll = db.GetCollection(collection);
+  if (coll == nullptr) return CollectionNotFound(collection);
+  PreparedDocument prepared;
+  prepared.collection = collection;
+  XIA_ASSIGN_OR_RETURN(prepared.doc, XmlParser(&prepared.names).Parse(xml));
+  prepared.index_entries =
+      BuildDocumentEntries(catalog, collection, prepared.doc, prepared.names,
+                           static_cast<DocId>(coll->num_docs()));
+  return prepared;
+}
+
 Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
-                              const std::string& collection, Document doc,
-                              const NameTable& names) {
-  XIA_ASSIGN_OR_RETURN(Collection * coll, FindCollection(db, collection));
-  doc.RemapNames(db->mutable_names()->Adopt(names));
+                              PreparedDocument doc) {
+  XIA_ASSIGN_OR_RETURN(Collection * coll, FindPreparedTarget(db, doc));
+  doc.doc.RemapNames(db->mutable_names()->Adopt(doc.names));
   DmlResult out;
-  out.doc = coll->Add(std::move(doc));
+  out.doc = coll->Add(std::move(doc.doc));
   out.root_pattern = RootPattern(*db, coll->doc(out.doc));
   XIA_ASSIGN_OR_RETURN(
-      out.maintenance, ApplyDocumentInsert(*db, collection, out.doc, catalog));
-  if (PathSynopsis* synopsis = db->mutable_synopsis(collection)) {
+      out.maintenance,
+      MergeDocumentEntries(std::move(doc.index_entries), catalog));
+  if (PathSynopsis* synopsis = db->mutable_synopsis(doc.collection)) {
     uint64_t before = synopsis->TotalNodes();
     synopsis->AddDocument(coll->doc(out.doc));
     out.synopsis_nodes_added =
@@ -109,12 +143,9 @@ Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
 Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
                               const std::string& collection,
                               const std::string& xml) {
-  // Checked before parsing: a missing target reports NotFound, whatever
-  // the text.
-  XIA_RETURN_IF_ERROR(FindCollection(db, collection).status());
-  NameTable names;
-  XIA_ASSIGN_OR_RETURN(Document doc, XmlParser(&names).Parse(xml));
-  return ApplyInsert(db, catalog, collection, std::move(doc), names);
+  XIA_ASSIGN_OR_RETURN(PreparedDocument doc,
+                       PrepareDocument(*db, *catalog, collection, xml));
+  return ApplyInsert(db, catalog, std::move(doc));
 }
 
 Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
@@ -141,15 +172,16 @@ Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
   return out;
 }
 
-Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
-                              const std::string& collection, DocId doc,
-                              Document replacement, const NameTable& names,
+Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog, DocId doc,
+                              PreparedDocument replacement,
                               Fallback fallback) {
-  XIA_ASSIGN_OR_RETURN(DmlResult removed,
-                       ApplyDelete(db, catalog, collection, doc, fallback));
+  // The insert half's check, made before the delete half changes anything.
+  XIA_RETURN_IF_ERROR(FindPreparedTarget(db, replacement).status());
   XIA_ASSIGN_OR_RETURN(
-      DmlResult inserted,
-      ApplyInsert(db, catalog, collection, std::move(replacement), names));
+      DmlResult removed,
+      ApplyDelete(db, catalog, replacement.collection, doc, fallback));
+  XIA_ASSIGN_OR_RETURN(DmlResult inserted,
+                       ApplyInsert(db, catalog, std::move(replacement)));
   DmlResult out = std::move(inserted);
   out.maintenance.indexes_touched = std::max(
       removed.maintenance.indexes_touched, out.maintenance.indexes_touched);
@@ -163,12 +195,11 @@ Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
 Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc,
                               const std::string& xml) {
-  // Checked before parsing, as in the string ApplyInsert.
+  // Checked before parsing, as in PrepareDocument.
   XIA_RETURN_IF_ERROR(FindLiveDocument(db, collection, doc).status());
-  NameTable names;
-  XIA_ASSIGN_OR_RETURN(Document replacement, XmlParser(&names).Parse(xml));
-  return ApplyUpdate(db, catalog, collection, doc, std::move(replacement),
-                     names);
+  XIA_ASSIGN_OR_RETURN(PreparedDocument replacement,
+                       PrepareDocument(*db, *catalog, collection, xml));
+  return ApplyUpdate(db, catalog, doc, std::move(replacement));
 }
 
 }  // namespace dml

@@ -17,18 +17,22 @@ namespace dml {
 ///
 /// Every insert/delete/update of a document funnels through ApplyInsert /
 /// ApplyDelete / ApplyUpdate, whether it originates from a live server
-/// verb, the REPL, or WAL replay. StorageEngine's logged mutations pass
-/// the Document their validation parse built; its ReplayRecord path
-/// passes the logged XML to the string overloads, which parse it once
-/// against a private name table and make the same Document call. Both
-/// intern the document's names in the order it first uses them, which
-/// is what makes a recovered database bit-identical to one that never
-/// crashed. Each apply performs, in a fixed order:
+/// verb, the REPL, or WAL replay. A new document is first prepared
+/// (PrepareDocument): parsed once against a private name table, with its
+/// index entries built against that table. StorageEngine's logged
+/// mutations prepare before they log and apply what they prepared under
+/// the apply lock; its ReplayRecord path passes the logged XML to the
+/// string overloads, which prepare it and apply it at once. Both intern
+/// the document's names in the order it first uses them, which is what
+/// makes a recovered database bit-identical to one that never crashed.
+/// Each apply performs, in a fixed order:
 ///
 ///   1. the Collection mutation (Add, or synopsis-decrement-then-Delete
 ///      for tombstones — the synopsis and the indexes must consume the
 ///      document's content before Collection::Delete frees it),
-///   2. incremental physical-index maintenance (index/maintenance.h),
+///   2. incremental physical-index maintenance (index/maintenance.h): a
+///      new document's prepared entries are merged, a deleted one's
+///      removed,
 ///   3. incremental path-synopsis and histogram maintenance
 ///      (PathSynopsis::AddDocument / RemoveDocument) — estimates see the
 ///      mutation immediately, no full re-Analyze per mutation,
@@ -39,9 +43,11 @@ namespace dml {
 ///      caller builds it beside readers, then installs it
 ///      (Fallback::kDeferred).
 ///
-/// Callers must hold exclusive access to the database/catalog (the
-/// storage engine's apply lock, or owning the database alone, as
-/// recovery does).
+/// Callers of the applies must hold exclusive access to the
+/// database/catalog (the storage engine's apply lock, or owning the
+/// database alone, as recovery does). PrepareDocument only reads; between
+/// it and its apply, nothing else may mutate the target collection or its
+/// indexes (the engine holds its writer's mutex across both).
 ///
 /// Update semantics: an update tombstones the old document and inserts
 /// the new content under a fresh DocId (our region encoding makes
@@ -90,20 +96,38 @@ struct DmlResult {
   bool synopsis_rebuilt = false;
 };
 
-/// Appends `doc`, built against `names` (a private table, e.g. the one
-/// the caller's validation parse filled), to `collection` as a new
-/// document, maintaining indexes and synopsis incrementally. First
-/// interns `names` into the database's table in id order — the order a
-/// parse straight into that table would have interned them, so name ids
-/// match a direct parse — and remaps the nodes onto those ids. Fails
-/// without touching the database when `collection` does not exist.
-Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
-                              const std::string& collection, Document doc,
-                              const NameTable& names);
+/// A new document ready to apply (see PrepareDocument). Its nodes still
+/// carry the ids of `names`.
+struct PreparedDocument {
+  std::string collection;
+  Document doc;
+  NameTable names;
+  /// Its entries in every physical index of `collection`, tagged with the
+  /// id the collection assigns next.
+  DocumentEntries index_entries;
+};
 
-/// Parses `xml` against a private name table, then applies the insert
-/// above (WAL replay, tests, benches): one parse, and a document that
-/// fails to parse changes nothing.
+/// Parses `xml` against a private name table and builds its index entries
+/// (BuildDocumentEntries against that table) for the id `collection`
+/// assigns next: its num_docs(), since a delete keeps its slot. Only
+/// reads `db` and `catalog`. A missing collection is NotFound whatever
+/// the text, and a document that fails to parse is refused.
+Result<PreparedDocument> PrepareDocument(const Database& db,
+                                         const Catalog& catalog,
+                                         const std::string& collection,
+                                         const std::string& xml);
+
+/// Appends a prepared document to its collection, maintaining indexes
+/// and synopsis incrementally. First interns its names into the
+/// database's table in id order — the order a parse straight into that
+/// table would have interned them, so name ids match a direct parse —
+/// and remaps the nodes onto those ids. Fails without touching the
+/// database when the collection does not exist, or, as Internal, when it
+/// would assign an id other than the prepared one.
+Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
+                              PreparedDocument doc);
+
+/// PrepareDocument, then the apply above (WAL replay, tests, benches).
 Result<DmlResult> ApplyInsert(Database* db, Catalog* catalog,
                               const std::string& collection,
                               const std::string& xml);
@@ -115,20 +139,19 @@ Result<DmlResult> ApplyDelete(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc,
                               Fallback fallback = Fallback::kInline);
 
-/// Replaces document `doc` with `replacement` (built against `names`, as
-/// for ApplyInsert): ApplyDelete(doc) then ApplyInsert(replacement). The
+/// Replaces document `doc` of the replacement's collection with
+/// `replacement`: ApplyDelete(doc) then ApplyInsert(replacement). The
 /// result's `doc` is the NEW document's id; the maintenance stats
-/// aggregate both halves. The replacement is already a document, so the
-/// delete half never runs ahead of an insert half that cannot apply. The
+/// aggregate both halves. Both halves are checked before the delete half
+/// runs, so it never runs ahead of an insert half that cannot apply. The
 /// staleness check runs between the halves, where the delete half ends.
-Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
-                              const std::string& collection, DocId doc,
-                              Document replacement, const NameTable& names,
+Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog, DocId doc,
+                              PreparedDocument replacement,
                               Fallback fallback = Fallback::kInline);
 
-/// Checks that `doc` is live, parses `xml` against a private name table,
-/// then applies the update above: one parse, and a replacement that
-/// fails to parse leaves the target live and the database unchanged.
+/// Checks that `doc` is live, then PrepareDocument and the update above:
+/// a replacement that fails to parse leaves the target live and the
+/// database unchanged.
 Result<DmlResult> ApplyUpdate(Database* db, Catalog* catalog,
                               const std::string& collection, DocId doc,
                               const std::string& xml);

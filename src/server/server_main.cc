@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
     if (!data_dir.empty()) {
       Result<std::unique_ptr<storage::StorageEngine>> opened =
           storage::StorageEngine::Open(
-              data_dir, &shared.db, &shared.catalog, &shared.buffer_pool,
+              data_dir, &shared.db, &shared.catalog, /*pool=*/nullptr,
               shared.default_options.cost_model.storage);
       if (!opened.ok()) {
         std::cerr << "--data-dir " << data_dir << ": "

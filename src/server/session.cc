@@ -726,8 +726,7 @@ void CmdRun(VerbCall& call) {
   }
   call.out << plan->Explain();
   Executor executor(&call.shared.db, &call.shared.catalog,
-                    call.shared.default_options.cost_model,
-                    &call.shared.buffer_pool);
+                    call.shared.default_options.cost_model);
   Result<ExecResult> run = executor.Execute(*plan);
   if (!run.ok()) {
     call.out << run.status().ToString() << "\n";

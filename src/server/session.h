@@ -14,7 +14,6 @@
 #include "common/rw_lock.h"
 #include "index/catalog.h"
 #include "optimizer/cost_cache.h"
-#include "storage/buffer_pool.h"
 #include "storage/database.h"
 #include "storage/storage_engine.h"
 #include "wlm/capture.h"
@@ -45,9 +44,10 @@ namespace server {
 /// readers and takes `mu` exclusively only to apply in memory (its
 /// attached apply lock), so a write is durable before it is visible.
 /// `gen`/`loadcoll`/`capture`/`drift` also hold `mu` exclusively for the
-/// whole verb. The caches (`containment`, `what_if_cache`,
-/// `buffer_pool`) are internally thread-safe and shared by design: one
-/// session's advise warms the plan cache every other session hits.
+/// whole verb. The caches (`containment`, `what_if_cache`) are
+/// internally thread-safe and shared by design: one session's advise
+/// warms the plan cache every other session hits. `run` executes against
+/// the in-memory store directly; no page cache sits between readers.
 struct SharedState {
   /// Attaches `mu` to the memory-only `engine` as its apply lock.
   SharedState();
@@ -65,8 +65,6 @@ struct SharedState {
   /// relevant catalog entries — so equal keys imply bit-identical plans
   /// no matter which session, workload, or data state inserted them.
   WhatIfCostCache what_if_cache;
-  /// Shared page cache for `run` executions (warm across sessions).
-  BufferPool buffer_pool{4096};
   /// This state's workload capture log. Created by the first ArmCapture
   /// and kept for the SharedState's lifetime, so `log stats` and
   /// `advise --from-log` survive `capture off`.

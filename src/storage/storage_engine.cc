@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "index/ddl.h"
 #include "index/index_builder.h"
 #include "storage/page.h"
-#include "xml/parser.h"
 
 namespace xia {
 namespace storage {
@@ -128,13 +128,52 @@ constexpr const char* kRefusedUntilCheckpoint =
     "logged mutations are refused until a checkpoint succeeds "
     "(`db checkpoint`)";
 
-/// Each apply's wait for the exclusive apply lock. Always recorded, like
-/// the server's own lock-wait histograms.
+/// Each apply's wait for the exclusive apply lock, and how long it then
+/// holds it. Always recorded, like the server's own lock-wait histograms.
 obs::LatencyHistogram& ApplyLockWait() {
   static obs::LatencyHistogram& histogram =
       obs::Registry().GetSpanHistogram("storage.apply_lock_wait");
   return histogram;
 }
+
+obs::LatencyHistogram& ApplyHold() {
+  static obs::LatencyHistogram& histogram =
+      obs::Registry().GetSpanHistogram("storage.apply_hold");
+  return histogram;
+}
+
+uint64_t MicrosBetween(std::chrono::steady_clock::time_point from,
+                       std::chrono::steady_clock::time_point to) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+          .count());
+}
+
+/// The attached apply lock held exclusively for one in-memory apply or
+/// install, timed into ApplyLockWait and ApplyHold; holds nothing when no
+/// lock is attached.
+class ApplySection {
+ public:
+  explicit ApplySection(RwLock* lock) {
+    if (lock == nullptr) return;
+    const auto started = std::chrono::steady_clock::now();
+    lock_ = std::unique_lock<RwLock>(*lock);
+    acquired_ = std::chrono::steady_clock::now();
+    ApplyLockWait().Record(MicrosBetween(started, acquired_));
+  }
+  ~ApplySection() {
+    if (!lock_.owns_lock()) return;
+    const auto released = std::chrono::steady_clock::now();
+    lock_.unlock();
+    ApplyHold().Record(MicrosBetween(acquired_, released));
+  }
+  ApplySection(const ApplySection&) = delete;
+  ApplySection& operator=(const ApplySection&) = delete;
+
+ private:
+  std::unique_lock<RwLock> lock_;
+  std::chrono::steady_clock::time_point acquired_;
+};
 
 uint64_t PagesFor(size_t bytes) {
   return (bytes + kPagePayloadSize - 1) / kPagePayloadSize;
@@ -577,21 +616,11 @@ Status StorageEngine::ReplayRecord(const WalRecord& record) {
 // Validate first (a record that cannot replay must never be logged),
 // then append the WAL record, then apply — through the same Database,
 // Catalog and dml:: calls ReplayRecord makes. An insert or update
-// applies the document its validation parse built; replay parses the
-// logged XML once and makes the same dml:: call. `analyze` and
-// CREATE INDEX build before logging, with the calls replay makes, and
-// only install under the apply lock.
-
-std::unique_lock<RwLock> StorageEngine::LockForApply() {
-  if (apply_lock_ == nullptr) return {};
-  const auto started = std::chrono::steady_clock::now();
-  std::unique_lock<RwLock> lock(*apply_lock_);
-  ApplyLockWait().Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count()));
-  return lock;
-}
+// prepares its document before logging (dml::PrepareDocument: the
+// validating parse and the index entries) and applies it under the apply
+// lock; replay's string dml:: calls prepare the logged XML and apply it
+// at once. `analyze` and CREATE INDEX build before logging, with the
+// calls replay makes, and only install under the apply lock.
 
 dml::Fallback StorageEngine::fallback() const {
   return apply_lock_ != nullptr ? dml::Fallback::kDeferred
@@ -605,7 +634,7 @@ Status StorageEngine::FinishFallback(const std::string& collection,
   }
   XIA_ASSIGN_OR_RETURN(std::unique_ptr<PathSynopsis> synopsis,
                        db_->BuildSynopsis(collection));
-  std::unique_lock<RwLock> lock = LockForApply();
+  ApplySection section(apply_lock_);
   db_->InstallSynopsis(collection, std::move(synopsis));
   return Status::Ok();
 }
@@ -621,7 +650,7 @@ Status StorageEngine::CreateCollection(const std::string& name) {
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kCreateCollection, w.Take()));
   Status created = [&] {
-    std::unique_lock<RwLock> lock = LockForApply();
+    ApplySection section(apply_lock_);
     return db_->CreateCollection(name).status();
   }();
   return ReconcileFailedApply(std::move(created));
@@ -634,7 +663,7 @@ Status StorageEngine::Analyze(const std::string& collection) {
   BinWriter w;
   w.Str(collection);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kAnalyze, w.Take()));
-  std::unique_lock<RwLock> lock = LockForApply();
+  ApplySection section(apply_lock_);
   db_->InstallSynopsis(collection, std::move(synopsis));
   return Status::Ok();
 }
@@ -658,7 +687,7 @@ Result<std::string> StorageEngine::CreateIndex(const std::string& ddl) {
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kCreateIndex, w.Take()));
   std::string name = index.def().name;
   Status installed = [&] {
-    std::unique_lock<RwLock> lock = LockForApply();
+    ApplySection section(apply_lock_);
     return InstallIndex(std::move(index));
   }();
   XIA_RETURN_IF_ERROR(ReconcileFailedApply(std::move(installed)));
@@ -673,7 +702,7 @@ Status StorageEngine::DropIndex(const std::string& name) {
   w.Str(name);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kDropIndex, w.Take()));
   Status dropped = [&] {
-    std::unique_lock<RwLock> lock = LockForApply();
+    ApplySection section(apply_lock_);
     return catalog_->Drop(name);
   }();
   return ReconcileFailedApply(std::move(dropped));
@@ -681,24 +710,19 @@ Status StorageEngine::DropIndex(const std::string& name) {
 
 Result<dml::DmlResult> StorageEngine::InsertDocument(
     const std::string& collection, const std::string& xml) {
-  if (db_->GetCollection(collection) == nullptr) {
-    return Status::NotFound("collection " + collection +
-                            " does not exist");
-  }
-  // Parse against a private name table before logging: a record that
-  // cannot replay would poison every future recovery, so it is never
-  // logged, and a failed parse leaves the database's names untouched.
-  // The parsed document is the one applied.
-  NameTable names;
-  XIA_ASSIGN_OR_RETURN(Document parsed, XmlParser(&names).Parse(xml));
+  // Prepare before logging, beside readers: a record that cannot replay
+  // would poison every future recovery, so it is never logged, and a
+  // failed parse leaves the database's names untouched. The prepared
+  // document, with its index entries, is the one applied.
+  XIA_ASSIGN_OR_RETURN(dml::PreparedDocument prepared,
+                       dml::PrepareDocument(*db_, *catalog_, collection, xml));
   BinWriter w;
   w.Str(collection);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kInsertDocument, w.Take()));
   Result<dml::DmlResult> result = [&] {
-    std::unique_lock<RwLock> lock = LockForApply();
-    return dml::ApplyInsert(db_, catalog_, collection, std::move(parsed),
-                            names);
+    ApplySection section(apply_lock_);
+    return dml::ApplyInsert(db_, catalog_, std::move(prepared));
   }();
   if (!result.ok()) return ReconcileFailedApply(result.status());
   return result;
@@ -721,7 +745,7 @@ Result<dml::DmlResult> StorageEngine::DeleteDocument(
   w.I32(doc);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kDeleteDocument, w.Take()));
   Result<dml::DmlResult> result = [&] {
-    std::unique_lock<RwLock> lock = LockForApply();
+    ApplySection section(apply_lock_);
     return dml::ApplyDelete(db_, catalog_, collection, doc, fallback());
   }();
   if (!result.ok()) return ReconcileFailedApply(result.status());
@@ -741,17 +765,18 @@ Result<dml::DmlResult> StorageEngine::UpdateDocument(
                             " of collection " + collection +
                             " does not exist (or was deleted)");
   }
-  NameTable names;  // As in InsertDocument.
-  XIA_ASSIGN_OR_RETURN(Document parsed, XmlParser(&names).Parse(xml));
+  // As in InsertDocument.
+  XIA_ASSIGN_OR_RETURN(dml::PreparedDocument prepared,
+                       dml::PrepareDocument(*db_, *catalog_, collection, xml));
   BinWriter w;
   w.Str(collection);
   w.I32(doc);
   w.Str(xml);
   XIA_RETURN_IF_ERROR(AppendWal(WalRecordType::kUpdateDocument, w.Take()));
   Result<dml::DmlResult> result = [&] {
-    std::unique_lock<RwLock> lock = LockForApply();
-    return dml::ApplyUpdate(db_, catalog_, collection, doc, std::move(parsed),
-                            names, fallback());
+    ApplySection section(apply_lock_);
+    return dml::ApplyUpdate(db_, catalog_, doc, std::move(prepared),
+                            fallback());
   }();
   if (!result.ok()) return ReconcileFailedApply(result.status());
   XIA_RETURN_IF_ERROR(FinishFallback(collection, *result));

@@ -69,11 +69,13 @@ struct RecoveryStats {
 /// its writer mutex, SharedState::write_mu, across every mutating verb).
 /// With an apply lock attached (AttachApplyLock: the server's state lock,
 /// which readers of db/catalog hold shared), a logged mutation parses,
-/// validates, builds and appends and fsyncs its WAL record beside those
-/// readers, and holds the lock exclusively only to apply in memory and to
-/// install what it built (an index, a synopsis): a write is durable
-/// before it is visible, and nothing slow runs under the lock. Each such
-/// wait lands in the `storage.apply_lock_wait` histogram. Without a lock
+/// validates, builds (an index, a synopsis, a new document's index
+/// entries) and appends and fsyncs its WAL record beside those readers,
+/// and holds the lock exclusively only to apply in memory and to install
+/// what it built: a write is durable before it is visible, and nothing
+/// slow runs under the lock. Each wait for the lock lands in the
+/// `storage.apply_lock_wait` histogram, and each exclusive hold in
+/// `storage.apply_hold`. Without a lock
 /// the engine applies inline, as WAL replay does, under whatever
 /// exclusion its caller holds. BulkLoad, Checkpoint(), Close() and the
 /// replay inside Open never take the lock: a bulk load's caller holds it
@@ -88,8 +90,9 @@ class StorageEngine {
   /// of `db`/`catalog` (usually empty, but e.g. pre-generated XMark data
   /// with built indexes) as checkpoint 1 — adopt-then-persist.
   ///
-  /// Checkpoint page reads are accounted in `pool` (may be null) under
-  /// the StoragePageId partition, so cold-vs-warm opens are measurable.
+  /// Checkpoint page reads are accounted in `pool` when one is passed
+  /// (benches and tests; the server passes none) under the StoragePageId
+  /// partition, so cold-vs-warm opens are measurable.
   static Result<std::unique_ptr<StorageEngine>> Open(
       const std::string& dir, Database* db, Catalog* catalog,
       BufferPool* pool, const StorageConstants& constants,
@@ -128,12 +131,13 @@ class StorageEngine {
   // DML (src/dml): WAL-logged document mutations with incremental index
   // and synopsis maintenance. Insert returns the new DocId; update
   // returns the replacement's DocId (the old id is tombstoned). Insert
-  // and update parse `xml` once, against a private name table: a
-  // document that fails to parse is refused before logging and leaves
-  // the database unchanged; otherwise the parsed Document is applied
-  // (dml::ApplyInsert/ApplyUpdate's Document overloads), its names
-  // joining the database's table in the order the document first uses
-  // them, as a replay's parse interns them.
+  // and update prepare `xml` before logging (dml::PrepareDocument: one
+  // parse against a private name table, and the document's index entries
+  // built against it): a document that fails to parse is refused before
+  // logging and leaves the database unchanged; otherwise the prepared
+  // document is applied (dml::ApplyInsert/ApplyUpdate's PreparedDocument
+  // overloads), its names joining the database's table in the order the
+  // document first uses them, as a replay's parse interns them.
   Result<dml::DmlResult> InsertDocument(const std::string& collection,
                                         const std::string& xml);
   Result<dml::DmlResult> DeleteDocument(const std::string& collection,
@@ -205,9 +209,6 @@ class StorageEngine {
   /// Registers a built index in the catalog.
   Status InstallIndex(PathIndex index);
 
-  /// The attached lock held exclusively (the wait recorded), or an empty
-  /// lock when none is attached.
-  std::unique_lock<RwLock> LockForApply();
   /// kDeferred with an apply lock attached, else kInline.
   dml::Fallback fallback() const;
   /// After a delete or update whose apply deferred its RUNSTATS

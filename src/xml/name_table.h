@@ -24,6 +24,8 @@ class NameTable {
   NameTable() = default;
   NameTable(const NameTable&) = delete;
   NameTable& operator=(const NameTable&) = delete;
+  NameTable(NameTable&&) = default;
+  NameTable& operator=(NameTable&&) = default;
 
   /// Returns the id for `name`, interning it on first use.
   NameId Intern(std::string_view name);

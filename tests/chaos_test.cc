@@ -205,7 +205,7 @@ TEST(ChaosTest, KillThenReopenRecoversFingerprintDespiteWalFault) {
   auto open_into = [&](SharedState* shared) {
     Result<std::unique_ptr<storage::StorageEngine>> opened =
         storage::StorageEngine::Open(
-            db_dir, &shared->db, &shared->catalog, &shared->buffer_pool,
+            db_dir, &shared->db, &shared->catalog, /*pool=*/nullptr,
             shared->default_options.cost_model.storage, no_sync);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     shared->engine = std::move(*opened);

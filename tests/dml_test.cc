@@ -106,6 +106,44 @@ class DmlTest : public ::testing::Test {
 
 // --------------------------------------------- Incremental maintenance.
 
+// A prepared document applies only as the id it was prepared for. Once
+// another insert has taken that id, its insert and an update carrying it
+// are Internal, and the database, its names and its indexes stay as
+// they were.
+TEST_F(DmlTest, StalePreparedDocumentIsRefusedAndChangesNothing) {
+  Materialize("quantity", "/site/regions/*/item/quantity", ValueType::kDouble);
+  const std::string xml =
+      "<site><regions><africa><item><quantity>3</quantity>"
+      "<appraisal>1</appraisal></item></africa></regions></site>";
+  Result<dml::PreparedDocument> stale =
+      dml::PrepareDocument(db_, catalog_, "xmark", xml);
+  Result<dml::PreparedDocument> stale_update =
+      dml::PrepareDocument(db_, catalog_, "xmark", xml);
+  ASSERT_TRUE(stale.ok() && stale_update.ok());
+  ASSERT_EQ(stale->index_entries.per_index.size(), 1u);
+  ASSERT_TRUE(dml::ApplyInsert(&db_, &catalog_, "xmark", FreshDocXml()).ok());
+  const std::string fingerprint =
+      storage::StorageEngine::StateFingerprint(db_, catalog_);
+  const size_t names = db_.names().size();
+
+  Result<dml::DmlResult> inserted =
+      dml::ApplyInsert(&db_, &catalog_, std::move(*stale));
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_EQ(inserted.status().code(), StatusCode::kInternal)
+      << inserted.status().ToString();
+  Result<dml::DmlResult> updated =
+      dml::ApplyUpdate(&db_, &catalog_, 0, std::move(*stale_update));
+  ASSERT_FALSE(updated.ok());
+  EXPECT_EQ(updated.status().code(), StatusCode::kInternal)
+      << updated.status().ToString();
+  EXPECT_TRUE(db_.GetCollection("xmark")->IsLive(0));
+  EXPECT_EQ(storage::StorageEngine::StateFingerprint(db_, catalog_),
+            fingerprint);
+  EXPECT_EQ(db_.names().size(), names);
+  EXPECT_EQ(db_.names().Lookup("appraisal"), kNoName);
+}
+
+
 // The staleness-trap regression (index/maintenance.h used to document
 // that the synopsis was NOT refreshed on insert): cardinality estimates
 // must see a dml insert immediately, with no full Analyze in between.

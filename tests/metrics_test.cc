@@ -1,7 +1,8 @@
 // Tests for the xia::obs observability substrate: sharded-counter
 // exactness under concurrency, snapshot determinism across thread counts,
 // the retired-total semantics that keep registry names monotonic across
-// instance lifetimes, and the disabled-span zero-overhead contract.
+// instance lifetimes, the disabled-span zero-overhead contract, and the
+// span quantiles read from the log2 buckets.
 
 #include <gtest/gtest.h>
 
@@ -180,6 +181,72 @@ TEST(MetricsTest, LatencyHistogramBucketsByLog2) {
   EXPECT_EQ(bucketed, 5u);
   // 2 and 3 share bit_width 2; 0 and 1 land below it.
   EXPECT_EQ(h.bucket(2), 2u);
+}
+
+// Each quantile is the upper bound of the log2 bucket its rank
+// (ceil(percent% of the samples)) falls in.
+TEST(MetricsTest, SpanQuantilesAreTheirBucketsUpperBounds) {
+  LatencyHistogram h;
+  for (int i = 0; i < 50; ++i) h.Record(10);   // Bucket 4: [8, 15].
+  for (int i = 0; i < 40; ++i) h.Record(100);  // Bucket 7: [64, 127].
+  for (int i = 0; i < 9; ++i) h.Record(1000);  // Bucket 10: [512, 1023].
+  h.Record(10000);                             // Bucket 14: [8192, 16383].
+  SpanStats stats = h.Stats();
+  EXPECT_EQ(stats.count, 100u);
+  EXPECT_EQ(stats.total_micros, 500u + 4000u + 9000u + 10000u);
+  EXPECT_EQ(stats.p50_micros, 15u);    // Rank 50, the last in bucket 4.
+  EXPECT_EQ(stats.p90_micros, 127u);   // Rank 90, the last in bucket 7.
+  EXPECT_EQ(stats.p99_micros, 1023u);  // Rank 99, the last in bucket 10.
+
+  // One more sample moves every rank up by one, over each boundary.
+  h.Record(10000);
+  stats = h.Stats();
+  EXPECT_EQ(stats.count, 101u);
+  EXPECT_EQ(stats.p50_micros, 127u);    // Rank 51.
+  EXPECT_EQ(stats.p90_micros, 1023u);   // Rank 91.
+  EXPECT_EQ(stats.p99_micros, 16383u);  // Rank 100.
+
+  LatencyHistogram zeros;
+  zeros.Record(0);
+  EXPECT_EQ(zeros.Stats().p99_micros, 0u);  // Bucket 0 holds only 0.
+}
+
+TEST(MetricsTest, EmptyHistogramReportsZeroQuantiles) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.Stats(), SpanStats{});
+}
+
+// The last bucket has no upper bound of its own: a quantile that falls in
+// it reads as the span's total, which no sample exceeds.
+TEST(MetricsTest, SampleBeyondTheLastBucketReadsAsTheTotal) {
+  const uint64_t huge = uint64_t{1} << 45;  // bit_width 46 > 39.
+  LatencyHistogram h;
+  h.Record(5);
+  h.Record(huge);
+  EXPECT_EQ(h.bucket(LatencyHistogram::kBuckets - 1), 1u);
+  SpanStats stats = h.Stats();
+  EXPECT_EQ(stats.p50_micros, 7u);  // Rank 1: the 5 us sample's bucket.
+  EXPECT_EQ(stats.p90_micros, huge + 5);
+  EXPECT_EQ(stats.p99_micros, huge + 5);
+  EXPECT_GE(stats.p99_micros, huge);
+}
+
+// `stats` appends the quantiles after the count and total, and the JSON
+// keeps "count" and "total_micros" first.
+TEST(MetricsTest, SnapshotRendersSpanQuantiles) {
+  LatencyHistogram& h = Registry().GetSpanHistogram("test.quantiles.rendered");
+  h.Record(9);
+  h.Record(10);
+  h.Record(11);
+  Snapshot snap = Registry().TakeSnapshot();
+  const std::string text =
+      "span.test.quantiles.rendered = 3 calls, 30 us, p50 15 us, p90 15 us, "
+      "p99 15 us\n";
+  EXPECT_NE(snap.ToText().find(text), std::string::npos) << snap.ToText();
+  const std::string json =
+      "\"test.quantiles.rendered\":{\"count\":3,\"total_micros\":30,"
+      "\"p50_micros\":15,\"p90_micros\":15,\"p99_micros\":15}";
+  EXPECT_NE(snap.ToJson().find(json), std::string::npos) << snap.ToJson();
 }
 
 }  // namespace

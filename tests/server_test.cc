@@ -23,11 +23,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "index/index_builder.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -890,7 +892,7 @@ TEST(DispatcherDbTest, LoadAnalyzeAreWalLoggedAndSurviveKill) {
   auto open_into = [&](SharedState* shared) {
     Result<std::unique_ptr<storage::StorageEngine>> opened =
         storage::StorageEngine::Open(
-            db_dir, &shared->db, &shared->catalog, &shared->buffer_pool,
+            db_dir, &shared->db, &shared->catalog, /*pool=*/nullptr,
             shared->default_options.cost_model.storage, no_sync);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     shared->engine = std::move(*opened);
@@ -993,6 +995,37 @@ TEST(DispatcherDbTest, LoadAfterMaterializeIsVisibleToIndexPlans) {
   fs::remove_all(scratch);
 }
 
+// `run` reads the in-memory store directly: neither a scan plan nor an
+// index plan moves the buffer-pool counters. A page cache on this path
+// puts every page of every candidate document behind one mutex that all
+// readers share.
+TEST(DispatcherRunTest, RunGoesThroughNoBufferPool) {
+  SharedState shared;
+  ClientSession session(shared);
+  ASSERT_EQ(Dispatch(&shared, &session, "gen xmark 6").find("generated"), 0u);
+  auto pool_counters = [] {
+    obs::Snapshot snap = obs::Registry().TakeSnapshot();
+    return std::make_pair(snap.counter("bufferpool.hits"),
+                          snap.counter("bufferpool.misses"));
+  };
+  const std::string run = std::string("run ") + kAfricaQuery;
+  auto before = pool_counters();
+  const std::string scan = Dispatch(&shared, &session, run);
+  EXPECT_NE(scan.find("Access: COLLECTION SCAN"), std::string::npos) << scan;
+  EXPECT_GT(ResultNodes(scan), 0) << scan;
+  EXPECT_EQ(pool_counters(), before);
+
+  Dispatch(&shared, &session, "workload xmark");
+  Dispatch(&shared, &session, "advise 512 heuristic");
+  ASSERT_NE(Dispatch(&shared, &session, "materialize").find("materialized"),
+            std::string::npos);
+  before = pool_counters();
+  const std::string indexed = Dispatch(&shared, &session, run);
+  EXPECT_NE(indexed.find("Access: INDEX"), std::string::npos) << indexed;
+  EXPECT_EQ(ResultNodes(indexed), ResultNodes(scan));
+  EXPECT_EQ(pool_counters(), before);
+}
+
 // `update` is only the DML replace: a collection named `insert` (or
 // `delete`) is updatable; the workload edit is spelled `updateop`.
 TEST(DispatcherDbTest, UpdateOfCollectionNamedInsertIsDml) {
@@ -1083,7 +1116,7 @@ TEST(DispatcherDbTest, MemoryOnlyAndDataDirSessionsMatch) {
     SharedState shared;
     Result<std::unique_ptr<storage::StorageEngine>> opened =
         storage::StorageEngine::Open(
-            db_dir, &shared.db, &shared.catalog, &shared.buffer_pool,
+            db_dir, &shared.db, &shared.catalog, /*pool=*/nullptr,
             shared.default_options.cost_model.storage, no_sync);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     shared.engine = std::move(*opened);
@@ -1104,7 +1137,7 @@ TEST(DispatcherDbTest, MemoryOnlyAndDataDirSessionsMatch) {
     SharedState shared;
     Result<std::unique_ptr<storage::StorageEngine>> opened =
         storage::StorageEngine::Open(
-            db_dir, &shared.db, &shared.catalog, &shared.buffer_pool,
+            db_dir, &shared.db, &shared.catalog, /*pool=*/nullptr,
             shared.default_options.cost_model.storage, no_sync);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     EXPECT_EQ(
@@ -1120,7 +1153,7 @@ Status OpenDataDir(SharedState* shared, const std::string& dir) {
   no_sync.sync = false;
   Result<std::unique_ptr<storage::StorageEngine>> opened =
       storage::StorageEngine::Open(dir, &shared->db, &shared->catalog,
-                                   &shared->buffer_pool,
+                                   /*pool=*/nullptr,
                                    shared->default_options.cost_model.storage,
                                    no_sync);
   if (!opened.ok()) return opened.status();
@@ -1618,6 +1651,20 @@ Status OpenSplitDataDir(SharedState* shared, const std::string& dir) {
   return Status::Ok();
 }
 
+// An index's entries in order, one line each: key type, %.17g number,
+// doc, node, key string.
+std::string EntriesText(const PathIndex& index) {
+  std::string out;
+  for (const PathIndex::Entry& e : index.entries()) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%d %.17g %d %d ",
+                  static_cast<int>(e.key.type), e.key.num, e.node.doc,
+                  e.node.node);
+    out += buf + e.key.str + "\n";
+  }
+  return out;
+}
+
 // `count` generated XMark documents as XML text.
 std::vector<std::string> XMarkDocs(int count, uint64_t seed) {
   NameTable names;
@@ -1692,6 +1739,8 @@ TEST(WriterSplitTest, RunIsAnsweredWhileAnInsertWaitsOnItsWal) {
 // inside the apply, as WAL replay builds it). After every step the
 // replies, the fingerprints, the synopsis reports and the selectivities
 // are equal, and a kill and reopen of the split state reproduces them.
+// The sequence ends with an index over a name no document has yet, which
+// an insert and an update then fill.
 TEST(WriterSplitTest, SplitPathMatchesInlinePathBitForBit) {
   namespace fs = std::filesystem;
   fs::path scratch = fs::temp_directory_path() / "xia_split_parity_test";
@@ -1777,6 +1826,39 @@ TEST(WriterSplitTest, SplitPathMatchesInlinePathBitForBit) {
   }
   EXPECT_GT(rebuilt_by_delete, 0);
   EXPECT_GT(rebuilt_by_update, 0);
+
+  // A first-seen name: an index whose pattern names an element no
+  // document has yet, then an insert that brings it and an update that
+  // gives it to another document. A write builds its entries before its
+  // names join the database's table; built against that table, they
+  // would miss the new element.
+  const std::string fresh_ddl =
+      "CREATE INDEX fresh_appraisal ON xmark(doc) GENERATE KEY USING "
+      "XMLPATTERN '/site/regions/*/item/appraisal' AS SQL DOUBLE";
+  for (SharedState* shared : {split.get(), &lockless}) {
+    ASSERT_EQ(shared->db.names().Lookup("appraisal"), kNoName);
+    Result<std::string> created = shared->engine->CreateIndex(fresh_ddl);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+  }
+  const std::string appraised =
+      "<site><regions><africa><item><appraisal>4</appraisal></item><item>"
+      "<appraisal>2.5</appraisal></item></africa></regions></site>";
+  const std::string reappraised =
+      "<site><regions><asia><item><appraisal>7</appraisal></item></asia>"
+      "</regions></site>";
+  const std::string update =
+      "update xmark " + std::to_string(live[0]) + " " + reappraised;
+  ASSERT_EQ(both("insert xmark " + appraised).find("inserted doc "), 0u);
+  ASSERT_EQ(both(update).find("updated doc "), 0u);
+  for (SharedState* shared : {split.get(), &lockless}) {
+    const CatalogEntry* fresh = shared->catalog.Find("fresh_appraisal");
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_EQ(fresh->physical->num_entries(), 3u);
+    Result<PathIndex> rebuilt = BuildIndex(shared->db, fresh->def);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(EntriesText(*fresh->physical), EntriesText(*rebuilt));
+  }
+  EXPECT_EQ(Fingerprint(*split), Fingerprint(lockless));
 
   const std::string fingerprint = Fingerprint(*split);
   const std::string stats = statistics(*split);
